@@ -8,18 +8,18 @@ valued equities, and the CLI exposes the same operations on JSON inputs.
 
 from .network import (EquityVector, FinancialNetwork, NetworkError,
                       TopologyInfo, topology)
-from .valuation import (BoundValuation, EvalContext, FeasibilityReport,
+from .valuation import (BoundValuation, Family, FeasibilityReport,
                         FeasibilityViolation, SpecError, ValuationSpec,
-                        debtrank_interbank, edge_valuation, en_interbank,
+                        debtrank_interbank, en_interbank,
                         exante_en_gbm_interbank, exante_en_uniform_interbank,
                         exante_interbank, feasibility_probe, furfine_interbank,
                         gbm_default_probability, gbm_endogenous_recovery,
                         probe_curve, rv_external, rv_interbank, rv_lender,
-                        uniform_default_probability,
+                        uniform_default_probability, unit_external,
                         uniform_endogenous_recovery)
 from .solver import (SolveConfig, SolveReport, UniquenessReport,
                      default_epsilon, en_clearing_payments, greatest_solution,
-                     least_solution, picard_step, solve, solve_dag,
+                     least_solution, solve, solve_dag,
                      uniqueness_check)
 from .analysis import (DiscountComparison, LimitSeries, MonteCarloResult,
                        StressResult, debtrank_limit_experiment,
@@ -34,17 +34,18 @@ __version__ = "0.1.0"
 __all__ = [
     "EquityVector", "FinancialNetwork", "NetworkError", "TopologyInfo",
     "topology",
-    "BoundValuation", "EvalContext", "FeasibilityReport",
+    "BoundValuation", "Family", "FeasibilityReport",
     "FeasibilityViolation", "SpecError", "ValuationSpec",
-    "debtrank_interbank", "edge_valuation", "en_interbank",
+    "debtrank_interbank", "en_interbank",
     "exante_en_gbm_interbank", "exante_en_uniform_interbank",
     "exante_interbank", "feasibility_probe", "furfine_interbank",
     "gbm_default_probability", "gbm_endogenous_recovery", "probe_curve",
     "rv_external", "rv_interbank", "rv_lender",
     "uniform_default_probability", "uniform_endogenous_recovery",
+    "unit_external",
     "SolveConfig", "SolveReport", "UniquenessReport", "default_epsilon",
     "en_clearing_payments", "greatest_solution", "least_solution",
-    "picard_step", "solve", "solve_dag", "uniqueness_check",
+    "solve", "solve_dag", "uniqueness_check",
     "DiscountComparison", "LimitSeries", "MonteCarloResult", "StressResult",
     "debtrank_limit_experiment", "maturity_limit_experiment",
     "merton_vs_network_discount", "monte_carlo_global_valuation",

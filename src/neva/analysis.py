@@ -16,7 +16,7 @@ import numpy as np
 
 from .network import FinancialNetwork
 from .solver import SolveConfig, SolveReport, greatest_solution
-from .valuation import SpecError, ValuationSpec
+from .valuation import SpecError, ValuationSpec, en_interbank
 
 __all__ = [
     "StressResult",
@@ -229,16 +229,6 @@ def debtrank_limit_experiment(net: FinancialNetwork, betas: Sequence[float],
                       ValuationSpec.linear_debtrank(), config, notes)
 
 
-def _batch_clearing_factors(equities: np.ndarray, obligations: np.ndarray,
-                            beta: float) -> np.ndarray:
-    """Pro-rata clearing factors with haircut ``beta``, rowwise over a batch
-    of equity vectors."""
-    safe = np.where(obligations > 0, obligations, 1.0)
-    frac = np.clip((equities + obligations) / safe, 0.0, 1.0)
-    factors = np.where(equities >= 0, 1.0, beta * frac)
-    return np.where(obligations > 0, factors, 1.0)
-
-
 def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
                                  beta: float, samples: int, seed: int = 0,
                                  config: Optional[SolveConfig] = None) -> MonteCarloResult:
@@ -255,19 +245,12 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     """
     if samples < 1:
         raise SpecError("samples must be at least 1")
-    if tau <= 0:
-        raise SpecError("tau must be positive")
-    beta = float(beta)
-    if beta < 0 or beta > 1:
-        raise SpecError("beta must lie in [0, 1]")
+    # the parameters are those of the before-maturity (local) counterpart
+    local = ValuationSpec.exante_en_gbm(sigma, tau, beta)
+    n = net.n
+    sigma, tau, beta = local.sigma_vector(n), local.maturity, local.beta
     config = config or SolveConfig()
     epsilon = config.resolve_epsilon(net)
-    n = net.n
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim == 0:
-        sigma = np.full(n, float(sigma))
-    if sigma.shape != (n,) or np.any(sigma <= 0):
-        raise SpecError("sigma must be positive, scalar or per-bank")
 
     normals = np.empty((samples, n))
     for s, child in enumerate(np.random.SeedSequence(seed).spawn(samples)):
@@ -285,7 +268,7 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
         if not active.any():
             break
         rows = equities[active]
-        factors = _batch_clearing_factors(rows, obligations, beta)
+        factors = en_interbank(rows, obligations, beta)
         updated = terminal_assets[active] + fixed + factors @ claims.T
         steps = np.max(np.abs(updated - rows), axis=1)
         equities[active] = updated

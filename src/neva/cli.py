@@ -15,9 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import analysis, files
-from .network import NetworkError
 from .solver import SolveConfig, solve
-from .valuation import SpecError
 
 log = logging.getLogger("neva")
 
@@ -95,42 +93,35 @@ def run_command(argv=None) -> int:
         params = scenario.params
         status = 0
         if scenario.kind == "solve":
-            report = solve(net, scenario.valuation, config)
-            result = report
-            status = 0 if report.converged else 1
+            result = solve(net, scenario.valuation, config)
+            status = 0 if result.converged else 1
         elif scenario.kind == "stress":
-            points = analysis.stress_test(net, scenario.valuation,
+            result = analysis.stress_test(net, scenario.valuation,
                                           params["alpha_grid"], config)
-            result = points
-            status = 0 if all(p.report.converged for p in points) else 1
+            status = 0 if all(p.report.converged for p in result) else 1
         elif scenario.kind == "limit_maturity":
-            series = analysis.maturity_limit_experiment(
+            result = analysis.maturity_limit_experiment(
                 net, params["sigma"], params["tau_sequence"], params["beta"],
                 config)
-            result = series
-            status = 0 if not series.partial else 1
+            status = 1 if result.partial else 0
         elif scenario.kind == "limit_beta":
-            series = analysis.debtrank_limit_experiment(
+            result = analysis.debtrank_limit_experiment(
                 net, params["beta_sequence"], config)
-            result = series
-            status = 0 if not series.partial else 1
+            status = 1 if result.partial else 0
         elif scenario.kind == "curve":
             result = files.evaluate_curves(params["families"],
                                            params["equity_grid"])
         else:  # mc_global
             seed = args.seed if args.seed is not None else params["seed"]
-            mc = analysis.monte_carlo_global_valuation(
+            result = analysis.monte_carlo_global_valuation(
                 net, params["sigma"], params["tau"], params["beta"],
                 params["samples"], seed, config)
-            result = mc
-            status = 0 if mc.valid else 1
+            status = 0 if result.valid else 1
         text = files.serialize_results(result, args.format, net)
         files.write_output(text, args.output)
         return status
-    except (files.FileFormatError, NetworkError, SpecError, ValueError) as exc:
-        log.error("%s", exc)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # input errors; FileFormatError, NetworkError and SpecError are ValueErrors
         log.error("%s", exc)
         return 2
 

@@ -24,10 +24,8 @@ from .analysis import (DiscountComparison, LimitSeries, MonteCarloResult,
                        StressResult)
 from .network import FinancialNetwork
 from .solver import SolveConfig, SolveReport
-from .valuation import (SpecError, ValuationSpec, debtrank_interbank,
-                        en_interbank, exante_en_gbm_interbank,
-                        exante_en_uniform_interbank, furfine_interbank,
-                        rv_interbank)
+from .valuation import (EXTERNAL_FAMILIES, INTERBANK_FAMILIES,
+                        PARAMETER_CHECKS, SpecError, ValuationSpec)
 
 __all__ = [
     "FileFormatError",
@@ -70,11 +68,36 @@ def _require(mapping, key, context, types=None):
     return value
 
 
-def _number(mapping, key, context) -> float:
-    value = _require(mapping, key, context)
+def _number(value, where) -> float:
+    """``value`` as a float; booleans, strings and other types are rejected
+    with ``where``, the value's context path, in the message."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FileFormatError(f"{context}.{key}: expected a number, got {value!r}")
+        raise FileFormatError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _whole(value, where) -> int:
+    """``value`` as an int; like ``_number``, and a fractional part is an error."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FileFormatError(f"{where}: expected a whole number, got {value!r}")
+    return value
+
+
+def _numbers(value, where):
+    """A number, or a list of numbers as a tuple."""
+    if isinstance(value, list):
+        return tuple(_number(v, f"{where}[{k}]") for k, v in enumerate(value))
+    return _number(value, where)
+
+
+def _field(mapping, key, context, read=_number, default=None):
+    """``mapping[key]`` through ``read``; ``default`` (when given) stands in
+    for an absent key."""
+    value = (_require(mapping, key, context) if default is None
+             else mapping.get(key, default))
+    return read(value, f"{context}.{key}")
 
 
 def load_network(path) -> FinancialNetwork:
@@ -94,8 +117,8 @@ def load_network(path) -> FinancialNetwork:
     for k, bank in enumerate(banks):
         context = f"{path}: banks[{k}]"
         ids.append(str(_require(bank, "id", context)))
-        external_assets.append(_number(bank, "external_assets", context))
-        external_liabilities.append(_number(bank, "external_liabilities", context))
+        external_assets.append(_field(bank, "external_assets", context))
+        external_liabilities.append(_field(bank, "external_liabilities", context))
     if len(set(ids)) != len(ids):
         dupes = sorted({b for b in ids if ids.count(b) > 1})
         raise FileFormatError(f"{path}: duplicate bank ids {dupes}")
@@ -107,7 +130,7 @@ def load_network(path) -> FinancialNetwork:
         context = f"{path}: liabilities[{k}]"
         debtor = str(_require(edge, "debtor", context))
         creditor = str(_require(edge, "creditor", context))
-        amount = _number(edge, "amount", context)
+        amount = _field(edge, "amount", context)
         for bank in (debtor, creditor):
             if bank not in index:
                 raise FileFormatError(f"{context}: unknown bank id {bank!r}")
@@ -144,36 +167,43 @@ def dump_network(net: FinancialNetwork, path) -> None:
 
 
 def _parse_valuation(block, context) -> ValuationSpec:
+    """Spec of a ``valuation`` block; each parameter sits in the block
+    (``interbank`` or ``external``) whose family reads it."""
     interbank = _require(block, "interbank", context, dict)
-    kind = _require(interbank, "kind", f"{context}.interbank")
-    external = block.get("external", {"kind": "unit"})
+    external = block.get("external", {})
     if not isinstance(external, dict):
         raise FileFormatError(f"{context}.external: expected an object")
-    ext_kind = external.get("kind", "unit")
-    fields = {"interbank_kind": kind, "external_kind": ext_kind}
-    if ext_kind == "rogers_veraart":
-        fields["alpha"] = _number(external, "alpha", f"{context}.external")
-    for name in ("beta", "recovery", "maturity"):
-        if name in interbank:
-            fields[name] = _number(interbank, name, f"{context}.interbank")
-    if "sigma" in interbank:
-        sigma = interbank["sigma"]
-        fields["sigma"] = (tuple(float(s) for s in sigma)
-                           if isinstance(sigma, list) else float(sigma))
+    fields = {}
+    for side, part, table in (("interbank", interbank, INTERBANK_FAMILIES),
+                              ("external", {"kind": ValuationSpec.external_kind,
+                                            **external}, EXTERNAL_FAMILIES)):
+        where = f"{context}.{side}"
+        kind = _require(part, "kind", where, str)
+        if kind not in table:
+            raise FileFormatError(f"{where}: unknown kind {kind!r}")
+        fields[f"{side}_kind"] = kind
+        for name in PARAMETER_CHECKS:
+            if name not in part:
+                continue
+            if name not in table[kind].params:
+                raise FileFormatError(f"{where}.{name}: does not apply to {kind}")
+            read = _numbers if name == "sigma" else _number  # sigma may be per bank
+            fields[name] = read(part[name], f"{where}.{name}")
     try:
         return ValuationSpec(**fields)
-    except (SpecError, TypeError) as exc:
+    except SpecError as exc:
         raise FileFormatError(f"{context}: {exc}") from exc
 
 
 def _parse_solver(block, context) -> SolveConfig:
     if block is None:
         return SolveConfig()
+    if not isinstance(block, dict):
+        raise FileFormatError(f"{context}: expected an object")
     fields = {}
-    if "epsilon" in block:
-        fields["epsilon"] = _number(block, "epsilon", context)
-    if "max_iterations" in block:
-        fields["max_iterations"] = int(_number(block, "max_iterations", context))
+    for key, read in (("epsilon", _number), ("max_iterations", _whole)):
+        if key in block:
+            fields[key] = _field(block, key, context, read)
     if "start" in block:
         fields["start"] = _require(block, "start", context, str)
     try:
@@ -184,25 +214,35 @@ def _parse_solver(block, context) -> SolveConfig:
 
 def _parse_grid(value, context) -> list:
     if isinstance(value, list):
-        return [float(v) for v in value]
+        return list(_numbers(value, context))
     if isinstance(value, dict):
-        lo = _number(value, "min", context)
-        hi = _number(value, "max", context)
-        points = int(_number(value, "points", context))
+        lo = _field(value, "min", context)
+        hi = _field(value, "max", context)
+        points = _field(value, "points", context, _whole)
         if points < 2 or hi <= lo:
             raise FileFormatError(f"{context}: need points >= 2 and max > min")
         return list(np.linspace(lo, hi, points))
     raise FileFormatError(f"{context}: expected a list or a min/max/points object")
 
 
-CURVE_FAMILY_FIELDS = {
-    "eisenberg_noe": ("obligations",),
-    "rogers_veraart": ("beta", "obligations"),
-    "furfine": ("recovery",),
-    "linear_debtrank": ("book_equity",),
-    "exante_en_gbm": ("external_assets", "sigma", "maturity", "obligations", "beta"),
-    "exante_en_uniform": ("book_equity", "obligations", "beta"),
-}
+def _parse_curve(entry, context) -> dict:
+    """One curve family entry: its name plus every field its factors read,
+    parameters checked like those of a ``ValuationSpec``."""
+    name = _require(entry, "family", context, str)
+    family = INTERBANK_FAMILIES.get(name)
+    if family is None:
+        raise FileFormatError(f"{context}: unknown family {name!r}")
+    curve = {"family": name}
+    for key in family.fields:
+        curve[key] = _field(entry, key, context)
+    if family.lender is not None:
+        curve["lender_equity"] = _field(entry, "lender_equity", context, default=0.0)
+    for key in family.params:
+        try:
+            curve[key] = PARAMETER_CHECKS[key](key, curve[key])
+        except SpecError as exc:
+            raise FileFormatError(f"{context}.{key}: {exc}") from exc
+    return curve
 
 
 @dataclass(frozen=True)
@@ -236,10 +276,10 @@ def load_scenario(path) -> Scenario:
             raise FileFormatError(f"{context}.alpha_grid: shocks must lie in [0, 1]")
         params["alpha_grid"] = grid
     elif kind == "limit_maturity":
-        params["sigma"] = _number(block, "sigma", context)
+        params["sigma"] = _field(block, "sigma", context)
         params["tau_sequence"] = _parse_grid(_require(block, "tau_sequence", context),
                                              f"{context}.tau_sequence")
-        params["beta"] = float(block.get("beta", 1.0))
+        params["beta"] = _field(block, "beta", context, default=1.0)
     elif kind == "limit_beta":
         params["beta_sequence"] = _parse_grid(_require(block, "beta_sequence", context),
                                               f"{context}.beta_sequence")
@@ -247,25 +287,14 @@ def load_scenario(path) -> Scenario:
         params["equity_grid"] = _parse_grid(_require(block, "equity_grid", context),
                                             f"{context}.equity_grid")
         families = _require(block, "families", context, list)
-        parsed = []
-        for k, fam in enumerate(families):
-            fcontext = f"{context}.families[{k}]"
-            name = _require(fam, "family", fcontext)
-            if name not in CURVE_FAMILY_FIELDS:
-                raise FileFormatError(f"{fcontext}: unknown family {name!r}")
-            entry = {"family": name}
-            for field_name in CURVE_FAMILY_FIELDS[name]:
-                entry[field_name] = _number(fam, field_name, fcontext)
-            if name == "rogers_veraart":
-                entry["lender_equity"] = float(fam.get("lender_equity", 0.0))
-            parsed.append(entry)
-        params["families"] = parsed
+        params["families"] = [_parse_curve(entry, f"{context}.families[{k}]")
+                              for k, entry in enumerate(families)]
     elif kind == "mc_global":
-        params["sigma"] = _number(block, "sigma", context)
-        params["tau"] = _number(block, "tau", context)
-        params["beta"] = float(block.get("beta", 1.0))
-        params["samples"] = int(_number(block, "samples", context))
-        params["seed"] = int(block.get("seed", 0))
+        params["sigma"] = _field(block, "sigma", context)
+        params["tau"] = _field(block, "tau", context)
+        params["beta"] = _field(block, "beta", context, default=1.0)
+        params["samples"] = _field(block, "samples", context, _whole)
+        params["seed"] = _field(block, "seed", context, _whole, default=0)
     return Scenario(kind=kind, valuation=valuation, solver=solver, params=params)
 
 
@@ -284,26 +313,14 @@ def evaluate_curves(families: list, grid) -> CurveTable:
     """
     grid = np.asarray(grid, dtype=float)
     rows = []
-    for fam in families:
-        name = fam["family"]
-        if name == "eisenberg_noe":
-            values = en_interbank(grid, fam["obligations"])
-        elif name == "rogers_veraart":
-            values = rv_interbank(fam.get("lender_equity", 0.0), grid,
-                                  fam["beta"], fam["obligations"])
-        elif name == "furfine":
-            values = furfine_interbank(grid, fam["recovery"])
-        elif name == "linear_debtrank":
-            values = debtrank_interbank(grid, fam["book_equity"])
-        elif name == "exante_en_gbm":
-            values = exante_en_gbm_interbank(grid, fam["external_assets"],
-                                             fam["sigma"], fam["maturity"],
-                                             fam["obligations"], fam["beta"])
-        elif name == "exante_en_uniform":
-            values = exante_en_uniform_interbank(grid, fam["book_equity"],
-                                                 fam["obligations"], fam["beta"])
-        else:
+    for curve in families:
+        name = curve["family"]
+        if name not in INTERBANK_FAMILIES:
             raise SpecError(f"unknown curve family {name!r}")
+        factor, *lender = INTERBANK_FAMILIES[name].bind(curve)
+        values = factor(grid)
+        if lender:
+            values = lender[0](curve.get("lender_equity", 0.0)) * values
         values = np.broadcast_to(np.asarray(values, dtype=float), grid.shape)
         rows.extend((name, float(e), float(v)) for e, v in zip(grid, values))
     return CurveTable(rows=tuple(rows))

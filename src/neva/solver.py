@@ -18,14 +18,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .network import FinancialNetwork, topology
-from .valuation import BoundValuation, ValuationSpec, en_interbank
+from .valuation import (BoundValuation, ValuationSpec, en_interbank,
+                        unit_external)
 
 __all__ = [
     "SolveConfig",
     "SolveReport",
     "UniquenessReport",
     "default_epsilon",
-    "picard_step",
     "solve",
     "greatest_solution",
     "least_solution",
@@ -110,16 +110,6 @@ class UniquenessReport:
     gap: float
     greatest: SolveReport
     least: SolveReport
-
-
-def picard_step(net: FinancialNetwork, spec: ValuationSpec,
-                equities: np.ndarray) -> np.ndarray:
-    """One application of the equity map at the given equity vector.
-
-    The caller is responsible for supplying equities within ``[m, M]``;
-    the map itself is well defined (and monotone) on all of R^n.
-    """
-    return spec.bind(net).equity_map(np.asarray(equities, dtype=float))
 
 
 def _iterate(bound: BoundValuation, start: np.ndarray, epsilon: float,
@@ -240,41 +230,24 @@ def solve_dag(net: FinancialNetwork, spec: ValuationSpec,
     settle in order of their claim depth: sources are exact immediately and
     each sweep finalizes the next depth layer, so the iteration reaches a
     bitwise fixed point within ``depth + 1`` sweeps and the unique solution
-    is returned with zero residual.
+    is returned with zero residual.  This is the generic iteration with a
+    budget of ``depth + 1`` sweeps and an exact stop; ``config`` only sets
+    the tolerance recorded in the report.
     """
     info = topology(net)
     if not info.is_dag:
         raise ValueError("solve_dag requires an acyclic claim graph")
-    if spec.external_kind != "unit":
+    if spec.external_family.factor is not unit_external:
         raise ValueError("solve_dag requires unit external valuation")
     if spec.depends_on_lender:
         raise ValueError(
             "solve_dag requires borrower-only interbank valuation functions")
     config = config or SolveConfig()
     bound = spec.bind(net)
-    budget = info.dag_depth + 1
-    equities = bound.book_equity.copy()
-    monotone = True
-    iterations = 0
-    residual = np.inf
-    for iterations in range(1, budget + 1):
-        updated = bound.equity_map(equities)
-        residual = float(np.max(np.abs(updated - equities)))
-        if np.any(updated > equities + MONOTONE_SLACK):
-            monotone = False
-        equities = updated
-        if residual == 0.0:
-            break
-    assert residual == 0.0, "acyclic iteration failed to settle within depth+1"
-    return SolveReport(
-        solution=equities,
-        iterations=iterations,
-        converged=True,
-        residual=0.0,
-        monotone=monotone,
-        kind="greatest",
-        epsilon=config.resolve_epsilon(net),
-    )
+    report = _iterate(bound, bound.book_equity, 0.0, info.dag_depth + 1, "greatest")
+    if not report.converged:
+        raise RuntimeError("acyclic iteration failed to settle within depth+1 sweeps")
+    return replace(report, epsilon=config.resolve_epsilon(net))
 
 
 def en_clearing_payments(net: FinancialNetwork, equities: np.ndarray) -> np.ndarray:

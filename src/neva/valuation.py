@@ -19,7 +19,8 @@ recovered from a defaulted borrower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import erf
@@ -30,10 +31,14 @@ __all__ = [
     "SpecError",
     "ValuationSpec",
     "BoundValuation",
-    "EvalContext",
+    "Family",
+    "INTERBANK_FAMILIES",
+    "EXTERNAL_FAMILIES",
+    "PARAMETER_CHECKS",
     "FeasibilityViolation",
     "FeasibilityReport",
     "en_interbank",
+    "unit_external",
     "rv_external",
     "rv_lender",
     "rv_interbank",
@@ -50,17 +55,6 @@ __all__ = [
     "feasibility_probe",
 ]
 
-EXTERNAL_KINDS = ("unit", "rogers_veraart")
-INTERBANK_KINDS = (
-    "eisenberg_noe",
-    "rogers_veraart",
-    "furfine",
-    "linear_debtrank",
-    "exante_en_gbm",
-    "exante_en_uniform",
-)
-
-
 class SpecError(ValueError):
     """Raised for valuation parameters outside their admissible range."""
 
@@ -69,20 +63,27 @@ def _positive_part(x):
     return np.maximum(x, 0.0)
 
 
-def en_interbank(equity, obligations):
+def en_interbank(equity, obligations, haircut=1.0):
     """Pro-rata clearing factor: full repayment when solvent, otherwise the
-    fraction of total obligations covered by the residual assets.
+    fraction of total obligations covered by the residual assets, times an
+    exogenous ``haircut`` on what a defaulted borrower pays.
 
-    ``1`` if ``equity >= 0``, else ``((equity + obligations)/obligations)+``.
+    ``1`` if ``equity >= 0``, else ``haircut * ((equity + obligations)/obligations)+``.
     A bank with zero obligations has no creditors, so its factor is fixed at
     ``1`` (the value never enters the equity map but must stay feasible).
+    Works rowwise on a batch of equity vectors.
     """
     equity = np.asarray(equity, dtype=float)
     obligations = np.asarray(obligations, dtype=float)
     safe = np.where(obligations > 0, obligations, 1.0)
-    frac = np.clip((equity + obligations) / safe, 0.0, 1.0)
+    frac = haircut * np.clip((equity + obligations) / safe, 0.0, 1.0)
     frac = np.where(obligations > 0, frac, 1.0)
     return np.where(equity >= 0, 1.0, frac)
+
+
+def unit_external(equity):
+    """External-asset factor without fire sales: always ``1``."""
+    return np.ones(np.shape(equity))
 
 
 def rv_external(equity, alpha):
@@ -236,14 +237,11 @@ def exante_en_gbm_interbank(equity, external_assets, sigma, maturity,
 def uniform_default_probability(equity, book_equity):
     """Default probability when the asset move is uniform on
     ``[-book_equity, 0]``: one minus the positive equity share of book value,
-    clamped to ``[0, 1]``.  Non-positive book equity means certain default.
+    clamped to ``[0, 1]``; that is, one minus the linear distress factor.
+    Non-positive book equity means certain default.
     """
-    equity = np.asarray(equity, dtype=float)
-    book_equity = np.asarray(book_equity, dtype=float)
-    safe = np.where(book_equity > 0, book_equity, 1.0)
-    prob = np.clip(1.0 - _positive_part(equity) / safe, 0.0, 1.0)
-    out = np.where(book_equity > 0, prob, 1.0)
-    return out if out.ndim else float(out)
+    out = 1.0 - debtrank_interbank(equity, book_equity)
+    return out if np.ndim(out) else float(out)
 
 
 def uniform_endogenous_recovery(equity, book_equity, obligations):
@@ -285,6 +283,94 @@ def _check_unit_interval(name: str, value) -> float:
     return value
 
 
+def _check_sigma(name: str, value):
+    value = float(value) if np.ndim(value) == 0 else tuple(float(s) for s in value)
+    if not all(np.isfinite(s) and s > 0 for s in np.atleast_1d(value)):
+        raise SpecError(f"{name} must be positive and finite")
+    return value
+
+
+def _check_maturity(name: str, value) -> float:
+    value = float(value)
+    if not np.isfinite(value) or value <= 0:
+        raise SpecError(f"time to {name} must be positive; valuation at maturity "
+                        "is the eisenberg_noe family")
+    return value
+
+
+# Validator per valuation parameter; each returns the value normalized to
+# floats (a per-bank sigma becomes a tuple).
+PARAMETER_CHECKS = {
+    "alpha": _check_unit_interval,
+    "beta": _check_unit_interval,
+    "recovery": _check_unit_interval,
+    "sigma": _check_sigma,
+    "maturity": _check_maturity,
+}
+
+
+@dataclass(frozen=True)
+class Family:
+    """One valuation family: its factor functions and what they read.
+
+    ``factor`` maps equities to the borrower-side (or external-asset)
+    factor; ``lender``, when present, is a lender-side multiplier.  Their
+    ``reads`` name the keyword arguments each takes besides the equity:
+    per-bank constants (``obligations``, ``book_equity``,
+    ``external_assets``, per-bank ``sigma``) or spec parameters (the keys of
+    ``PARAMETER_CHECKS``).  ``jump`` names the parameter that, below one,
+    makes a factor jump at zero equity.
+    """
+
+    factor: Callable
+    reads: tuple = ()
+    lender: Optional[Callable] = None
+    lender_reads: tuple = ()
+    jump: Optional[str] = None
+    exante: bool = False
+
+    @property
+    def factors(self) -> tuple:
+        """``(function, reads)`` pairs: the factor, then any lender factor."""
+        if self.lender is None:
+            return ((self.factor, self.reads),)
+        return ((self.factor, self.reads), (self.lender, self.lender_reads))
+
+    @property
+    def fields(self) -> tuple:
+        """Everything the factors read, in order, without repeats."""
+        return tuple(dict.fromkeys(self.reads + self.lender_reads))
+
+    @property
+    def params(self) -> tuple:
+        """The spec parameters the family needs."""
+        return tuple(name for name in self.fields if name in PARAMETER_CHECKS)
+
+    def bind(self, values: Mapping) -> tuple:
+        """The functions of ``factors`` with every argument but the equity
+        taken from ``values``."""
+        return tuple(partial(function, **{name: values[name] for name in reads})
+                     for function, reads in self.factors)
+
+
+INTERBANK_FAMILIES = {
+    "eisenberg_noe": Family(en_interbank, ("obligations",)),
+    "rogers_veraart": Family(en_interbank, ("obligations",), rv_lender, ("beta",),
+                             jump="beta"),
+    "furfine": Family(furfine_interbank, ("recovery",), jump="recovery"),
+    "linear_debtrank": Family(debtrank_interbank, ("book_equity",)),
+    "exante_en_gbm": Family(exante_en_gbm_interbank,
+                            ("external_assets", "sigma", "maturity", "obligations",
+                             "beta"), exante=True),
+    "exante_en_uniform": Family(exante_en_uniform_interbank,
+                                ("book_equity", "obligations", "beta"), exante=True),
+}
+EXTERNAL_FAMILIES = {
+    "unit": Family(unit_external),
+    "rogers_veraart": Family(rv_external, ("alpha",), jump="alpha"),
+}
+
+
 @dataclass(frozen=True)
 class ValuationSpec:
     """A chosen external plus interbank valuation family with parameters.
@@ -304,52 +390,21 @@ class ValuationSpec:
     maturity: Optional[float] = None
 
     def __post_init__(self):
-        if self.external_kind not in EXTERNAL_KINDS:
-            raise SpecError(f"unknown external valuation kind {self.external_kind!r}")
-        if self.interbank_kind not in INTERBANK_KINDS:
-            raise SpecError(f"unknown interbank valuation kind {self.interbank_kind!r}")
-        if self.external_kind == "rogers_veraart":
-            if self.alpha is None:
-                raise SpecError("rogers_veraart external valuation needs alpha")
-            object.__setattr__(self, "alpha", _check_unit_interval("alpha", self.alpha))
-        elif self.alpha is not None:
-            raise SpecError("alpha only applies to the rogers_veraart external kind")
-        kind = self.interbank_kind
-        if kind in ("rogers_veraart", "exante_en_gbm", "exante_en_uniform"):
-            if self.beta is None:
-                raise SpecError(f"{kind} needs beta")
-            object.__setattr__(self, "beta", _check_unit_interval("beta", self.beta))
-        elif self.beta is not None:
-            raise SpecError(f"beta does not apply to {kind}")
-        if kind == "furfine":
-            if self.recovery is None:
-                raise SpecError("furfine needs a recovery fraction")
-            object.__setattr__(self, "recovery",
-                               _check_unit_interval("recovery", self.recovery))
-        elif self.recovery is not None:
-            raise SpecError(f"recovery does not apply to {kind}")
-        if kind == "exante_en_gbm":
-            if self.sigma is None or self.maturity is None:
-                raise SpecError("exante_en_gbm needs sigma and maturity")
-            sigma = self.sigma
-            if np.ndim(sigma) == 0:
-                sigma = float(sigma)
-                bad = not np.isfinite(sigma) or sigma <= 0
-            else:
-                sigma = tuple(float(s) for s in sigma)
-                bad = any(not np.isfinite(s) or s <= 0 for s in sigma)
-            if bad:
-                raise SpecError("sigma must be positive and finite")
-            object.__setattr__(self, "sigma", sigma)
-            maturity = float(self.maturity)
-            if not np.isfinite(maturity) or maturity <= 0:
-                raise SpecError(
-                    "time to maturity must be positive; valuation at maturity "
-                    "is the eisenberg_noe family")
-            object.__setattr__(self, "maturity", maturity)
-        else:
-            if self.sigma is not None or self.maturity is not None:
-                raise SpecError(f"sigma/maturity do not apply to {kind}")
+        needed = {}  # parameter -> the kind that needs it
+        for side, kind, table in (("external", self.external_kind, EXTERNAL_FAMILIES),
+                                  ("interbank", self.interbank_kind, INTERBANK_FAMILIES)):
+            if not isinstance(kind, str) or kind not in table:
+                raise SpecError(f"unknown {side} valuation kind {kind!r}")
+            needed.update(dict.fromkeys(table[kind].params, kind))
+        for name, check in PARAMETER_CHECKS.items():
+            value = getattr(self, name)
+            if name in needed:
+                if value is None:
+                    raise SpecError(f"{needed[name]} needs {name}")
+                object.__setattr__(self, name, check(name, value))
+            elif value is not None:
+                raise SpecError(f"{name} does not apply to {self.interbank_kind} "
+                                f"with {self.external_kind} external valuation")
 
     @classmethod
     def eisenberg_noe(cls) -> "ValuationSpec":
@@ -378,12 +433,20 @@ class ValuationSpec:
         return cls(interbank_kind="exante_en_uniform", beta=beta)
 
     @property
+    def family(self) -> Family:
+        return INTERBANK_FAMILIES[self.interbank_kind]
+
+    @property
+    def external_family(self) -> Family:
+        return EXTERNAL_FAMILIES[self.external_kind]
+
+    @property
     def is_exante(self) -> bool:
-        return self.interbank_kind in ("exante_en_gbm", "exante_en_uniform")
+        return self.family.exante
 
     @property
     def depends_on_lender(self) -> bool:
-        return self.interbank_kind == "rogers_veraart"
+        return self.family.lender is not None
 
     @property
     def continuous_from_below(self) -> bool:
@@ -394,13 +457,8 @@ class ValuationSpec:
         are continuous; the fire-sale and all-or-nothing families jump at
         zero equity unless their haircut parameter equals one.
         """
-        if self.external_kind == "rogers_veraart" and self.alpha < 1.0:
-            return False
-        if self.interbank_kind == "rogers_veraart" and self.beta < 1.0:
-            return False
-        if self.interbank_kind == "furfine" and self.recovery < 1.0:
-            return False
-        return True
+        return all(getattr(self, family.jump) >= 1.0
+                   for family in (self.external_family, self.family) if family.jump)
 
     def sigma_vector(self, n: int) -> np.ndarray:
         if self.sigma is None:
@@ -420,56 +478,46 @@ class ValuationSpec:
 class BoundValuation:
     """A valuation spec attached to one network's balance-sheet constants.
 
-    Precomputes the per-bank obligations, book equities and (for the GBM
-    family) volatilities so that factor vectors and the equity map can be
-    evaluated repeatedly at different equity vectors.
+    ``constants`` maps every name a factor can read to its value: the
+    per-bank obligations, book equities, external assets and (for the
+    log-normal family) volatilities, and the spec parameters.  The family's
+    factor functions are bound to them once, so factor vectors and the
+    equity map can be evaluated repeatedly at different equity vectors.
     """
 
     spec: ValuationSpec
     net: FinancialNetwork
+    constants: dict = field(init=False, repr=False)
     obligations: np.ndarray = field(init=False)
     book_equity: np.ndarray = field(init=False)
-    _sigma: Optional[np.ndarray] = field(init=False)
+    sigma: Optional[np.ndarray] = field(init=False)  # None outside log-normal
+    _borrower: Callable = field(init=False, repr=False)
+    _lender: Optional[Callable] = field(init=False, repr=False)
+    _external: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "obligations", self.net.total_obligations())
-        object.__setattr__(self, "book_equity", self.net.book_equity())
-        sigma = (self.spec.sigma_vector(self.net.n)
-                 if self.spec.interbank_kind == "exante_en_gbm" else None)
-        object.__setattr__(self, "_sigma", sigma)
-
-    @property
-    def sigma(self) -> Optional[np.ndarray]:
-        """Per-bank volatilities (None outside the log-normal family)."""
-        return self._sigma
+        spec, net = self.spec, self.net
+        sigma = None if spec.sigma is None else spec.sigma_vector(net.n)
+        constants = {name: getattr(spec, name) for name in PARAMETER_CHECKS}
+        constants.update(obligations=net.total_obligations(), sigma=sigma,
+                         book_equity=net.book_equity(),
+                         external_assets=net.external_assets)
+        borrower, *lender = spec.family.bind(constants)
+        (external,) = spec.external_family.bind(constants)
+        vars(self).update(  # frozen: fill the init=False fields directly
+            constants=constants, obligations=constants["obligations"],
+            book_equity=constants["book_equity"], sigma=sigma, _borrower=borrower,
+            _lender=lender[0] if lender else None, _external=external)
 
     def external_factors(self, equities: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if spec.external_kind == "unit":
-            return np.ones(self.net.n)
-        return rv_external(equities, spec.alpha)
+        return self._external(equities)
 
     def lender_factors(self, equities: np.ndarray) -> Optional[np.ndarray]:
         """Per-lender multiplier, or None when the family ignores the lender."""
-        if self.spec.interbank_kind == "rogers_veraart":
-            return rv_lender(equities, self.spec.beta)
-        return None
+        return None if self._lender is None else self._lender(equities)
 
     def borrower_factors(self, equities: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        kind = spec.interbank_kind
-        if kind in ("eisenberg_noe", "rogers_veraart"):
-            return en_interbank(equities, self.obligations)
-        if kind == "furfine":
-            return furfine_interbank(equities, spec.recovery)
-        if kind == "linear_debtrank":
-            return debtrank_interbank(equities, self.book_equity)
-        if kind == "exante_en_gbm":
-            return exante_en_gbm_interbank(
-                equities, self.net.external_assets, self._sigma, spec.maturity,
-                self.obligations, spec.beta)
-        return exante_en_uniform_interbank(
-            equities, self.book_equity, self.obligations, spec.beta)
+        return self._borrower(equities)
 
     def edge_discounts(self, equities: np.ndarray) -> np.ndarray:
         """Matrix of claim discount factors; entry ``[i, j]`` values bank i's
@@ -499,56 +547,6 @@ class BoundValuation:
             inflow = lender * inflow
         return (net.external_assets * self.external_factors(equities)
                 - net.external_liabilities + inflow - self.obligations)
-
-
-@dataclass(frozen=True, eq=False)
-class EvalContext:
-    """Inputs for valuing one claim: the lender/borrower pair, the current
-    equity vector and the borrower-side balance-sheet constants."""
-
-    lender: int
-    borrower: int
-    equities: np.ndarray
-    obligations: np.ndarray
-    book_equity: np.ndarray
-    external_assets: np.ndarray
-
-    @classmethod
-    def from_network(cls, net: FinancialNetwork, lender: int, borrower: int,
-                     equities) -> "EvalContext":
-        n = net.n
-        if not (0 <= lender < n and 0 <= borrower < n):
-            raise SpecError("lender/borrower index out of range")
-        eq = np.asarray(equities, dtype=float)
-        if eq.shape != (n,):
-            raise SpecError(f"equities must have shape ({n},)")
-        return cls(lender=lender, borrower=borrower, equities=eq,
-                   obligations=net.total_obligations(),
-                   book_equity=net.book_equity(),
-                   external_assets=np.asarray(net.external_assets, dtype=float))
-
-
-def edge_valuation(spec: ValuationSpec, ctx: EvalContext) -> float:
-    """Discount factor the lender applies to its claim in the given context."""
-    j = ctx.borrower
-    e_j = float(ctx.equities[j])
-    kind = spec.interbank_kind
-    if kind == "eisenberg_noe":
-        return float(en_interbank(e_j, ctx.obligations[j]))
-    if kind == "rogers_veraart":
-        return float(rv_interbank(ctx.equities[ctx.lender], e_j, spec.beta,
-                                  ctx.obligations[j]))
-    if kind == "furfine":
-        return float(furfine_interbank(e_j, spec.recovery))
-    if kind == "linear_debtrank":
-        return float(debtrank_interbank(e_j, ctx.book_equity[j]))
-    if kind == "exante_en_gbm":
-        sigma = spec.sigma_vector(len(ctx.equities))[j]
-        return float(exante_en_gbm_interbank(
-            e_j, ctx.external_assets[j], sigma, spec.maturity,
-            ctx.obligations[j], spec.beta))
-    return float(exante_en_uniform_interbank(
-        e_j, ctx.book_equity[j], ctx.obligations[j], spec.beta))
 
 
 @dataclass(frozen=True)
@@ -608,46 +606,17 @@ def feasibility_probe(spec: ValuationSpec, net: FinancialNetwork,
     """
     bound = spec.bind(net)
     lower = net.equity_lower_bound()
-    upper = net.book_equity()
+    upper = bound.book_equity
+    factors = spec.family.factors + spec.external_family.factors
     checked = 0
     for j in range(net.n):
         grid = np.linspace(lower[j] - margin, upper[j] + margin, points)
-        curves = {}
-        base = {"bank": net.bank_ids[j]}
-        kind = spec.interbank_kind
-        if kind in ("eisenberg_noe", "rogers_veraart"):
-            curves["en_interbank"] = (
-                {**base, "obligations": float(bound.obligations[j])},
-                en_interbank(grid, bound.obligations[j]))
-        if kind == "rogers_veraart":
-            curves["rv_lender"] = ({**base, "beta": spec.beta},
-                                   rv_lender(grid, spec.beta))
-        if kind == "furfine":
-            curves["furfine_interbank"] = ({**base, "recovery": spec.recovery},
-                                           furfine_interbank(grid, spec.recovery))
-        if kind == "linear_debtrank":
-            curves["debtrank_interbank"] = (
-                {**base, "book_equity": float(bound.book_equity[j])},
-                debtrank_interbank(grid, bound.book_equity[j]))
-        if kind == "exante_en_gbm":
-            sigma = bound.sigma[j]
-            params = {**base, "sigma": float(sigma), "maturity": spec.maturity,
-                      "beta": spec.beta}
-            curves["exante_en_gbm_interbank"] = (params, exante_en_gbm_interbank(
-                grid, net.external_assets[j], sigma, spec.maturity,
-                bound.obligations[j], spec.beta))
-        if kind == "exante_en_uniform":
-            params = {**base, "book_equity": float(bound.book_equity[j]),
-                      "beta": spec.beta}
-            curves["exante_en_uniform_interbank"] = (params, exante_en_uniform_interbank(
-                grid, bound.book_equity[j], bound.obligations[j], spec.beta))
-        if spec.external_kind == "rogers_veraart":
-            curves["rv_external"] = ({**base, "alpha": spec.alpha},
-                                     rv_external(grid, spec.alpha))
-        else:
-            curves["unit_external"] = (base, np.ones_like(grid))
-        for family, (params, values) in curves.items():
-            report = probe_curve(family, params, grid, values, tolerance)
+        for function, reads in factors:
+            params = {name: bound.constants[name] for name in reads}
+            params = {name: float(value[j]) if np.ndim(value) else value
+                      for name, value in params.items()}
+            report = probe_curve(function.__name__, {"bank": net.bank_ids[j], **params},
+                                 grid, function(grid, **params), tolerance)
             checked += report.checked
             if not report.passed:
                 return FeasibilityReport(False, checked, report.violation)

@@ -10,7 +10,7 @@ import numpy as np
 from neva import (SolveConfig, ValuationSpec, en_clearing_payments,
                   feasibility_probe, greatest_solution, least_solution,
                   merton_vs_network_discount, monte_carlo_global_valuation,
-                  picard_step, solve_dag, stress_test, topology)
+                  solve_dag, stress_test, topology)
 from neva.valuation import (gbm_default_probability, gbm_endogenous_recovery,
                             uniform_default_probability,
                             uniform_endogenous_recovery)
@@ -233,8 +233,8 @@ def test_criterion_10_feasibility_and_order_preservation():
         upper = net.book_equity() + 1.0
         low = rng.uniform(lower, upper)
         high = low + rng.uniform(0.0, 1.0, net.n)
-        if np.any(picard_step(net, spec, low)
-                  > picard_step(net, spec, high) + 1e-12):
+        bound = spec.bind(net)
+        if np.any(bound.equity_map(low) > bound.equity_map(high) + 1e-12):
             order_ok = False
             break
     report(10, "feasibility probes and map order preservation",

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import neva
 from neva import (FileFormatError, ValuationSpec, dump_network,
                   load_network, load_scenario, serialize_results)
 from neva.cli import run_command
+from neva.valuation import INTERBANK_FAMILIES
 
 from conftest import closed_chain_network, ring_network
 
@@ -255,6 +257,10 @@ def test_cli_curve_families(tmp_path):
                 {"family": "linear_debtrank", "book_equity": 2.5},
                 {"family": "exante_en_gbm", "external_assets": 1.0,
                  "obligations": 2.0, "beta": 1.0, "sigma": 1.0, "maturity": 1.0},
+                {"family": "rogers_veraart", "obligations": 2.0, "beta": 0.5,
+                 "lender_equity": -1.0},
+                {"family": "exante_en_uniform", "book_equity": 2.5,
+                 "obligations": 2.0, "beta": 0.5},
             ],
         },
     })
@@ -267,13 +273,72 @@ def test_cli_curve_families(tmp_path):
     for line in lines[1:]:
         family, equity, value = line.split(",")
         by_family.setdefault(family, []).append(float(value))
-    assert set(by_family) == {"eisenberg_noe", "furfine", "linear_debtrank",
-                              "exante_en_gbm"}
+    assert set(by_family) == set(INTERBANK_FAMILIES)
     for family, values in by_family.items():
         assert len(values) == 121
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert all(v == 1.0 for v in by_family["furfine"])  # unit recovery curve
+    # a defaulted lender (equity -1) keeps half of the pro-rata curve
+    assert by_family["rogers_veraart"] == [0.5 * v for v in by_family["eisenberg_noe"]]
+
+
+@pytest.mark.parametrize("family", [
+    {"family": "furfine", "recovery": 1.5},
+    {"family": "rogers_veraart", "obligations": 2.0, "beta": 2},
+    {"family": "exante_en_uniform", "book_equity": 2.5, "obligations": 2.0,
+     "beta": 2},
+], ids=["furfine-recovery", "rogers_veraart-beta", "exante_en_uniform-beta"])
+def test_cli_curve_rejects_parameters_a_spec_rejects(tmp_path, capsys, family):
+    scenario = write_json(tmp_path / "curve.json", {
+        "scenario": {"kind": "curve", "equity_grid": [-1.0, 0.0, 1.0],
+                     "families": [family]},
+    })
+    assert run_command(["curve", "--scenario", scenario]) == 2
+    parameter = "recovery" if "recovery" in family else "beta"
+    assert f"families[0].{parameter}" in capsys.readouterr().err
+
+
+MC_SCENARIO = {"kind": "mc_global", "sigma": 0.5, "tau": 1.0, "samples": 10}
+LIMIT_SCENARIO = {"kind": "limit_maturity", "sigma": 0.5, "tau_sequence": [1.0, 0.5]}
+GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
+
+
+@pytest.mark.parametrize("command, document, field", [
+    ("mc-global", {"scenario": {**MC_SCENARIO, "samples": 10.7}}, "scenario.samples"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "seed": 3.9}}, "scenario.seed"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "seed": "7"}}, "scenario.seed"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "beta": True}}, "scenario.beta"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "beta": "0.5"}}, "scenario.beta"),
+    ("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "beta": True}},
+     "scenario.beta"),
+    ("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "beta": "0.5"}},
+     "scenario.beta"),
+    ("solve", {**EN_SOLVE_SCENARIO, "solver": {"max_iterations": 2.9}},
+     "solver.max_iterations"),
+    ("solve", {**EN_SOLVE_SCENARIO, "solver": 5}, "solver"),
+    ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                "scenario": {"kind": "stress",
+                             "alpha_grid": {"min": 0.0, "max": 0.5, "points": 3.7}}},
+     "alpha_grid.points"),
+    ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                "scenario": {"kind": "stress", "alpha_grid": ["0.1", True]}},
+     "alpha_grid[0]"),
+    ("solve", {"valuation": {"interbank": {**GBM_VALUATION, "sigma": "0.3"}},
+               "scenario": {"kind": "solve"}}, "interbank.sigma"),
+    ("solve", {"valuation": {"interbank": {**GBM_VALUATION, "sigma": [True, True]}},
+               "scenario": {"kind": "solve"}}, "interbank.sigma[0]"),
+    ("solve", {"valuation": {"interbank": {**GBM_VALUATION, "sigma": ["x", 1]}},
+               "scenario": {"kind": "solve"}}, "interbank.sigma[0]"),
+])
+def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    scenario = write_json(tmp_path / "scn.json", document)
+    out = tmp_path / "out.csv"
+    assert run_command([command, "--network", network, "--scenario", scenario,
+                        "--output", str(out)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_stress_single_point(tmp_path):
@@ -376,9 +441,13 @@ def test_cli_epsilon_override_applies(tmp_path):
 def test_cli_entry_point_subprocess(tmp_path):
     network = write_json(tmp_path / "net.json", OPEN_CHAIN_FILE)
     scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    # the child imports the same neva as this process, installed or not
+    src = os.path.dirname(os.path.dirname(neva.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "neva.cli", "solve", "--network", network,
-         "--scenario", scenario], capture_output=True, text=True)
+         "--scenario", scenario], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("bank_id,")
 

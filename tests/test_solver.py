@@ -3,7 +3,7 @@ import pytest
 
 from neva import (FinancialNetwork, SolveConfig, ValuationSpec,
                   en_clearing_payments, greatest_solution, least_solution,
-                  picard_step, solve, solve_dag, topology, uniqueness_check)
+                  solve, solve_dag, topology, uniqueness_check)
 
 from conftest import en_clearing_oracle, random_dag_network, random_network
 
@@ -14,18 +14,18 @@ def test_picard_step_constant_map_without_claims():
     net = FinancialNetwork(["X", "Y"], [2.0, 1.0], [0.5, 0.25], np.zeros((2, 2)))
     book = net.book_equity()
     for equities in ([0.0, 0.0], [-5.0, 3.0], book):
-        assert np.allclose(picard_step(net, EN, equities), book)
+        assert np.allclose(EN.bind(net).equity_map(equities), book)
 
 
 def test_picard_step_open_chain_from_face_values(open_chain):
     # C's claim factor (−0.2+1.2)/1.2 = 5/6 prices B's claim at 1.0
-    step = picard_step(open_chain, EN, open_chain.book_equity())
+    step = EN.bind(open_chain).equity_map(open_chain.book_equity())
     assert np.allclose(step, [2.2, 0.8, -0.2])
 
 
 def test_picard_step_fixed_point(closed_chain):
     solution = greatest_solution(closed_chain, EN).solution
-    assert np.allclose(picard_step(closed_chain, EN, solution), solution,
+    assert np.allclose(EN.bind(closed_chain).equity_map(solution), solution,
                        atol=1e-14)
 
 
@@ -175,7 +175,7 @@ def test_iterates_stay_in_lattice(ring):
     upper = ring.book_equity()
     equities = upper.copy()
     for _ in range(30):
-        equities = picard_step(ring, spec, equities)
+        equities = spec.bind(ring).equity_map(equities)
         assert np.all(equities >= lower - 1e-12)
         assert np.all(equities <= upper + 1e-12)
 
@@ -193,8 +193,8 @@ def test_map_order_preservation_random():
         lo = rng.uniform(lower, upper)
         hi = lo + rng.uniform(0.0, 1.0, net.n)
         for spec in specs:
-            assert np.all(picard_step(net, spec, lo)
-                          <= picard_step(net, spec, hi) + 1e-12)
+            bound = spec.bind(net)
+            assert np.all(bound.equity_map(lo) <= bound.equity_map(hi) + 1e-12)
 
 
 def test_bracketing_on_random_networks():

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-import neva
 from neva import (FinancialNetwork, SpecError, ValuationSpec, debtrank_interbank, en_interbank,
                   exante_en_gbm_interbank, exante_en_uniform_interbank,
                   feasibility_probe, furfine_interbank,
                   gbm_default_probability, gbm_endogenous_recovery,
                   probe_curve, rv_external, rv_interbank,
                   uniform_default_probability, uniform_endogenous_recovery)
+from neva.valuation import EXTERNAL_FAMILIES, INTERBANK_FAMILIES
 
 from conftest import (gbm_default_probability_quadrature,
                       gbm_recovery_quadrature, uniform_recovery_quadrature)
@@ -206,6 +206,8 @@ def test_spec_validation():
     with pytest.raises(SpecError):
         ValuationSpec(interbank_kind="eisenberg_noe", beta=0.5)  # stray param
     with pytest.raises(SpecError):
+        ValuationSpec(interbank_kind=["eisenberg_noe"])  # not a name
+    with pytest.raises(SpecError):
         ValuationSpec.exante_en_gbm(sigma=1.0, maturity=0.0)  # served by EN
     with pytest.raises(SpecError):
         ValuationSpec.exante_en_gbm(sigma=-1.0, maturity=1.0)
@@ -226,27 +228,36 @@ def test_continuity_metadata():
     assert ValuationSpec.rogers_veraart(1.0, 1.0).continuous_from_below
 
 
-def test_edge_valuation_matches_bound(ring):
+def test_edge_factor_matches_closed_forms(ring):
     equities = np.array([0.5, -0.2, 0.3])
-    for spec in (ValuationSpec.eisenberg_noe(),
-                 ValuationSpec.rogers_veraart(0.4, 0.6),
-                 ValuationSpec.furfine(0.2),
-                 ValuationSpec.linear_debtrank(),
-                 ValuationSpec.exante_en_gbm(0.5, 2.0),
-                 ValuationSpec.exante_en_uniform(0.7)):
+    pbar, book = ring.total_obligations(), ring.book_equity()
+    assets = ring.external_assets
+    closed_forms = {
+        "eisenberg_noe": (ValuationSpec.eisenberg_noe(),
+                          lambda i, j: en_interbank(equities[j], pbar[j])),
+        "rogers_veraart": (ValuationSpec.rogers_veraart(0.4, 0.6),
+                           lambda i, j: rv_interbank(equities[i], equities[j],
+                                                     0.6, pbar[j])),
+        "furfine": (ValuationSpec.furfine(0.2),
+                    lambda i, j: furfine_interbank(equities[j], 0.2)),
+        "linear_debtrank": (ValuationSpec.linear_debtrank(),
+                            lambda i, j: debtrank_interbank(equities[j], book[j])),
+        "exante_en_gbm": (ValuationSpec.exante_en_gbm(0.5, 2.0),
+                          lambda i, j: exante_en_gbm_interbank(
+                              equities[j], assets[j], 0.5, 2.0, pbar[j], 1.0)),
+        "exante_en_uniform": (ValuationSpec.exante_en_uniform(0.7),
+                              lambda i, j: exante_en_uniform_interbank(
+                                  equities[j], book[j], pbar[j], 0.7)),
+    }
+    assert set(closed_forms) == set(INTERBANK_FAMILIES)
+    for kind, (spec, closed_form) in closed_forms.items():
+        assert spec.interbank_kind == kind
         bound = spec.bind(ring)
+        discounts = bound.edge_discounts(equities)
         for lender, borrower in [(0, 1), (1, 2), (2, 0)]:
-            ctx = neva.EvalContext.from_network(ring, lender, borrower, equities)
-            direct = neva.edge_valuation(spec, ctx)
-            assert direct == pytest.approx(bound.edge_factor(lender, borrower, equities))
-            assert direct == pytest.approx(bound.edge_discounts(equities)[lender, borrower])
-
-
-def test_eval_context_validation(ring):
-    with pytest.raises(SpecError):
-        neva.EvalContext.from_network(ring, 0, 5, np.zeros(3))
-    with pytest.raises(SpecError):
-        neva.EvalContext.from_network(ring, 0, 1, np.zeros(4))
+            expected = float(closed_form(lender, borrower))
+            assert bound.edge_factor(lender, borrower, equities) == pytest.approx(expected)
+            assert discounts[lender, borrower] == pytest.approx(expected)
 
 
 # --------------------------------------------------------- feasibility probes
@@ -265,6 +276,9 @@ def all_shipped_specs():
 
 
 def test_feasibility_probe_passes_all_families(ring, open_chain):
+    # a family added to the table must be probed here too
+    assert {s.interbank_kind for s in all_shipped_specs()} == set(INTERBANK_FAMILIES)
+    assert {s.external_kind for s in all_shipped_specs()} == set(EXTERNAL_FAMILIES)
     for net in (ring, open_chain):
         for spec in all_shipped_specs():
             report = feasibility_probe(spec, net)
