@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .network import FinancialNetwork
-from .solver import SolveConfig, SolveReport, greatest_solution
+from .solver import (SolveConfig, SolveReport, _iterate, _scaled_epsilon, _solve,
+                     greatest_solution)
 from .valuation import SpecError, ValuationSpec, en_interbank
 
 __all__ = [
@@ -98,11 +99,24 @@ class MonteCarloResult:
     valid: bool
 
 
-def _as_shock_vector(net: FinancialNetwork, alpha) -> tuple:
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim == 0:
-        return np.full(net.n, float(arr)), float(arr)
-    return arr, None
+def _shocked(net: FinancialNetwork, spec: ValuationSpec, alphas: Sequence,
+             config: Optional[SolveConfig]) -> tuple:
+    """Every shock of ``alphas`` solved as one stack: the shock rows, uniform
+    fractions (None for a vector), bound spec, greatest solves and solutions."""
+    alphas = list(alphas)
+    shocks = np.array([net.shock_vector(alpha) for alpha in alphas])
+    shocks = shocks.reshape(len(alphas), net.n)
+    uniform = [float(alpha) if np.ndim(alpha) == 0 else None for alpha in alphas]
+    bound = spec.bind(net, (1.0 - shocks) * net.external_assets)
+    config = config or SolveConfig()
+    epsilon = config.epsilon or _scaled_epsilon(bound.book_equity)  # per row
+    reports = _solve(bound, bound.book_equity, epsilon, config.max_iterations,
+                     "greatest")
+    for alpha, report in zip(alphas, reports):
+        if not report.converged:
+            log.warning("shock %s did not converge; its metrics are omitted", alpha)
+    solutions = np.array([report.solution for report in reports]).reshape(shocks.shape)
+    return shocks, uniform, bound, reports, solutions
 
 
 def stress_test(net: FinancialNetwork, spec: ValuationSpec,
@@ -111,25 +125,22 @@ def stress_test(net: FinancialNetwork, spec: ValuationSpec,
 
     Each entry of ``alphas`` is a uniform relative shock or a per-bank
     vector of fractions in ``[0, 1]``.  Valuation constants (book equities,
-    external assets) are those of the shocked network.
+    external assets) are those of the shocked network.  All points are
+    solved as one stack.
     """
+    shocks, uniform, bound, reports, solutions = _shocked(net, spec, alphas, config)
+    discounts = bound.edge_discounts(solutions)
     base_book = net.book_equity()
+    claims = net.interbank_assets
+    total = claims.sum()
     results = []
-    for alpha in alphas:
-        shock, uniform = _as_shock_vector(net, alpha)
-        shocked = net.apply_shock(shock)
-        report = greatest_solution(shocked, spec, config)
-        delta = base_book - report.solution
+    for k, report in enumerate(reports):
+        effect = discount = None
         if report.converged:
-            bound = spec.bind(shocked)
-            discounts = bound.edge_discounts(report.solution)
-            claims = shocked.interbank_assets
-            total = claims.sum()
-            effect = float((claims * (1.0 - discounts)).sum() / total) if total > 0 else 0.0
-            results.append(StressResult(uniform, shock, report, delta, effect, discounts))
-        else:
-            log.warning("stress point %s did not converge; metric omitted", alpha)
-            results.append(StressResult(uniform, shock, report, delta, None, None))
+            discount = discounts[k]
+            effect = float((claims * (1.0 - discount)).sum() / total) if total > 0 else 0.0
+        results.append(StressResult(uniform[k], shocks[k], report,
+                                    base_book - report.solution, effect, discount))
     return results
 
 
@@ -140,55 +151,54 @@ def merton_vs_network_discount(net: FinancialNetwork, spec: ValuationSpec,
     book equities against those at the network-consistent solution.
 
     Only meaningful for the before-maturity families (elsewhere the book
-    discount carries no uncertainty information).
+    discount carries no uncertainty information).  All points are solved
+    as one stack.
     """
     if not spec.is_exante:
         raise SpecError("merton_vs_network_discount requires an exante family")
-    edges = tuple(zip(*np.nonzero(net.interbank_assets > 0)))
-    results = []
-    for alpha in alphas:
-        shock, uniform = _as_shock_vector(net, alpha)
-        shocked = net.apply_shock(shock)
-        bound = spec.bind(shocked)
-        book = bound.book_equity
-        merton_matrix = bound.edge_discounts(book)
-        merton = np.array([merton_matrix[i, j] for i, j in edges])
-        report = greatest_solution(shocked, spec, config)
-        if report.converged:
-            network_matrix = bound.edge_discounts(report.solution)
-            network = np.array([network_matrix[i, j] for i, j in edges])
-            results.append(DiscountComparison(uniform, shock, edges, merton,
-                                              network, merton - network, True))
-        else:
-            log.warning("discount point %s did not converge", alpha)
-            results.append(DiscountComparison(uniform, shock, edges, merton,
-                                              None, None, False))
-    return results
+    shocks, uniform, bound, reports, solutions = _shocked(net, spec, alphas, config)
+    lenders, borrowers = np.nonzero(net.interbank_assets > 0)
+    edges = tuple(zip(lenders, borrowers))
+    merton = bound.edge_discounts(bound.book_equity)[:, lenders, borrowers]
+    network = bound.edge_discounts(solutions)[:, lenders, borrowers]
+    return [DiscountComparison(uniform[k], shocks[k], edges, merton[k],
+                               network[k] if report.converged else None,
+                               merton[k] - network[k] if report.converged else None,
+                               report.converged)
+            for k, report in enumerate(reports)]
+
+
+def _clearing(net: FinancialNetwork, assets: np.ndarray, beta: float) -> tuple:
+    """``_iterate``'s ``map_rows`` and face-value start for pro-rata clearing
+    with haircut ``beta``, one problem per row of external assets ``assets``."""
+    obligations = net.total_obligations()
+
+    def map_rows(rows):
+        base = assets[rows] - net.external_liabilities
+        return lambda equities: (
+            base + en_interbank(equities, obligations, beta) @ net.interbank_liabilities
+            - obligations)
+    start = (assets - net.external_liabilities + net.interbank_assets.sum(axis=1)
+             - obligations)
+    return map_rows, start
 
 
 def _run_limit(net: FinancialNetwork, parameter_name: str, parameters,
-               specs, reference_spec: ValuationSpec,
+               specs, reference: np.ndarray, settled: bool,
                config: Optional[SolveConfig], notes: tuple = ()) -> LimitSeries:
-    reference = greatest_solution(net, reference_spec, config)
-    if not reference.converged:
+    """Greatest solutions of ``specs`` against a (``settled``) reference."""
+    if not settled:
         notes = notes + ("reference solve did not converge",)
-    equities = []
-    deviations = []
-    converged = []
-    for spec in specs:
-        report = greatest_solution(net, spec, config)
-        equities.append(report.solution)
-        deviations.append(float(np.max(np.abs(report.solution - reference.solution))))
-        converged.append(report.converged)
-    partial = not (reference.converged and all(converged))
+    reports = [greatest_solution(net, spec, config) for spec in specs]
     return LimitSeries(
         parameter_name=parameter_name,
         parameters=tuple(float(p) for p in parameters),
-        equities=tuple(equities),
-        reference=reference.solution,
-        deviations=tuple(deviations),
-        converged=tuple(converged),
-        partial=partial,
+        equities=tuple(report.solution for report in reports),
+        reference=reference,
+        deviations=tuple(float(np.max(np.abs(report.solution - reference)))
+                         for report in reports),
+        converged=tuple(report.converged for report in reports),
+        partial=not (settled and all(report.converged for report in reports)),
         notes=notes,
     )
 
@@ -197,16 +207,21 @@ def maturity_limit_experiment(net: FinancialNetwork, sigma,
                               taus: Sequence[float], beta: float = 1.0,
                               config: Optional[SolveConfig] = None) -> LimitSeries:
     """Greatest solutions of the log-normal before-maturity family along a
-    decreasing sequence of times to maturity, referenced against the
-    at-maturity pro-rata solution."""
+    decreasing sequence of times to maturity, referenced against their
+    limit at maturity: pro-rata clearing with haircut ``beta`` on what
+    defaulted borrowers pay (the eisenberg_noe solution when ``beta`` is 1)."""
     taus = [float(t) for t in taus]
     if not taus or any(t <= 0 for t in taus):
         raise SpecError("tau sequence must be positive")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise SpecError("tau sequence must be strictly decreasing")
     specs = [ValuationSpec.exante_en_gbm(sigma, tau, beta) for tau in taus]
-    return _run_limit(net, "maturity", taus, specs,
-                      ValuationSpec.eisenberg_noe(), config)
+    config = config or SolveConfig()
+    epsilon = config.resolve_epsilon(net)
+    map_rows, start = _clearing(net, net.external_assets[np.newaxis], specs[0].beta)
+    (reference,), _, (step,), _ = _iterate(map_rows, start, epsilon, config.max_iterations)
+    reference = np.clip(reference, net.equity_lower_bound(), start[0])
+    return _run_limit(net, "maturity", taus, specs, reference, step <= epsilon, config)
 
 
 def debtrank_limit_experiment(net: FinancialNetwork, betas: Sequence[float],
@@ -225,8 +240,9 @@ def debtrank_limit_experiment(net: FinancialNetwork, betas: Sequence[float],
         notes = (f"banks with non-positive book equity valued at zero: "
                  f"{', '.join(degenerate)}",)
     specs = [ValuationSpec.exante_en_uniform(beta) for beta in betas]
-    return _run_limit(net, "beta", betas, specs,
-                      ValuationSpec.linear_debtrank(), config, notes)
+    reference = greatest_solution(net, ValuationSpec.linear_debtrank(), config)
+    return _run_limit(net, "beta", betas, specs, reference.solution,
+                      reference.converged, config, notes)
 
 
 def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
@@ -237,11 +253,12 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
 
     Terminal external assets are drawn per bank from the zero-drift
     log-normal law over horizon ``tau``; each draw is cleared with the
-    pro-rata factors (haircut ``beta``) from face values, and the sample
-    mean and standard error of each bank's equity are returned.  Sample
-    ``s`` derives its randomness from ``(seed, s)`` alone, so results are
-    reproducible bit for bit regardless of batching or scheduling, and the
-    final reduction runs in ascending sample order.
+    pro-rata factors (haircut ``beta``) from face values, all draws as one
+    stack, and the sample mean and standard error of each bank's equity are
+    returned.  Sample ``s`` is row ``s`` of
+    ``np.random.default_rng(seed).standard_normal((samples, n))``, so more
+    samples extend a run and never change the earlier ones; the final
+    reduction runs in ascending sample order.
     """
     if samples < 1:
         raise SpecError("samples must be at least 1")
@@ -252,34 +269,17 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     config = config or SolveConfig()
     epsilon = config.resolve_epsilon(net)
 
-    normals = np.empty((samples, n))
-    for s, child in enumerate(np.random.SeedSequence(seed).spawn(samples)):
-        normals[s] = np.random.default_rng(child).standard_normal(n)
-
+    normals = np.random.default_rng(seed).standard_normal((samples, n))
     drift = -0.5 * sigma * sigma * tau
     terminal_assets = net.external_assets * np.exp(sigma * np.sqrt(tau) * normals + drift)
-
-    claims = net.interbank_assets
-    obligations = net.total_obligations()
-    fixed = -net.external_liabilities - obligations
-    equities = terminal_assets + fixed + claims.sum(axis=1)  # face values per draw
-    active = np.ones(samples, dtype=bool)
-    for _ in range(config.max_iterations):
-        if not active.any():
-            break
-        rows = equities[active]
-        factors = en_interbank(rows, obligations, beta)
-        updated = terminal_assets[active] + fixed + factors @ claims.T
-        steps = np.max(np.abs(updated - rows), axis=1)
-        equities[active] = updated
-        still = steps > epsilon
-        active[np.nonzero(active)[0][~still]] = False
-    dropped = int(active.sum())
+    solutions, _, residuals, _ = _iterate(*_clearing(net, terminal_assets, beta),
+                                          epsilon, config.max_iterations)
+    kept = solutions[residuals <= epsilon]
+    count = len(kept)
+    dropped = samples - count
     if dropped:
         log.warning("monte carlo: dropped %d of %d unconverged samples",
                     dropped, samples)
-    kept = equities[~active]
-    count = samples - dropped
     if count > 0:
         mean = kept.sum(axis=0) / count
         if count > 1:

@@ -20,14 +20,7 @@ from .solver import SolveConfig, solve
 log = logging.getLogger("neva")
 
 # CLI subcommand -> scenario file kind
-COMMANDS = {
-    "solve": "solve",
-    "stress": "stress",
-    "limit-maturity": "limit_maturity",
-    "limit-beta": "limit_beta",
-    "curve": "curve",
-    "mc-global": "mc_global",
-}
+COMMANDS = {kind.replace("_", "-"): kind for kind in files.SCENARIO_KINDS}
 
 LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
               "info": logging.INFO, "debug": logging.DEBUG}

@@ -45,6 +45,9 @@ log = logging.getLogger("neva")
 SCENARIO_KINDS = ("solve", "stress", "limit_maturity", "limit_beta", "curve",
                   "mc_global")
 
+# More grid points than any experiment needs; np.linspace allocates them all.
+MAX_GRID_POINTS = 100_000
+
 
 class FileFormatError(ValueError):
     """Raised for unparsable or schema-violating input files."""
@@ -98,6 +101,16 @@ def _field(mapping, key, context, read=_number, default=None):
     value = (_require(mapping, key, context) if default is None
              else mapping.get(key, default))
     return read(value, f"{context}.{key}")
+
+
+def _checked(name):
+    """A ``_field`` reader: a number checked like valuation parameter ``name``."""
+    def read(value, where) -> float:
+        try:
+            return PARAMETER_CHECKS[name](name, _number(value, where))
+        except SpecError as exc:
+            raise FileFormatError(f"{where}: {exc}") from exc
+    return read
 
 
 def load_network(path) -> FinancialNetwork:
@@ -212,17 +225,20 @@ def _parse_solver(block, context) -> SolveConfig:
         raise FileFormatError(f"{context}: {exc}") from exc
 
 
-def _parse_grid(value, context) -> list:
-    if isinstance(value, list):
-        return list(_numbers(value, context))
+def _parse_grid(block, key, context, read=_number) -> list:
+    """Grid ``key``: a non-empty list or min/max/points object, read by ``read``."""
+    where = f"{context}.{key}"
+    value = _require(block, key, context)
     if isinstance(value, dict):
-        lo = _field(value, "min", context)
-        hi = _field(value, "max", context)
-        points = _field(value, "points", context, _whole)
-        if points < 2 or hi <= lo:
-            raise FileFormatError(f"{context}: need points >= 2 and max > min")
-        return list(np.linspace(lo, hi, points))
-    raise FileFormatError(f"{context}: expected a list or a min/max/points object")
+        lo = _field(value, "min", where)
+        hi = _field(value, "max", where)
+        points = _field(value, "points", where, _whole)
+        if not 2 <= points <= MAX_GRID_POINTS or hi <= lo:
+            raise FileFormatError(f"{where}: need 2-{MAX_GRID_POINTS} points, max > min")
+        value = list(np.linspace(lo, hi, points))
+    elif not isinstance(value, list) or not value:
+        raise FileFormatError(f"{where}: expected a non-empty list or min/max/points")
+    return [read(v, f"{where}[{k}]") for k, v in enumerate(value)]
 
 
 def _parse_curve(entry, context) -> dict:
@@ -234,14 +250,10 @@ def _parse_curve(entry, context) -> dict:
         raise FileFormatError(f"{context}: unknown family {name!r}")
     curve = {"family": name}
     for key in family.fields:
-        curve[key] = _field(entry, key, context)
+        curve[key] = _field(entry, key, context,
+                            _checked(key) if key in PARAMETER_CHECKS else _number)
     if family.lender is not None:
         curve["lender_equity"] = _field(entry, "lender_equity", context, default=0.0)
-    for key in family.params:
-        try:
-            curve[key] = PARAMETER_CHECKS[key](key, curve[key])
-        except SpecError as exc:
-            raise FileFormatError(f"{context}.{key}: {exc}") from exc
     return curve
 
 
@@ -271,30 +283,27 @@ def load_scenario(path) -> Scenario:
     context = f"{path}: scenario"
     params: dict = {}
     if kind == "stress":
-        grid = _parse_grid(_require(block, "alpha_grid", context), f"{context}.alpha_grid")
-        if any(a < 0 or a > 1 for a in grid):
-            raise FileFormatError(f"{context}.alpha_grid: shocks must lie in [0, 1]")
-        params["alpha_grid"] = grid
+        params["alpha_grid"] = _parse_grid(block, "alpha_grid", context, _checked("alpha"))
     elif kind == "limit_maturity":
-        params["sigma"] = _field(block, "sigma", context)
-        params["tau_sequence"] = _parse_grid(_require(block, "tau_sequence", context),
-                                             f"{context}.tau_sequence")
-        params["beta"] = _field(block, "beta", context, default=1.0)
+        params["tau_sequence"] = _parse_grid(block, "tau_sequence", context,
+                                             _checked("maturity"))
     elif kind == "limit_beta":
-        params["beta_sequence"] = _parse_grid(_require(block, "beta_sequence", context),
-                                              f"{context}.beta_sequence")
+        params["beta_sequence"] = _parse_grid(block, "beta_sequence", context,
+                                              _checked("beta"))
     elif kind == "curve":
-        params["equity_grid"] = _parse_grid(_require(block, "equity_grid", context),
-                                            f"{context}.equity_grid")
+        params["equity_grid"] = _parse_grid(block, "equity_grid", context)
         families = _require(block, "families", context, list)
         params["families"] = [_parse_curve(entry, f"{context}.families[{k}]")
                               for k, entry in enumerate(families)]
     elif kind == "mc_global":
-        params["sigma"] = _field(block, "sigma", context)
-        params["tau"] = _field(block, "tau", context)
-        params["beta"] = _field(block, "beta", context, default=1.0)
+        params["tau"] = _field(block, "tau", context, _checked("maturity"))
         params["samples"] = _field(block, "samples", context, _whole)
         params["seed"] = _field(block, "seed", context, _whole, default=0)
+        if params["seed"] < 0:
+            raise FileFormatError(f"{context}.seed: must not be negative")
+    if kind in ("limit_maturity", "mc_global"):
+        params["sigma"] = _field(block, "sigma", context, _checked("sigma"))
+        params["beta"] = _field(block, "beta", context, _checked("beta"), default=1.0)
     return Scenario(kind=kind, valuation=valuation, solver=solver, params=params)
 
 

@@ -13,6 +13,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 __all__ = [
+    "EquityVector",
     "NetworkError",
     "FinancialNetwork",
     "TopologyInfo",
@@ -133,12 +134,8 @@ class FinancialNetwork:
         """Total interbank liability each bank has to settle."""
         return self.interbank_liabilities.sum(axis=1)
 
-    def apply_shock(self, relative_shock: Union[float, Sequence[float]]) -> "FinancialNetwork":
-        """Devalue external assets by a relative fraction in [0, 1].
-
-        Accepts a single fraction applied uniformly or a per-bank vector.
-        Returns a new network; the original is untouched.
-        """
+    def shock_vector(self, relative_shock: Union[float, Sequence[float]]) -> np.ndarray:
+        """Per-bank fractions in [0, 1] of a uniform or per-bank relative shock."""
         shock = np.asarray(relative_shock, dtype=float)
         if shock.ndim == 0:
             shock = np.full(self.n, float(shock))
@@ -147,9 +144,17 @@ class FinancialNetwork:
                 f"shock must be a scalar or have shape ({self.n},), got {shock.shape}")
         if not np.all(np.isfinite(shock)) or np.any(shock < 0) or np.any(shock > 1):
             raise NetworkError("shock fractions must lie in [0, 1]")
+        return shock
+
+    def apply_shock(self, relative_shock: Union[float, Sequence[float]]) -> "FinancialNetwork":
+        """Devalue external assets by a relative fraction in [0, 1].
+
+        Accepts a single fraction applied uniformly or a per-bank vector.
+        Returns a new network; the original is untouched.
+        """
         return FinancialNetwork(
             self.bank_ids,
-            (1.0 - shock) * self.external_assets,
+            (1.0 - self.shock_vector(relative_shock)) * self.external_assets,
             self.external_liabilities,
             self.interbank_liabilities,
         )

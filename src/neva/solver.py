@@ -44,9 +44,12 @@ LOWER_BOUNDS = "lower_bounds"
 
 def default_epsilon(net: FinancialNetwork) -> float:
     """Solve tolerance scaled to the network's largest book equity."""
-    m = net.book_equity()
-    scale = float(np.max(np.abs(m))) if m.size else 1.0
-    return 1e-10 * max(1.0, scale)
+    return float(_scaled_epsilon(net.book_equity()))
+
+
+def _scaled_epsilon(book_equity: np.ndarray):
+    """``1e-10 * max(1, |book equity|)``, one per row of a stack."""
+    return 1e-10 * np.maximum(1.0, np.max(np.abs(book_equity), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -112,41 +115,70 @@ class UniquenessReport:
     least: SolveReport
 
 
-def _iterate(bound: BoundValuation, start: np.ndarray, epsilon: float,
-             max_iterations: int, kind: str,
-             warnings: tuple = ()) -> SolveReport:
-    direction = {"greatest": -1, "least": +1}.get(kind, 0)
-    equities = np.asarray(start, dtype=float)
-    monotone: Optional[bool] = True if direction else None
-    residual = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        updated = bound.equity_map(equities)
-        residual = float(np.max(np.abs(updated - equities)))
-        if direction == -1 and np.any(updated > equities + MONOTONE_SLACK):
-            monotone = False
-        elif direction == +1 and np.any(updated < equities - MONOTONE_SLACK):
-            monotone = False
-        equities = updated
-        if residual <= epsilon:
-            converged = True
+def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
+             direction: int = 0) -> tuple:
+    """Fixed-point iteration of every row of the ``(batch, n)`` stack ``start``.
+
+    ``map_rows(rows)`` gives the map of the rows ``rows``.  A row retires once
+    its sup-norm step is at most its ``epsilon`` (scalar or per row); only then
+    is the map asked for again and the compact active rows written back.
+    Returns per row the last iterate, sweeps, last step and whether every step
+    went in ``direction`` (-1 falling, +1 rising, 0 any).
+    """
+    solutions = np.array(start, dtype=float)
+    active = np.arange(len(solutions))
+    sweeps = np.full(active.shape, max_iterations)
+    residuals = np.full(active.shape, np.inf)
+    monotone = np.ones(active.shape, dtype=bool)
+    tolerance = np.broadcast_to(epsilon, active.shape)
+    equities, steps, ordered = solutions, residuals, monotone
+    equity_map = map_rows(active)
+    for sweep in range(1, max_iterations + 1):
+        if not active.size:
             break
-    if monotone is False:
-        warnings = warnings + (
-            "iterates were not monotone; a valuation function may not be feasible",)
-    lower = bound.net.equity_lower_bound()
-    upper = bound.book_equity
-    return SolveReport(
-        solution=np.clip(equities, lower, upper),
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-        monotone=monotone,
-        kind=kind,
-        epsilon=epsilon,
-        warnings=warnings,
-    )
+        updated = equity_map(equities)
+        change = updated - equities
+        steps = np.max(np.abs(change), axis=1)
+        if direction:
+            ordered = ordered & ~np.any(direction * change < -MONOTONE_SLACK, axis=1)
+        equities = updated
+        done = steps <= tolerance
+        if done.any():
+            retired, keep = active[done], ~done
+            solutions[retired] = equities[done]
+            residuals[retired] = steps[done]
+            sweeps[retired] = sweep
+            monotone[retired] = ordered[done]
+            active, equities, steps = active[keep], equities[keep], steps[keep]
+            ordered, tolerance = ordered[keep], tolerance[keep]
+            equity_map = map_rows(active)
+    solutions[active], residuals[active], monotone[active] = equities, steps, ordered
+    return solutions, sweeps, residuals, monotone
+
+
+def _solve(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: int,
+           kind: str, warnings: tuple = ()) -> list:
+    """One ``SolveReport`` per row of the stack ``start``, clamped into ``[m, M]``;
+    an unstacked binding maps the 1-D row, cheaper than a ``(1, n)`` one."""
+    def map_rows(rows):
+        if bound.book_equity.ndim == 2:
+            return bound.rows(rows).equity_map
+        return lambda stack: bound.equity_map(stack[0])[np.newaxis]
+    direction = {"greatest": -1, "least": +1}.get(kind, 0)
+    solutions, sweeps, residuals, monotone = _iterate(
+        map_rows, start, epsilon, max_iterations, direction)
+    solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
+    epsilon = np.broadcast_to(epsilon, residuals.shape)
+    reports = []
+    for k, solution in enumerate(solutions):
+        ordered = bool(monotone[k]) if direction else None
+        reports.append(SolveReport(
+            solution=solution, iterations=int(sweeps[k]),
+            converged=bool(residuals[k] <= epsilon[k]), residual=float(residuals[k]),
+            monotone=ordered, kind=kind, epsilon=float(epsilon[k]),
+            warnings=warnings + (("iterates were not monotone; a valuation function "
+                                  "may not be feasible",) if ordered is False else ())))
+    return reports
 
 
 def solve(net: FinancialNetwork, spec: ValuationSpec,
@@ -158,17 +190,21 @@ def solve(net: FinancialNetwork, spec: ValuationSpec,
     limit (when it converges) lies between the two bracket solutions.
     """
     config = config or SolveConfig()
-    if isinstance(config.start, str):
-        if config.start == FACE_VALUES:
-            return greatest_solution(net, spec, config)
-        return least_solution(net, spec, config)
-    if config.start.shape != (net.n,):
-        raise ValueError(
-            f"custom start must have shape ({net.n},), got {config.start.shape}")
     bound = spec.bind(net)
-    start = np.clip(config.start, net.equity_lower_bound(), bound.book_equity)
-    return _iterate(bound, start, config.resolve_epsilon(net),
-                    config.max_iterations, "custom")
+    kind, start, warnings = "custom", config.start, ()
+    if isinstance(start, str):
+        kind = "greatest" if start == FACE_VALUES else "least"
+        start = bound.book_equity if start == FACE_VALUES else net.equity_lower_bound()
+    elif start.shape != (net.n,):
+        raise ValueError(f"custom start must have shape ({net.n},), got {start.shape}")
+    if kind == "least" and not spec.continuous_from_below:
+        warnings = (
+            "spec contains a valuation function that is not continuous from "
+            "below; the limit from the lower bounds may overshoot the least "
+            "solution",)
+    start = np.clip(start, net.equity_lower_bound(), bound.book_equity)
+    return _solve(bound, start[np.newaxis], config.resolve_epsilon(net),
+                  config.max_iterations, kind, warnings)[0]
 
 
 def greatest_solution(net: FinancialNetwork, spec: ValuationSpec,
@@ -177,9 +213,7 @@ def greatest_solution(net: FinancialNetwork, spec: ValuationSpec,
     config = config or SolveConfig()
     if not (isinstance(config.start, str) and config.start == FACE_VALUES):
         raise ValueError("greatest_solution requires start='face_values'")
-    bound = spec.bind(net)
-    return _iterate(bound, bound.book_equity, config.resolve_epsilon(net),
-                    config.max_iterations, "greatest")
+    return solve(net, spec, config)
 
 
 def least_solution(net: FinancialNetwork, spec: ValuationSpec,
@@ -193,15 +227,7 @@ def least_solution(net: FinancialNetwork, spec: ValuationSpec,
     config = config or SolveConfig(start=LOWER_BOUNDS)
     if not (isinstance(config.start, str) and config.start == LOWER_BOUNDS):
         raise ValueError("least_solution requires start='lower_bounds'")
-    warnings = ()
-    if not spec.continuous_from_below:
-        warnings = (
-            "spec contains a valuation function that is not continuous from "
-            "below; the limit from the lower bounds may overshoot the least "
-            "solution",)
-    bound = spec.bind(net)
-    return _iterate(bound, net.equity_lower_bound(), config.resolve_epsilon(net),
-                    config.max_iterations, "least", warnings)
+    return solve(net, spec, config)
 
 
 def uniqueness_check(net: FinancialNetwork, spec: ValuationSpec,
@@ -244,7 +270,8 @@ def solve_dag(net: FinancialNetwork, spec: ValuationSpec,
             "solve_dag requires borrower-only interbank valuation functions")
     config = config or SolveConfig()
     bound = spec.bind(net)
-    report = _iterate(bound, bound.book_equity, 0.0, info.dag_depth + 1, "greatest")
+    (report,) = _solve(bound, bound.book_equity[np.newaxis], 0.0, info.dag_depth + 1,
+                       "greatest")
     if not report.converged:
         raise RuntimeError("acyclic iteration failed to settle within depth+1 sweeps")
     return replace(report, epsilon=config.resolve_epsilon(net))

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy.special import erf
 
-from .network import FinancialNetwork
+from .network import FinancialNetwork, NetworkError
 
 __all__ = [
     "SpecError",
@@ -137,6 +137,22 @@ def _gbm_args(equity, external_assets, sigma, maturity):
     return equity, external_assets, sigma
 
 
+def _gbm_terms(x, external_assets, half_var, spread):
+    """Default probability at equity ``x`` and the recovery's tail term
+    ``erf((half_var + L)/spread) + erf((half_var - L)/spread)``, ``L = log(1 -
+    x/Ae)``, where ``x`` lies below positive external assets (else zero)."""
+    stochastic = external_assets > 0
+    under = stochastic & (x < external_assets)
+    ratio = np.divide(x, external_assets, out=np.zeros(under.shape), where=under)
+    # log1p(-1) = -inf would still feed erf the correct limit; keep it quiet
+    with np.errstate(divide="ignore"):
+        log = np.log1p(-ratio)
+    plus = erf((log + half_var) / spread)
+    prob = np.where(stochastic, np.where(under, 0.5 * (1.0 + plus), 0.0),
+                    np.where(x < 0, 1.0, 0.0))
+    return prob, np.where(under, plus + erf((half_var - log) / spread), 0.0)
+
+
 def gbm_default_probability(equity, external_assets, sigma, maturity):
     """Probability that a log-normal move of the external assets wipes out
     the given equity before maturity.
@@ -149,19 +165,31 @@ def gbm_default_probability(equity, external_assets, sigma, maturity):
     probability degenerates to the solvency indicator.
     """
     equity, external_assets, sigma = _gbm_args(equity, external_assets, sigma, maturity)
-    equity, external_assets, sigma = np.broadcast_arrays(equity, external_assets, sigma)
-    stochastic = external_assets > 0
-    at_risk = stochastic & (equity < external_assets)
-    ratio = np.divide(equity, external_assets,
-                      out=np.zeros_like(equity), where=at_risk)
-    spread = np.sqrt(2.0 * maturity) * sigma
-    # log1p(-1) = -inf would still feed erf the correct limit; keep it quiet
-    with np.errstate(divide="ignore"):
-        arg = (np.log1p(-ratio) + 0.5 * sigma * sigma * maturity) / spread
-    prob = np.where(at_risk, 0.5 * (1.0 + erf(arg)), 0.0)
-    degenerate = np.where(equity < 0, 1.0, 0.0)
-    out = np.where(stochastic, prob, degenerate)
+    out = _gbm_terms(equity, external_assets, 0.5 * sigma * sigma * maturity,
+                     np.sqrt(2.0 * maturity) * sigma)[0]
     return out if out.ndim else float(out)
+
+
+def _gbm_recovery(equity, external_assets, sigma, maturity, obligations):
+    """Default probability and endogenous recovery under the log-normal model:
+    each of their four erf terms is evaluated once."""
+    equity, external_assets, sigma = _gbm_args(equity, external_assets, sigma, maturity)
+    obligations = np.asarray(obligations, dtype=float)
+    half_var = 0.5 * sigma * sigma * maturity
+    spread = np.sqrt(2.0 * maturity) * sigma
+    p_default, tail0 = _gbm_terms(equity, external_assets, half_var, spread)
+    p_cleared, tail1 = _gbm_terms(equity + obligations, external_assets,
+                                  half_var, spread)
+    has_debt = obligations > 0
+    safe_pbar = np.where(has_debt, obligations, 1.0)
+    closed = ((1.0 + equity / safe_pbar) * (p_default - p_cleared)
+              + external_assets * (tail1 - tail0) / (2.0 * safe_pbar))
+    # Degenerate point mass at zero move: at-maturity pro-rata recovery.
+    point_mass = np.where(equity < 0,
+                          np.clip((equity + obligations) / safe_pbar, 0.0, 1.0),
+                          0.0)
+    recovery = np.where(external_assets > 0, closed, point_mass)
+    return p_default, np.where(has_debt, np.clip(recovery, 0.0, 1.0), 0.0)
 
 
 def gbm_endogenous_recovery(equity, external_assets, sigma, maturity, obligations):
@@ -175,46 +203,7 @@ def gbm_endogenous_recovery(equity, external_assets, sigma, maturity, obligation
     scale.  Zero obligations leave nothing to recover against; zero
     external assets reduce to the at-maturity pro-rata fraction.
     """
-    equity, external_assets, sigma = _gbm_args(equity, external_assets, sigma, maturity)
-    obligations = np.asarray(obligations, dtype=float)
-    equity, external_assets, sigma, obligations = np.broadcast_arrays(
-        equity, external_assets, sigma, obligations)
-    has_debt = obligations > 0
-    safe_pbar = np.where(has_debt, obligations, 1.0)
-    stochastic = external_assets > 0
-
-    p_default = gbm_default_probability(equity, external_assets, sigma, maturity)
-    p_cleared = gbm_default_probability(equity + obligations, external_assets,
-                                        sigma, maturity)
-
-    half_var = 0.5 * sigma * sigma * maturity
-    spread = np.sqrt(2.0 * maturity) * sigma
-    safe_assets = np.where(stochastic, external_assets, 1.0)
-
-    under_assets = stochastic & (equity < external_assets)
-    ratio0 = np.divide(equity, safe_assets, out=np.zeros_like(equity),
-                       where=under_assets)
-    under_debt = stochastic & (equity + obligations < external_assets)
-    ratio1 = np.divide(equity + obligations, safe_assets,
-                       out=np.zeros_like(equity), where=under_debt)
-    with np.errstate(divide="ignore"):
-        log0 = np.log1p(np.where(under_assets, -ratio0, 0.0))
-        log1 = np.log1p(np.where(under_debt, -ratio1, 0.0))
-    tail = np.where(under_assets,
-                    -erf((half_var - log0) / spread) - erf((half_var + log0) / spread),
-                    0.0)
-    tail = tail + np.where(under_debt,
-                           erf((half_var + log1) / spread) + erf((half_var - log1) / spread),
-                           0.0)
-
-    closed = ((1.0 + equity / safe_pbar) * (p_default - p_cleared)
-              + external_assets * tail / (2.0 * safe_pbar))
-    # Degenerate point mass at zero move: at-maturity pro-rata recovery.
-    point_mass = np.where(equity < 0,
-                          np.clip((equity + obligations) / safe_pbar, 0.0, 1.0),
-                          0.0)
-    out = np.where(stochastic, closed, point_mass)
-    out = np.where(has_debt, np.clip(out, 0.0, 1.0), 0.0)
+    out = _gbm_recovery(equity, external_assets, sigma, maturity, obligations)[1]
     return out if out.ndim else float(out)
 
 
@@ -228,10 +217,8 @@ def exante_interbank(default_probability, recovery, beta):
 def exante_en_gbm_interbank(equity, external_assets, sigma, maturity,
                             obligations, beta=1.0):
     """Before-maturity pro-rata factor under the log-normal shock model."""
-    pd_ = gbm_default_probability(equity, external_assets, sigma, maturity)
-    rho = gbm_endogenous_recovery(equity, external_assets, sigma, maturity,
-                                  obligations)
-    return exante_interbank(pd_, rho, beta)
+    return exante_interbank(*_gbm_recovery(equity, external_assets, sigma,
+                                           maturity, obligations), beta)
 
 
 def uniform_default_probability(equity, book_equity):
@@ -254,8 +241,6 @@ def uniform_endogenous_recovery(equity, book_equity, obligations):
     equity = np.asarray(equity, dtype=float)
     book_equity = np.asarray(book_equity, dtype=float)
     obligations = np.asarray(obligations, dtype=float)
-    equity, book_equity, obligations = np.broadcast_arrays(
-        equity, book_equity, obligations)
     ok = (book_equity > 0) & (obligations > 0)
     safe_m = np.where(ok, book_equity, 1.0)
     safe_p = np.where(ok, obligations, 1.0)
@@ -470,8 +455,21 @@ class ValuationSpec:
             raise SpecError(f"sigma must be scalar or have shape ({n},), got {sigma.shape}")
         return sigma.copy()
 
-    def bind(self, net: FinancialNetwork) -> "BoundValuation":
-        return BoundValuation(self, net)
+    def bind(self, net: FinancialNetwork, external_assets=None) -> "BoundValuation":
+        """Attach the spec to ``net``; ``external_assets``, an ``(n,)`` vector
+        or a ``(batch, n)`` stack, stands in for the network's (row by row)."""
+        assets = (net.external_assets if external_assets is None
+                  else np.asarray(external_assets, dtype=float))
+        if assets.ndim not in (1, 2) or assets.shape[-1] != net.n:
+            raise NetworkError(f"external assets of shape {assets.shape} for {net.n} banks")
+        obligations = net.total_obligations()
+        constants = {name: getattr(self, name) for name in PARAMETER_CHECKS}
+        constants.update(
+            obligations=obligations, external_assets=assets,
+            sigma=None if self.sigma is None else self.sigma_vector(net.n),
+            book_equity=(assets - net.external_liabilities
+                         + net.interbank_assets.sum(axis=1) - obligations))
+        return BoundValuation(self, net, constants)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,32 +480,35 @@ class BoundValuation:
     per-bank obligations, book equities, external assets and (for the
     log-normal family) volatilities, and the spec parameters.  The family's
     factor functions are bound to them once, so factor vectors and the
-    equity map can be evaluated repeatedly at different equity vectors.
+    equity map can be evaluated repeatedly at different equities, row by row
+    when bound to a ``(batch, n)`` stack of external assets.
     """
 
     spec: ValuationSpec
     net: FinancialNetwork
-    constants: dict = field(init=False, repr=False)
+    constants: dict = field(repr=False)
     obligations: np.ndarray = field(init=False)
     book_equity: np.ndarray = field(init=False)
+    external_assets: np.ndarray = field(init=False)
     sigma: Optional[np.ndarray] = field(init=False)  # None outside log-normal
     _borrower: Callable = field(init=False, repr=False)
     _lender: Optional[Callable] = field(init=False, repr=False)
     _external: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        spec, net = self.spec, self.net
-        sigma = None if spec.sigma is None else spec.sigma_vector(net.n)
-        constants = {name: getattr(spec, name) for name in PARAMETER_CHECKS}
-        constants.update(obligations=net.total_obligations(), sigma=sigma,
-                         book_equity=net.book_equity(),
-                         external_assets=net.external_assets)
-        borrower, *lender = spec.family.bind(constants)
-        (external,) = spec.external_family.bind(constants)
+        constants = self.constants
+        borrower, *lender = self.spec.family.bind(constants)
+        (external,) = self.spec.external_family.bind(constants)
         vars(self).update(  # frozen: fill the init=False fields directly
-            constants=constants, obligations=constants["obligations"],
-            book_equity=constants["book_equity"], sigma=sigma, _borrower=borrower,
-            _lender=lender[0] if lender else None, _external=external)
+            obligations=constants["obligations"], book_equity=constants["book_equity"],
+            external_assets=constants["external_assets"], sigma=constants["sigma"],
+            _borrower=borrower, _lender=lender[0] if lender else None, _external=external)
+
+    def rows(self, index) -> "BoundValuation":
+        """The valuation of rows ``index`` of a stack of external assets."""
+        return BoundValuation(self.spec, self.net, {
+            name: value[index] if np.ndim(value) == 2 else value
+            for name, value in self.constants.items()})
 
     def external_factors(self, equities: np.ndarray) -> np.ndarray:
         return self._external(equities)
@@ -521,12 +522,13 @@ class BoundValuation:
 
     def edge_discounts(self, equities: np.ndarray) -> np.ndarray:
         """Matrix of claim discount factors; entry ``[i, j]`` values bank i's
-        claim on bank j (meaningful wherever such a claim exists)."""
-        borrower = self.borrower_factors(equities)
+        claim on bank j (meaningful wherever such a claim exists).  A stack
+        of equities gives one matrix per row."""
+        borrower = self.borrower_factors(equities)[..., np.newaxis, :]
         lender = self.lender_factors(equities)
         if lender is None:
-            return np.broadcast_to(borrower, (self.net.n, self.net.n)).copy()
-        return np.outer(lender, borrower)
+            return np.broadcast_to(borrower, borrower.shape[:-2] + (self.net.n,) * 2).copy()
+        return lender[..., np.newaxis] * borrower
 
     def edge_factor(self, lender: int, borrower: int, equities: np.ndarray) -> float:
         eq = np.asarray(equities, dtype=float)
@@ -539,14 +541,13 @@ class BoundValuation:
     def equity_map(self, equities: np.ndarray) -> np.ndarray:
         """One application of the self-consistent balance-sheet valuation:
         external assets at their external factor, claims at their discount
-        factors, liabilities at face value."""
-        net = self.net
-        inflow = net.interbank_assets @ self.borrower_factors(equities)
+        factors, liabilities at face value; row by row on a stack."""
+        inflow = self.borrower_factors(equities) @ self.net.interbank_liabilities
         lender = self.lender_factors(equities)
         if lender is not None:
             inflow = lender * inflow
-        return (net.external_assets * self.external_factors(equities)
-                - net.external_liabilities + inflow - self.obligations)
+        return (self.external_assets * self.external_factors(equities)
+                - self.net.external_liabilities + inflow - self.obligations)
 
 
 @dataclass(frozen=True)

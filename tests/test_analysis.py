@@ -6,7 +6,8 @@ from neva import (FinancialNetwork, SolveConfig, SpecError, ValuationSpec,
                   maturity_limit_experiment, merton_vs_network_discount,
                   monte_carlo_global_valuation, stress_test)
 
-from conftest import closed_chain_network, open_chain_network, tree_network
+from conftest import (closed_chain_network, open_chain_network, random_network,
+                      tree_network)
 
 EN = ValuationSpec.eisenberg_noe()
 
@@ -72,7 +73,68 @@ def test_stress_accepts_per_bank_shocks(ring):
     assert np.allclose(result.shock, [0.0, 0.0, 0.5])
 
 
+STACK_SPECS = [
+    EN,
+    ValuationSpec.rogers_veraart(alpha=0.6, beta=0.8),  # also the fire-sale external
+    ValuationSpec.furfine(0.3),
+    ValuationSpec.linear_debtrank(),
+    ValuationSpec.exante_en_gbm(sigma=0.4, maturity=2.0, beta=0.7),
+    ValuationSpec.exante_en_uniform(0.6),
+]
+
+
+def _stack_cases(seed=5):
+    """Random networks with a grid of scalar and per-bank shocks each."""
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        net = random_network(rng, max_banks=12)
+        yield net, [0.0, 0.2, rng.uniform(0.0, 1.0, net.n), 0.5, 0.9,
+                    rng.uniform(0.0, 0.3, net.n), 1.0]
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.interbank_kind)
+def test_stress_stack_matches_per_point_solves(spec):
+    for net, alphas in _stack_cases():
+        for alpha, result in zip(alphas, stress_test(net, spec, alphas)):
+            single = greatest_solution(net.apply_shock(alpha), spec)
+            assert result.report.converged and single.converged
+            assert result.report.epsilon == single.epsilon
+            gap = np.max(np.abs(result.report.solution - single.solution))
+            assert gap <= 10 * single.epsilon
+
+
+def test_stress_stack_flags_only_the_unconverged_point(ring):
+    # at alpha 0.2 the ring needs four sweeps, the other points at most two
+    results = stress_test(ring, EN, [0.0, 0.5, 0.2, 1.0], SolveConfig(max_iterations=3))
+    assert [r.report.converged for r in results] == [True, True, False, True]
+    assert [r.network_effect is None for r in results] == [False, False, True, False]
+    assert results[2].edge_discounts is None
+    assert results[2].report.iterations == 3
+    assert [r.report.iterations for r in results[:2]] == [1, 2]
+
+
+def test_stress_and_discounts_of_no_points(ring):
+    assert stress_test(ring, EN, []) == []
+    assert merton_vs_network_discount(ring, STACK_SPECS[4], []) == []
+
+
 # ------------------------------------------------------ merton-style comparison
+
+@pytest.mark.parametrize("spec", STACK_SPECS[4:], ids=lambda spec: spec.interbank_kind)
+def test_discount_stack_matches_per_point_solves(spec):
+    for net, alphas in _stack_cases(seed=9):
+        for alpha, cmp in zip(alphas, merton_vs_network_discount(net, spec, alphas)):
+            shocked = net.apply_shock(alpha)
+            bound = spec.bind(shocked)
+            single = greatest_solution(shocked, spec)
+            lenders, borrowers = np.array(cmp.edges, dtype=int).reshape(-1, 2).T
+            merton = bound.edge_discounts(bound.book_equity)[lenders, borrowers]
+            network = bound.edge_discounts(single.solution)[lenders, borrowers]
+            assert cmp.converged and single.converged
+            assert np.array_equal(cmp.merton, merton)
+            assert np.max(np.abs(cmp.network - network), initial=0.0) \
+                <= 10 * single.epsilon
+
 
 def test_discount_difference_zero_when_face_values_fixed(closed_chain):
     # short maturity, well-capitalized banks: factors saturate at one and
@@ -124,6 +186,17 @@ def test_maturity_limit_converges_to_clearing(make_net, reference):
     assert np.allclose(series.reference, reference, atol=1e-9)
     assert series.deviations[-1] < 1e-3
     assert all(np.isfinite(series.deviations))
+
+
+def test_maturity_limit_reference_carries_the_haircut(open_chain):
+    # with beta < 1 the short-maturity limit is pro-rata clearing with the
+    # haircut on what B pays, not plain eisenberg_noe ([2.2, 0.8, -0.2])
+    series = maturity_limit_experiment(open_chain, sigma=0.3,
+                                       taus=[1.0, 1e-2, 1e-4, 1e-6], beta=0.5)
+    assert not series.partial
+    assert np.allclose(series.reference, [2.2, 0.3, -0.2], atol=1e-9)
+    assert series.deviations[0] > 0.1
+    assert max(series.deviations[1:]) < 1e-8
 
 
 def test_maturity_limit_validation(ring):

@@ -330,6 +330,27 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
                "scenario": {"kind": "solve"}}, "interbank.sigma[0]"),
     ("solve", {"valuation": {"interbank": {**GBM_VALUATION, "sigma": ["x", 1]}},
                "scenario": {"kind": "solve"}}, "interbank.sigma[0]"),
+    ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                "scenario": {"kind": "stress",
+                             "alpha_grid": {"min": 0.0, "max": 0.5, "points": 1e11}}},
+     "scenario.alpha_grid"),
+    ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                "scenario": {"kind": "stress", "alpha_grid": []}}, "scenario.alpha_grid"),
+    ("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "tau_sequence": []}},
+     "scenario.tau_sequence"),
+    ("limit-beta", {"scenario": {"kind": "limit_beta", "beta_sequence": []}},
+     "scenario.beta_sequence"),
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [], "families": []}},
+     "scenario.equity_grid"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "tau": -1}}, "scenario.tau"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "seed": -1}}, "scenario.seed"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "sigma": 0}}, "scenario.sigma"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "beta": 1.5}}, "scenario.beta"),
+    ("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "tau_sequence": [1.0, -1.0]}},
+     "scenario.tau_sequence[1]"),
+    ("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "sigma": -0.5}},
+     "scenario.sigma"),
+    ("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "beta": 2}}, "scenario.beta"),
 ])
 def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     network = write_json(tmp_path / "net.json", RING_FILE)
@@ -525,3 +546,9 @@ def test_scenario_per_bank_sigma(tmp_path):
     assert status == 0
     payload = json.loads(out.read_text())
     assert payload["converged"] is True
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in neva.__all__ if not hasattr(neva, name)]
+    assert missing == []
+    assert len(set(neva.__all__)) == len(neva.__all__)
