@@ -17,7 +17,7 @@ import numpy as np
 from .network import FinancialNetwork
 from .solver import (SolveConfig, SolveReport, _iterate, _scaled_epsilon, _solve,
                      greatest_solution)
-from .valuation import SpecError, ValuationSpec, en_interbank
+from .valuation import SpecError, ValuationSpec, _claim_discounts, en_interbank
 
 __all__ = [
     "StressResult",
@@ -40,9 +40,9 @@ class StressResult:
 
     ``delta_equity`` measures losses against the unshocked book values;
     ``network_effect`` is the asset-weighted average claim write-off,
-    normalized to ``[0, 1]`` (``None`` when the solve did not converge).
-    ``edge_discounts[i, j]`` is the solved discount on bank i's claim
-    against bank j.
+    normalized to ``[0, 1]``.  ``factors`` holds the borrower and lender
+    (None when the family has none) factor rows at the solution.  The
+    metrics and ``factors`` are ``None`` when the solve did not converge.
     """
 
     alpha: Optional[float]
@@ -50,7 +50,15 @@ class StressResult:
     report: SolveReport
     delta_equity: np.ndarray
     network_effect: Optional[float]
-    edge_discounts: Optional[np.ndarray]
+    factors: Optional[tuple]
+
+    @property
+    def edge_discounts(self) -> Optional[np.ndarray]:
+        """``[i, j]``: the solved discount on bank i's claim against bank j,
+        built from ``factors`` when read."""
+        if self.factors is None:
+            return None
+        return _claim_discounts(*self.factors, *np.indices((len(self.shock),) * 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,21 +134,26 @@ def stress_test(net: FinancialNetwork, spec: ValuationSpec,
     Each entry of ``alphas`` is a uniform relative shock or a per-bank
     vector of fractions in ``[0, 1]``.  Valuation constants (book equities,
     external assets) are those of the shocked network.  All points are
-    solved as one stack.
+    solved as one stack, and the network effect sums over the claims that
+    exist: O(points x edges).
     """
     shocks, uniform, bound, reports, solutions = _shocked(net, spec, alphas, config)
-    discounts = bound.edge_discounts(solutions)
-    base_book = net.book_equity()
-    claims = net.interbank_assets
+    borrower = bound.borrower_factors(solutions)
+    lender = bound.lender_factors(solutions)
+    lenders, borrowers = np.nonzero(net.interbank_assets > 0)
+    claims = net.interbank_assets[lenders, borrowers]
     total = claims.sum()
+    write_offs = (claims * (1.0 - _claim_discounts(borrower, lender, lenders, borrowers))
+                  ).sum(axis=-1)
+    base_book = net.book_equity()
     results = []
     for k, report in enumerate(reports):
-        effect = discount = None
+        effect = factors = None
         if report.converged:
-            discount = discounts[k]
-            effect = float((claims * (1.0 - discount)).sum() / total) if total > 0 else 0.0
+            factors = (borrower[k], None if lender is None else lender[k])
+            effect = float(write_offs[k] / total) if total > 0 else 0.0
         results.append(StressResult(uniform[k], shocks[k], report,
-                                    base_book - report.solution, effect, discount))
+                                    base_book - report.solution, effect, factors))
     return results
 
 
@@ -159,8 +172,8 @@ def merton_vs_network_discount(net: FinancialNetwork, spec: ValuationSpec,
     shocks, uniform, bound, reports, solutions = _shocked(net, spec, alphas, config)
     lenders, borrowers = np.nonzero(net.interbank_assets > 0)
     edges = tuple(zip(lenders, borrowers))
-    merton = bound.edge_discounts(bound.book_equity)[:, lenders, borrowers]
-    network = bound.edge_discounts(solutions)[:, lenders, borrowers]
+    merton = bound.edge_factor(lenders, borrowers, bound.book_equity)
+    network = bound.edge_factor(lenders, borrowers, solutions)
     return [DiscountComparison(uniform[k], shocks[k], edges, merton[k],
                                network[k] if report.converged else None,
                                merton[k] - network[k] if report.converged else None,

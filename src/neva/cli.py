@@ -35,6 +35,13 @@ def _configure_logging() -> None:
     log.setLevel(level)
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a whole number >= 0, as the scenario's ``seed`` must be."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative whole number, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neva",
@@ -52,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override solver tolerance")
         cmd.add_argument("--max-iter", type=int, default=None,
                          help="override solver iteration cap")
-        cmd.add_argument("--seed", type=int, default=None,
+        cmd.add_argument("--seed", type=_seed, default=None,
                          help="override the Monte Carlo seed (default 0)")
     return parser
 

@@ -335,100 +335,126 @@ def evaluate_curves(families: list, grid) -> CurveTable:
     return CurveTable(rows=tuple(rows))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+# A result table is (kind, header, columns, JSON fields besides the rows).
+# A column is (values, index): row r holds values[index[r]] (values[r] when
+# the index is None).  Values are a float array, formatted cell by cell in
+# one pass, or a list of labels and shared values, each rendered once; index
+# len(values) of a float array leaves the cell empty.
+
+def _cells(values, index, csv_text: bool) -> list:
+    if isinstance(values, np.ndarray):
+        if csv_text:  # the text ends in a newline: the split adds one empty cell
+            rendered = (("%.17g\n" * len(values)) % tuple(values.tolist())).split("\n")
+        else:
+            rendered = values.tolist() + [None]
+    else:
+        rendered = [_text(value) for value in values] if csv_text else values
+    return rendered if index is None else np.array(rendered, dtype=object)[index].tolist()
+
+
+def _floats(values, index=None) -> tuple:
+    return np.asarray(values, dtype=float).ravel(), index
+
+
+def _repeat(values, count) -> tuple:
+    """Value ``k`` fills ``count`` (or ``count[k]``) consecutive rows."""
+    return list(values), np.repeat(np.arange(len(values)), count)
+
+
+def _labels(values) -> tuple:
+    """A column of repeating labels (names, flags), each rendered once."""
+    position = {value: k for k, value in enumerate(dict.fromkeys(values))}
+    return list(position), np.array([position[value] for value in values], dtype=np.intp)
+
+
+def _quoted(text: str) -> str:
+    """``text`` as one CSV field, quoted where ``csv.writer`` quotes it."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]  # drop the empty second field's ",\n"
+
+
+def _text(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if value is None:
         return ""
+    if isinstance(value, str):
+        return _quoted(value)
     return str(value)
 
 
-def _csv(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buffer.getvalue()
+def _alphas(results) -> list:
+    """The uniform shock of each point, or the largest entry of its vector."""
+    return [float(res.alpha if res.alpha is not None else np.max(res.shock))
+            for res in results]
 
 
-def _json_rows(kind, rows, header, extra=None) -> str:
-    payload = {"kind": kind}
-    if extra:
-        payload.update(extra)
-    payload["rows"] = [dict(zip(header, row)) for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+def _solve_table(net: FinancialNetwork, report: SolveReport) -> tuple:
+    return "solve", ("bank_id", "book_equity", "equity", "defaulted", "iterations"), (
+        (net.bank_ids, None), _floats(net.book_equity()), _floats(report.solution),
+        _labels((report.solution < 0).tolist()), _repeat([report.iterations], net.n),
+    ), {"converged": report.converged, "residual": report.residual,
+        "kind_of_solution": report.kind, "warnings": list(report.warnings)}
 
 
-def _solve_rows(net: FinancialNetwork, report: SolveReport):
-    book = net.book_equity()
-    header = ("bank_id", "book_equity", "equity", "defaulted", "iterations")
-    rows = [
-        (bank, float(book[k]), float(report.solution[k]),
-         bool(report.solution[k] < 0), report.iterations)
-        for k, bank in enumerate(net.bank_ids)
-    ]
-    extra = {"converged": report.converged, "residual": report.residual,
-             "kind_of_solution": report.kind, "warnings": list(report.warnings)}
-    return header, rows, extra
+def _stress_table(net: FinancialNetwork, results) -> tuple:
+    """Rows sorted by alpha, then bank id, then point (a stable sort of the
+    point-major rows): one index permutation of the (point, bank) pairs."""
+    n = net.n
+    alphas = _alphas(results)
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=net.bank_ids.__getitem__)] = np.arange(n)
+    order = np.lexsort((np.tile(rank, len(results)), np.repeat(alphas, n)))
+    points, banks = np.divmod(order, n)
+    return "stress", ("alpha", "bank_id", "delta_equity", "network_effect"), (
+        (alphas, points), (net.bank_ids, banks),
+        _floats([res.delta_equity for res in results], order),
+        ([res.network_effect for res in results], points),
+    ), {"converged": all(res.report.converged for res in results)}
 
 
-def _stress_rows(net: FinancialNetwork, results):
-    header = ("alpha", "bank_id", "delta_equity", "network_effect")
-    rows = []
-    for res in results:
-        alpha = res.alpha if res.alpha is not None else float(np.max(res.shock))
-        for k, bank in enumerate(net.bank_ids):
-            rows.append((float(alpha), bank, float(res.delta_equity[k]),
-                         res.network_effect))
-    rows.sort(key=lambda row: (row[0], row[1]))
-    extra = {"converged": all(r.report.converged for r in results)}
-    return header, rows, extra
+def _curve_table(table: CurveTable) -> tuple:
+    families, equities, values = zip(*table.rows) if table.rows else ((), (), ())
+    return "curve", ("family", "equity", "value"), (
+        _labels(families), _floats(equities), _floats(values)), {}
 
 
-def _curve_rows(table: CurveTable):
-    return ("family", "equity", "value"), list(table.rows), None
+def _limit_table(net: FinancialNetwork, series: LimitSeries) -> tuple:
+    n, points = net.n, len(series.parameters)
+    return "limit", ("parameter", "bank_id", "equity", "deviation"), (
+        _repeat(series.parameters, n), (net.bank_ids, np.tile(np.arange(n), points)),
+        _floats(series.equities), _repeat(series.deviations, n),
+    ), {"parameter_name": series.parameter_name, "partial": series.partial,
+        "reference": series.reference.tolist(), "notes": list(series.notes)}
 
 
-def _limit_rows(net: FinancialNetwork, series: LimitSeries):
-    header = ("parameter", "bank_id", "equity", "deviation")
-    rows = []
-    for p, equity, deviation in zip(series.parameters, series.equities,
-                                    series.deviations):
-        for k, bank in enumerate(net.bank_ids):
-            rows.append((float(p), bank, float(equity[k]), float(deviation)))
-    extra = {"parameter_name": series.parameter_name, "partial": series.partial,
-             "reference": [float(v) for v in series.reference],
-             "notes": list(series.notes)}
-    return header, rows, extra
+def _mc_table(net: FinancialNetwork, result: MonteCarloResult) -> tuple:
+    return "mc_global", ("bank_id", "mean_equity", "std_error", "samples", "dropped"), (
+        (net.bank_ids, None), _floats(result.mean), _floats(result.std_error),
+        _repeat([result.samples], net.n), _repeat([result.dropped], net.n),
+    ), {"seed": result.seed, "valid": result.valid}
 
 
-def _mc_rows(net: FinancialNetwork, result: MonteCarloResult):
-    header = ("bank_id", "mean_equity", "std_error", "samples", "dropped")
-    rows = [
-        (bank, float(result.mean[k]), float(result.std_error[k]),
-         result.samples, result.dropped)
-        for k, bank in enumerate(net.bank_ids)
-    ]
-    extra = {"seed": result.seed, "valid": result.valid}
-    return header, rows, extra
-
-
-def _discount_rows(net: FinancialNetwork, results):
-    header = ("alpha", "lender", "borrower", "merton_discount",
-              "network_discount", "difference")
-    rows = []
-    for res in results:
-        alpha = res.alpha if res.alpha is not None else float(np.max(res.shock))
-        for e, (i, j) in enumerate(res.edges):
-            network = float(res.network[e]) if res.network is not None else None
-            diff = float(res.difference[e]) if res.difference is not None else None
-            rows.append((float(alpha), net.bank_ids[i], net.bank_ids[j],
-                         float(res.merton[e]), network, diff))
-    extra = {"converged": all(r.converged for r in results)}
-    return header, rows, extra
+def _discount_table(net: FinancialNetwork, results) -> tuple:
+    counts = [len(res.edges) for res in results]
+    edges = np.concatenate([np.array(res.edges, dtype=np.intp).reshape(-1, 2)
+                            for res in results])
+    merton = np.concatenate([res.merton for res in results])
+    # a point that did not converge has no network discounts: empty cells
+    solved = [res for res in results if res.network is not None]
+    network = np.concatenate([np.empty(0)] + [res.network for res in solved])
+    difference = np.concatenate([np.empty(0)] + [res.difference for res in solved])
+    rows = np.repeat([res.network is not None for res in results], counts)
+    index = np.where(rows, np.cumsum(rows) - 1, len(network))
+    return "discount", ("alpha", "lender", "borrower", "merton_discount",
+                        "network_discount", "difference"), (
+        _repeat(_alphas(results), counts), (net.bank_ids, edges[:, 0]),
+        (net.bank_ids, edges[:, 1]), _floats(merton), _floats(network, index),
+        _floats(difference, index),
+    ), {"converged": all(res.converged for res in results)}
 
 
 def serialize_results(result, fmt: str = "csv",
@@ -436,29 +462,31 @@ def serialize_results(result, fmt: str = "csv",
     """Render a result object as CSV or JSON text.
 
     CSV columns are fixed per result kind (see README); JSON mirrors the
-    same rows.  Floats are printed with 17 significant digits so parsing the
-    output recovers them exactly.
+    same rows.  Both render from one set of columns.  Floats are printed
+    with 17 significant digits so parsing the output recovers them exactly.
     """
     if fmt not in ("csv", "json"):
         raise FileFormatError(f"unknown output format {fmt!r}")
     if isinstance(result, SolveReport):
-        kind, parts = "solve", _solve_rows(net, result)
+        table = _solve_table(net, result)
     elif isinstance(result, CurveTable):
-        kind, parts = "curve", _curve_rows(result)
+        table = _curve_table(result)
     elif isinstance(result, LimitSeries):
-        kind, parts = "limit", _limit_rows(net, result)
+        table = _limit_table(net, result)
     elif isinstance(result, MonteCarloResult):
-        kind, parts = "mc_global", _mc_rows(net, result)
+        table = _mc_table(net, result)
     elif isinstance(result, (list, tuple)) and result and isinstance(result[0], StressResult):
-        kind, parts = "stress", _stress_rows(net, result)
+        table = _stress_table(net, result)
     elif isinstance(result, (list, tuple)) and result and isinstance(result[0], DiscountComparison):
-        kind, parts = "discount", _discount_rows(net, result)
+        table = _discount_table(net, result)
     else:
         raise FileFormatError(f"cannot serialize {type(result).__name__}")
-    header, rows, extra = parts
+    kind, header, columns, extra = table
+    cells = [_cells(values, index, fmt == "csv") for values, index in columns]
     if fmt == "csv":
-        return _csv(header, rows)
-    return _json_rows(kind, rows, header, extra)
+        return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    rows = [dict(zip(header, row)) for row in zip(*cells)]
+    return json.dumps({"kind": kind, **extra, "rows": rows}, indent=2) + "\n"
 
 
 def write_output(text: str, path=None) -> None:

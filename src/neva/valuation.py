@@ -23,7 +23,6 @@ from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import erf
 
 from .network import FinancialNetwork, NetworkError
 
@@ -141,6 +140,9 @@ def _gbm_terms(x, external_assets, half_var, spread):
     """Default probability at equity ``x`` and the recovery's tail term
     ``erf((half_var + L)/spread) + erf((half_var - L)/spread)``, ``L = log(1 -
     x/Ae)``, where ``x`` lies below positive external assets (else zero)."""
+    # imported on first use, so that ``import neva`` does not load scipy
+    from scipy.special import erf
+
     stochastic = external_assets > 0
     under = stochastic & (x < external_assets)
     ratio = np.divide(x, external_assets, out=np.zeros(under.shape), where=under)
@@ -472,6 +474,17 @@ class ValuationSpec:
         return BoundValuation(self, net, constants)
 
 
+def _claim_discounts(borrower_factors, lender_factors, lenders, borrowers):
+    """Discounts on the claims of ``lenders`` on ``borrowers`` (index arrays)
+    from per-bank factor rows: the borrower factor, times the lender factor
+    when the family has one (``lender_factors`` is None otherwise).  Stacked
+    factor rows give one set of discounts per row."""
+    discounts = np.take(borrower_factors, borrowers, axis=-1)
+    if lender_factors is None:
+        return discounts
+    return np.take(lender_factors, lenders, axis=-1) * discounts
+
+
 @dataclass(frozen=True, eq=False)
 class BoundValuation:
     """A valuation spec attached to one network's balance-sheet constants.
@@ -524,19 +537,15 @@ class BoundValuation:
         """Matrix of claim discount factors; entry ``[i, j]`` values bank i's
         claim on bank j (meaningful wherever such a claim exists).  A stack
         of equities gives one matrix per row."""
-        borrower = self.borrower_factors(equities)[..., np.newaxis, :]
-        lender = self.lender_factors(equities)
-        if lender is None:
-            return np.broadcast_to(borrower, borrower.shape[:-2] + (self.net.n,) * 2).copy()
-        return lender[..., np.newaxis] * borrower
+        return self.edge_factor(*np.indices((self.net.n,) * 2), equities)
 
-    def edge_factor(self, lender: int, borrower: int, equities: np.ndarray) -> float:
-        eq = np.asarray(equities, dtype=float)
-        value = float(self.borrower_factors(eq)[borrower])
-        lenders = self.lender_factors(eq)
-        if lenders is not None:
-            value *= float(lenders[lender])
-        return value
+    def edge_factor(self, lender, borrower, equities: np.ndarray):
+        """Discount on bank ``lender``'s claim on bank ``borrower``; index
+        arrays give one discount per (broadcast) pair, and a stack of
+        equities one set per row."""
+        equities = np.asarray(equities, dtype=float)
+        return _claim_discounts(self.borrower_factors(equities),
+                                self.lender_factors(equities), lender, borrower)
 
     def equity_map(self, equities: np.ndarray) -> np.ndarray:
         """One application of the self-consistent balance-sheet valuation:

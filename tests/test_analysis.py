@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,58 @@ def test_discount_stack_matches_per_point_solves(spec):
             assert np.array_equal(cmp.merton, merton)
             assert np.max(np.abs(cmp.network - network), initial=0.0) \
                 <= 10 * single.epsilon
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.interbank_kind)
+def test_network_effect_matches_the_dense_formula(spec):
+    for net, alphas in _stack_cases(seed=11):
+        claims = net.interbank_assets
+        total = claims.sum()
+        results = stress_test(net, spec, alphas)
+        bound = spec.bind(net, [(1.0 - r.shock) * net.external_assets for r in results])
+        dense_stack = bound.edge_discounts(np.array([r.report.solution for r in results]))
+        for result, dense in zip(results, dense_stack):
+            assert np.array_equal(result.edge_discounts, dense)
+            expected = (claims * (1.0 - dense)).sum() / total if total > 0 else 0.0
+            assert result.network_effect == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS[4:], ids=lambda spec: spec.interbank_kind)
+def test_discounts_match_the_dense_stacks(spec):
+    for net, alphas in _stack_cases(seed=13):
+        comparisons = merton_vs_network_discount(net, spec, alphas)
+        bound = spec.bind(net, [(1.0 - c.shock) * net.external_assets for c in comparisons])
+        # stress_test solves the same stack, so these are the same solutions
+        solutions = np.array([r.report.solution for r in stress_test(net, spec, alphas)])
+        lenders, borrowers = np.nonzero(net.interbank_assets > 0)
+        merton = bound.edge_discounts(bound.book_equity)[:, lenders, borrowers]
+        network = bound.edge_discounts(solutions)[:, lenders, borrowers]
+        for k, cmp in enumerate(comparisons):
+            assert cmp.edges == tuple(zip(lenders, borrowers))
+            assert np.array_equal(cmp.merton, merton[k])
+            assert np.allclose(cmp.network, network[k], rtol=1e-15, atol=0.0)
+            assert np.allclose(cmp.difference, merton[k] - network[k], rtol=1e-15, atol=0.0)
+
+
+def test_stress_memory_stays_below_one_discount_stack():
+    # the per-point network effect sums over the claims; no (points, n, n)
+    # discount stack is built
+    rng = np.random.default_rng(17)
+    n, points = 300, 31
+    liabilities = rng.lognormal(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 10.0 / n)
+    np.fill_diagonal(liabilities, 0.0)
+    assets = 3.0 * liabilities.sum(axis=0).mean() * rng.lognormal(0.0, 0.2, n)
+    net = FinancialNetwork([f"B{k}" for k in range(n)], assets, 0.9 * assets, liabilities)
+    alphas = np.linspace(0.0, 0.3, points)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        results = stress_test(net, EN, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(result.report.converged for result in results)
+    assert peak < points * n * n * 8
 
 
 def test_discount_difference_zero_when_face_values_fixed(closed_chain):

@@ -362,6 +362,17 @@ def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "2.5", "x"])
+def test_cli_rejects_a_seed_flag_the_scenario_would_reject(tmp_path, capsys, seed):
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    scenario = write_json(tmp_path / "scn.json", {"scenario": MC_SCENARIO})
+    out = tmp_path / "out.csv"
+    assert run_command(["mc-global", "--network", network, "--scenario", scenario,
+                        "--output", str(out), "--seed", seed]) == 2
+    assert "--seed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_stress_single_point(tmp_path):
     network = write_json(tmp_path / "net.json", RING_FILE)
     scenario = write_json(tmp_path / "scn.json", {

@@ -1,0 +1,60 @@
+"""Golden bytes of the result writer: every result kind in CSV and JSON.
+
+The expected files under ``golden/`` were written by the row-by-row writer
+that the columnar one replaced.  The network's bank ids need CSV quoting
+and are not in sorted order; the stress grid has unsorted and duplicate
+alphas, a per-bank shock vector and one unconverged point, and the discount
+grid one unconverged point.  The network has two claims, so a network
+effect sums at most two write-offs and cannot depend on summation order.
+"""
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from neva import (FinancialNetwork, SolveConfig, ValuationSpec, evaluate_curves,
+                  greatest_solution, maturity_limit_experiment,
+                  merton_vs_network_discount, monte_carlo_global_valuation,
+                  serialize_results, stress_test)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_network() -> FinancialNetwork:
+    liabilities = np.zeros((4, 4))
+    liabilities[1, 3] = 1.5  # z owes m
+    liabilities[3, 0] = 1.25  # m owes q"x
+    return FinancialNetwork(['q"x', "z", "a,b", "m"], [2.0, 2.0, 1.5, 1.5],
+                            [1.5, 0.25, 1.0, 0.5], liabilities)
+
+
+def golden_result(kind: str, net: FinancialNetwork):
+    if kind == "solve":
+        return greatest_solution(net.apply_shock(0.5), ValuationSpec.eisenberg_noe())
+    if kind == "stress":
+        # two sweeps settle every point but alpha 0.5, which needs three
+        grid = [0.5, 0.2, np.array([0.0, 0.0, 0.75, 0.0]), 0.0, 0.2]
+        return stress_test(net, ValuationSpec.eisenberg_noe(), grid,
+                           SolveConfig(max_iterations=2))
+    if kind == "limit":
+        return maturity_limit_experiment(net, 0.3, [1.0, 0.1, 0.01])
+    if kind == "mc_global":
+        return monte_carlo_global_valuation(net, 0.3, 1.0, 0.5, 16, seed=5)
+    if kind == "discount":
+        # alpha 0 settles in two sweeps, alpha 0.4 needs three
+        return merton_vs_network_discount(net, ValuationSpec.exante_en_gbm(0.05, 1.0, 0.5),
+                                          [0.4, 0.0], SolveConfig(max_iterations=2))
+    return evaluate_curves(  # curve
+        [{"family": "eisenberg_noe", "obligations": 2.0},
+         {"family": "rogers_veraart", "obligations": 2.0, "beta": 0.5,
+          "lender_equity": -1.0}],
+        [-3.0, -1.0, -0.25, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["solve", "stress", "limit", "mc_global",
+                                  "discount", "curve"])
+def test_writer_matches_golden_bytes(kind, fmt):
+    net = golden_network()
+    text = serialize_results(golden_result(kind, net), fmt, net)
+    assert text.encode("utf-8") == (GOLDEN / f"{kind}.{fmt}").read_bytes()

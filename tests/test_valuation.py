@@ -1,12 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import neva
 from neva import (FinancialNetwork, SpecError, ValuationSpec, debtrank_interbank, en_interbank,
                   exante_en_gbm_interbank, exante_en_uniform_interbank,
                   feasibility_probe, furfine_interbank,
-                  gbm_default_probability, gbm_endogenous_recovery,
+                  gbm_default_probability, gbm_endogenous_recovery, greatest_solution,
                   probe_curve, rv_external, rv_interbank,
                   uniform_default_probability, uniform_endogenous_recovery)
 from neva.valuation import EXTERNAL_FAMILIES, INTERBANK_FAMILIES
@@ -336,3 +341,39 @@ def test_degenerate_external_assets_bank_stays_feasible():
     spec = ValuationSpec.exante_en_gbm(sigma=1.0, maturity=1.0)
     probe = feasibility_probe(spec, net)
     assert probe.passed, str(probe.violation)
+
+
+def test_scipy_special_is_imported_on_first_closed_form(ring):
+    # a fresh interpreter: `import neva` leaves scipy.special unloaded, and
+    # the first log-normal factor loads it and gives the closed-form values
+    child = """
+import json, math, sys
+import numpy as np
+import neva
+loaded_by_import = "scipy.special" in sys.modules
+net = neva.FinancialNetwork(["A", "B", "C"], [10.0, 5.0, 3.0], [9.0, 4.0, 2.0],
+                            [[0.0, 0.0, 0.5], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
+report = neva.greatest_solution(net, neva.ValuationSpec.exante_en_gbm(0.3, 1.0))
+equity, assets, sigma, tau = report.solution, net.external_assets, 0.3, 1.0
+by_math_erf = [0.5 * (1.0 + math.erf((math.log1p(-e / a) + 0.5 * sigma * sigma * tau)
+                                     / (math.sqrt(2.0 * tau) * sigma)))
+               for e, a in zip(equity, assets)]
+print(json.dumps({"loaded_by_import": loaded_by_import,
+                  "loaded_after_solve": "scipy.special" in sys.modules,
+                  "solution": report.solution.tolist(),
+                  "probability": neva.gbm_default_probability(
+                      equity, assets, sigma, tau).tolist(),
+                  "by_math_erf": by_math_erf}))
+"""
+    src = os.path.dirname(os.path.dirname(neva.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded_by_import"] is False
+    assert out["loaded_after_solve"] is True
+    spec = ValuationSpec.exante_en_gbm(0.3, 1.0)
+    assert out["solution"] == greatest_solution(ring, spec).solution.tolist()
+    assert np.allclose(out["probability"], out["by_math_erf"], rtol=0, atol=1e-15)
