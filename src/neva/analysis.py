@@ -9,14 +9,14 @@ globally valued expected equities.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .network import FinancialNetwork
-from .solver import (SolveConfig, SolveReport, _iterate, _scaled_epsilon, _solve,
-                     greatest_solution)
+from .solver import (FACE_VALUES, SolveConfig, SolveReport, _greatest, _iterate,
+                     _required_start, greatest_solution)
 from .valuation import SpecError, ValuationSpec, _claim_discounts, en_interbank
 
 __all__ = [
@@ -116,10 +116,7 @@ def _shocked(net: FinancialNetwork, spec: ValuationSpec, alphas: Sequence,
     shocks = shocks.reshape(len(alphas), net.n)
     uniform = [float(alpha) if np.ndim(alpha) == 0 else None for alpha in alphas]
     bound = spec.bind(net, (1.0 - shocks) * net.external_assets)
-    config = config or SolveConfig()
-    epsilon = config.epsilon or _scaled_epsilon(bound.book_equity)  # per row
-    reports = _solve(bound, bound.book_equity, epsilon, config.max_iterations,
-                     "greatest")
+    reports = _greatest(bound, config)
     for alpha, report in zip(alphas, reports):
         if not report.converged:
             log.warning("shock %s did not converge; its metrics are omitted", alpha)
@@ -202,7 +199,10 @@ def _run_limit(net: FinancialNetwork, parameter_name: str, parameters,
     """Greatest solutions of ``specs`` against a (``settled``) reference."""
     if not settled:
         notes = notes + ("reference solve did not converge",)
-    reports = [greatest_solution(net, spec, config) for spec in specs]
+    # one stack: a row per spec, the varying parameter a column of the binding
+    bound = specs[0].bind(net, np.broadcast_to(net.external_assets, (len(specs), net.n)))
+    column = {parameter_name: np.array(parameters, dtype=float)[:, np.newaxis]}
+    reports = _greatest(replace(bound, constants={**bound.constants, **column}), config)
     return LimitSeries(
         parameter_name=parameter_name,
         parameters=tuple(float(p) for p in parameters),
@@ -229,7 +229,7 @@ def maturity_limit_experiment(net: FinancialNetwork, sigma,
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise SpecError("tau sequence must be strictly decreasing")
     specs = [ValuationSpec.exante_en_gbm(sigma, tau, beta) for tau in taus]
-    config = config or SolveConfig()
+    config = _required_start(config, FACE_VALUES)
     epsilon = config.resolve_epsilon(net)
     map_rows, start = _clearing(net, net.external_assets[np.newaxis], specs[0].beta)
     (reference,), _, (step,), _ = _iterate(map_rows, start, epsilon, config.max_iterations)
@@ -279,7 +279,7 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     local = ValuationSpec.exante_en_gbm(sigma, tau, beta)
     n = net.n
     sigma, tau, beta = local.sigma_vector(n), local.maturity, local.beta
-    config = config or SolveConfig()
+    config = _required_start(config, FACE_VALUES)
     epsilon = config.resolve_epsilon(net)
 
     normals = np.random.default_rng(seed).standard_normal((samples, n))

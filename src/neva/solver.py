@@ -66,8 +66,8 @@ class SolveConfig:
     start: Union[str, np.ndarray] = FACE_VALUES
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if isinstance(self.start, str):
@@ -158,15 +158,10 @@ def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
 
 def _solve(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: int,
            kind: str, warnings: tuple = ()) -> list:
-    """One ``SolveReport`` per row of the stack ``start``, clamped into ``[m, M]``;
-    an unstacked binding maps the 1-D row, cheaper than a ``(1, n)`` one."""
-    def map_rows(rows):
-        if bound.book_equity.ndim == 2:
-            return bound.rows(rows).equity_map
-        return lambda stack: bound.equity_map(stack[0])[np.newaxis]
+    """One ``SolveReport`` per row of the stack ``start``, clamped into ``[m, M]``."""
     direction = {"greatest": -1, "least": +1}.get(kind, 0)
     solutions, sweeps, residuals, monotone = _iterate(
-        map_rows, start, epsilon, max_iterations, direction)
+        lambda rows: bound.rows(rows).equity_map, start, epsilon, max_iterations, direction)
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
     epsilon = np.broadcast_to(epsilon, residuals.shape)
     reports = []
@@ -179,6 +174,21 @@ def _solve(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: in
             warnings=warnings + (("iterates were not monotone; a valuation function "
                                   "may not be feasible",) if ordered is False else ())))
     return reports
+
+
+def _required_start(config: Optional[SolveConfig], start: str) -> SolveConfig:
+    """``config`` (by default one starting at ``start``), checked to start at ``start``."""
+    config = config or SolveConfig(start=start)
+    if not (isinstance(config.start, str) and config.start == start):
+        raise ValueError(f"start must be {start!r} for this solve, got {config.start!r}")
+    return config
+
+
+def _greatest(bound: BoundValuation, config: Optional[SolveConfig]) -> list:
+    """Greatest solves of the rows of a stacked binding, from their book equities."""
+    config = _required_start(config, FACE_VALUES)
+    epsilon = config.epsilon or _scaled_epsilon(bound.book_equity)  # per row
+    return _solve(bound, bound.book_equity, epsilon, config.max_iterations, "greatest")
 
 
 def solve(net: FinancialNetwork, spec: ValuationSpec,
@@ -210,10 +220,7 @@ def solve(net: FinancialNetwork, spec: ValuationSpec,
 def greatest_solution(net: FinancialNetwork, spec: ValuationSpec,
                       config: Optional[SolveConfig] = None) -> SolveReport:
     """Iterate from face values; converges to the greatest solution."""
-    config = config or SolveConfig()
-    if not (isinstance(config.start, str) and config.start == FACE_VALUES):
-        raise ValueError("greatest_solution requires start='face_values'")
-    return solve(net, spec, config)
+    return solve(net, spec, _required_start(config, FACE_VALUES))
 
 
 def least_solution(net: FinancialNetwork, spec: ValuationSpec,
@@ -224,10 +231,7 @@ def least_solution(net: FinancialNetwork, spec: ValuationSpec,
     functions continuous from below; specs with downward jumps carry a
     warning in the report.
     """
-    config = config or SolveConfig(start=LOWER_BOUNDS)
-    if not (isinstance(config.start, str) and config.start == LOWER_BOUNDS):
-        raise ValueError("least_solution requires start='lower_bounds'")
-    return solve(net, spec, config)
+    return solve(net, spec, _required_start(config, LOWER_BOUNDS))
 
 
 def uniqueness_check(net: FinancialNetwork, spec: ValuationSpec,

@@ -131,7 +131,7 @@ def _gbm_args(equity, external_assets, sigma, maturity):
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0):
         raise SpecError("sigma must be positive")
-    if maturity <= 0:
+    if np.any(np.asarray(maturity) <= 0):
         raise SpecError("time to maturity must be positive")
     return equity, external_assets, sigma
 
@@ -212,7 +212,7 @@ def gbm_endogenous_recovery(equity, external_assets, sigma, maturity, obligation
 def exante_interbank(default_probability, recovery, beta):
     """Before-maturity factor ``1 - p_default + beta * recovery``."""
     value = 1.0 - np.asarray(default_probability, dtype=float) \
-        + float(beta) * np.asarray(recovery, dtype=float)
+        + np.asarray(beta, dtype=float) * np.asarray(recovery, dtype=float)
     return np.clip(value, 0.0, 1.0)
 
 
@@ -281,7 +281,8 @@ def _check_maturity(name: str, value) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0:
         raise SpecError(f"time to {name} must be positive; valuation at maturity "
-                        "is the eisenberg_noe family")
+                        "is pro-rata clearing with haircut beta (the "
+                        "eisenberg_noe family when beta is 1)")
     return value
 
 
@@ -518,9 +519,12 @@ class BoundValuation:
             _borrower=borrower, _lender=lender[0] if lender else None, _external=external)
 
     def rows(self, index) -> "BoundValuation":
-        """The valuation of rows ``index`` of a stack of external assets."""
+        """The valuation of rows ``index`` of a stack of external assets; per-bank
+        constants shared by every row become one ``(1, n)`` row, because numpy
+        combines operands of equal rank on a faster path."""
         return BoundValuation(self.spec, self.net, {
-            name: value[index] if np.ndim(value) == 2 else value
+            name: value[index] if np.ndim(value) == 2
+            else value[np.newaxis] if np.ndim(value) == 1 else value
             for name, value in self.constants.items()})
 
     def external_factors(self, equities: np.ndarray) -> np.ndarray:

@@ -300,6 +300,42 @@ def test_debtrank_limit_validation(ring):
         debtrank_limit_experiment(ring, [1.5, 0.5])
 
 
+def _limit_cases(seed=13):
+    """Random networks, half of them with external liabilities above the
+    external assets, each with a per-bank volatility vector."""
+    rng = np.random.default_rng(seed)
+    for k in range(4):
+        net = random_network(rng, max_banks=12, nonnegative_cashflow=k % 2 == 0)
+        yield net, rng.uniform(0.1, 1.0, net.n)
+
+
+def test_limit_stack_matches_per_spec_solves():
+    taus, betas = [4.0, 1.0, 0.1, 1e-3], [1.0, 0.5, 0.1, 0.0]
+    for net, per_bank in _limit_cases():
+        runs = [(maturity_limit_experiment(net, sigma, taus, beta),
+                 [ValuationSpec.exante_en_gbm(sigma, tau, beta) for tau in taus])
+                for sigma in (0.5, per_bank) for beta in (1.0, 0.6)]
+        runs.append((debtrank_limit_experiment(net, betas),
+                     [ValuationSpec.exante_en_uniform(beta) for beta in betas]))
+        for series, specs in runs:
+            for equities, converged, spec in zip(series.equities, series.converged,
+                                                 specs):
+                single = greatest_solution(net, spec)
+                assert converged == single.converged
+                assert np.max(np.abs(equities - single.solution)) <= 10 * single.epsilon
+
+
+def test_limit_stack_flags_only_the_unconverged_row(ring):
+    # tau 1 needs ten sweeps, the other maturities and the reference at most nine
+    taus, config = [4.0, 1.0, 0.1, 1e-3], SolveConfig(max_iterations=9)
+    series = maturity_limit_experiment(ring, 0.5, taus, config=config)
+    singles = [greatest_solution(ring, ValuationSpec.exante_en_gbm(0.5, tau), config)
+               for tau in taus]
+    assert series.converged == (True, False, True, True)
+    assert series.converged == tuple(single.converged for single in singles)
+    assert series.partial and not series.notes  # the reference converged
+
+
 def test_limit_series_without_claims_is_flat():
     net = FinancialNetwork(["X", "Y"], [2.0, 1.0], [0.5, 0.25], np.zeros((2, 2)))
     series = debtrank_limit_experiment(net, [1.0, 0.5, 0.25])

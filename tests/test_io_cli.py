@@ -351,6 +351,7 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
     ("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "sigma": -0.5}},
      "scenario.sigma"),
     ("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "beta": 2}}, "scenario.beta"),
+    ("solve", {**EN_SOLVE_SCENARIO, "solver": {"epsilon": float("inf")}}, "solver"),
 ])
 def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     network = write_json(tmp_path / "net.json", RING_FILE)
@@ -370,6 +371,35 @@ def test_cli_rejects_a_seed_flag_the_scenario_would_reject(tmp_path, capsys, see
     assert run_command(["mc-global", "--network", network, "--scenario", scenario,
                         "--output", str(out), "--seed", seed]) == 2
     assert "--seed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_an_infinite_epsilon_flag(tmp_path, capsys):
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    out = tmp_path / "out.csv"
+    assert run_command(["solve", "--network", network, "--scenario", scenario,
+                        "--output", str(out), "--epsilon", "inf"]) == 2
+    assert "epsilon must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("stress", {"kind": "stress", "alpha_grid": [0.0, 0.5]}),
+    ("limit-maturity", LIMIT_SCENARIO),
+    ("limit-beta", {"kind": "limit_beta", "beta_sequence": [1.0, 0.5]}),
+    ("mc-global", MC_SCENARIO),
+])
+def test_cli_rejects_a_start_its_solves_ignore(tmp_path, capsys, command, scenario):
+    # these commands solve from the face values only
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    document = {"scenario": scenario, "solver": {"start": "lower_bounds"}}
+    if command == "stress":
+        document["valuation"] = EN_SOLVE_SCENARIO["valuation"]
+    out = tmp_path / "out.csv"
+    assert run_command([command, "--network", network, "--output", str(out),
+                        "--scenario", write_json(tmp_path / "scn.json", document)]) == 2
+    assert "start must be 'face_values'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -82,6 +82,8 @@ def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(epsilon=0.0)
     with pytest.raises(ValueError):
+        SolveConfig(epsilon=np.inf)
+    with pytest.raises(ValueError):
         SolveConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolveConfig(start="somewhere")
