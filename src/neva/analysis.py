@@ -17,7 +17,7 @@ import numpy as np
 from .network import FinancialNetwork
 from .solver import (FACE_VALUES, SolveConfig, SolveReport, _greatest, _iterate,
                      _required_start, greatest_solution)
-from .valuation import SpecError, ValuationSpec, _claim_discounts, en_interbank
+from .valuation import SpecError, ValuationSpec, _claim_discounts, _pro_rata_payments
 
 __all__ = [
     "StressResult",
@@ -180,16 +180,30 @@ def merton_vs_network_discount(net: FinancialNetwork, spec: ValuationSpec,
 
 def _clearing(net: FinancialNetwork, assets: np.ndarray, beta: float) -> tuple:
     """``_iterate``'s ``map_rows`` and face-value start for pro-rata clearing
-    with haircut ``beta``, one problem per row of external assets ``assets``."""
-    obligations = net.total_obligations()
+    with haircut ``beta``, one problem per row of external assets ``assets``.
 
-    def map_rows(rows):
-        base = assets[rows] - net.external_liabilities
-        return lambda equities: (
-            base + en_interbank(equities, obligations, beta) @ net.interbank_liabilities
-            - obligations)
+    The map runs in payment space: each sweep pays ``_pro_rata_payments``
+    through the relative-liability matrix ``L / obligations`` and adds the
+    cash ``assets - external liabilities - obligations``; nothing is divided
+    per sweep.
+    """
+    obligations = net.total_obligations()
+    # a bank without obligations owes nothing: its row of L is zero, and so is Pi's
+    shares = (net.interbank_liabilities
+              / np.where(obligations > 0, obligations, 1.0)[:, np.newaxis])
+    cash = assets - net.external_liabilities - obligations
     start = (assets - net.external_liabilities + net.interbank_assets.sum(axis=1)
              - obligations)
+    obligations = obligations[np.newaxis]  # (1, n): equal-rank operands are faster
+
+    def map_rows(rows):
+        cash_rows = cash[rows]
+
+        def equity_map(equities):
+            inflow = _pro_rata_payments(equities, obligations, beta) @ shares
+            inflow += cash_rows
+            return inflow
+        return equity_map
     return map_rows, start
 
 

@@ -13,12 +13,13 @@ depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Optional, Union
 
 import numpy as np
 
 from .network import FinancialNetwork, topology
-from .valuation import (BoundValuation, ValuationSpec, en_interbank,
+from .valuation import (BoundValuation, ValuationSpec, _pro_rata_payments,
                         unit_external)
 
 __all__ = [
@@ -52,6 +53,12 @@ def _scaled_epsilon(book_equity: np.ndarray):
     return 1e-10 * np.maximum(1.0, np.max(np.abs(book_equity), axis=-1))
 
 
+def _is_number(value, kind) -> bool:
+    """Whether ``value`` is a ``kind`` (``numbers.Real`` or ``Integral``,
+    numpy scalars included) and not a boolean."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Iteration controls.
@@ -66,10 +73,12 @@ class SolveConfig:
     start: Union[str, np.ndarray] = FACE_VALUES
 
     def __post_init__(self):
-        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if self.epsilon is not None and not (
+                _is_number(self.epsilon, Real) and 0 < self.epsilon < np.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not (_is_number(self.max_iterations, Integral) and self.max_iterations >= 1):
+            raise ValueError(f"max_iterations must be at least 1 and whole, "
+                             f"got {self.max_iterations!r}")
         if isinstance(self.start, str):
             if self.start not in (FACE_VALUES, LOWER_BOUNDS):
                 raise ValueError(f"unknown start {self.start!r}")
@@ -121,7 +130,8 @@ def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
 
     ``map_rows(rows)`` gives the map of the rows ``rows``.  A row retires once
     its sup-norm step is at most its ``epsilon`` (scalar or per row); only then
-    is the map asked for again and the compact active rows written back.
+    is the map asked for again (never for zero rows) and the compact active
+    rows written back.
     Returns per row the last iterate, sweeps, last step and whether every step
     went in ``direction`` (-1 falling, +1 rising, 0 any).
     """
@@ -132,10 +142,12 @@ def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
     monotone = np.ones(active.shape, dtype=bool)
     tolerance = np.broadcast_to(epsilon, active.shape)
     equities, steps, ordered = solutions, residuals, monotone
-    equity_map = map_rows(active)
+    equity_map = None
     for sweep in range(1, max_iterations + 1):
         if not active.size:
             break
+        if equity_map is None:
+            equity_map = map_rows(active)
         updated = equity_map(equities)
         change = updated - equities
         steps = np.max(np.abs(change), axis=1)
@@ -151,7 +163,7 @@ def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
             monotone[retired] = ordered[done]
             active, equities, steps = active[keep], equities[keep], steps[keep]
             ordered, tolerance = ordered[keep], tolerance[keep]
-            equity_map = map_rows(active)
+            equity_map = None  # rebuilt for the rows left, if any
     solutions[active], residuals[active], monotone[active] = equities, steps, ordered
     return solutions, sweeps, residuals, monotone
 
@@ -284,5 +296,4 @@ def solve_dag(net: FinancialNetwork, spec: ValuationSpec,
 def en_clearing_payments(net: FinancialNetwork, equities: np.ndarray) -> np.ndarray:
     """Interbank payments implied by an equity vector under pro-rata
     clearing: each bank pays its obligations scaled by its clearing factor."""
-    obligations = net.total_obligations()
-    return obligations * np.asarray(en_interbank(equities, obligations), dtype=float)
+    return _pro_rata_payments(equities, net.total_obligations())

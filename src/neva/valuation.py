@@ -80,6 +80,20 @@ def en_interbank(equity, obligations, haircut=1.0):
     return np.where(equity >= 0, 1.0, frac)
 
 
+def _pro_rata_payments(equity, obligations, haircut=1.0):
+    """What each bank pays under pro-rata clearing, ``obligations *
+    en_interbank(equity, obligations, haircut)``, without a division:
+    ``clip(equity + obligations, 0, obligations)``, times ``haircut`` where
+    ``equity < 0``.  This is exactly ``obligations`` for a solvent bank and
+    zero for a bank without obligations.  Works rowwise on a batch."""
+    payments = np.add(equity, obligations)
+    np.maximum(payments, 0.0, out=payments)
+    np.minimum(payments, obligations, out=payments)
+    if haircut < 1:
+        payments *= np.where(equity < 0, haircut, 1.0)
+    return payments
+
+
 def unit_external(equity):
     """External-asset factor without fire sales: always ``1``."""
     return np.ones(np.shape(equity))

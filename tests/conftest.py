@@ -8,6 +8,18 @@ from scipy import integrate
 
 from neva import FinancialNetwork
 
+try:
+    from hypothesis import settings
+except ImportError:  # an optional test dependency; its tests skip without it
+    pass
+else:
+    # Reproducible and bounded property runs: a fixed example sequence, and no
+    # per-example deadline, because identical solves vary many-fold in time on
+    # a shared machine.
+    settings.register_profile("neva", derandomize=True, deadline=None,
+                              max_examples=25)
+    settings.load_profile("neva")
+
 
 def ring_network() -> FinancialNetwork:
     """Three-bank ring (claims A->B->C->A), book equity one per bank,

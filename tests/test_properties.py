@@ -1,0 +1,90 @@
+"""Property tests of the payment-space clearing kernel on small random
+networks that include banks without obligations and banks whose external
+liabilities exceed their external assets."""
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+from neva import (FinancialNetwork, SolveConfig, ValuationSpec, default_epsilon,
+                  en_clearing_payments, greatest_solution,
+                  monte_carlo_global_valuation)
+from neva.analysis import _clearing
+from neva.valuation import en_interbank
+
+from conftest import en_clearing_oracle
+
+EN = ValuationSpec.eisenberg_noe()
+ULP = np.finfo(float).eps
+
+
+@st.composite
+def networks(draw, max_banks=6):
+    """A random network whose first banks (at least one, possibly all but
+    one) owe nothing, with operating cash flow of either sign."""
+    n = draw(st.integers(2, max_banks))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    debt_free = draw(st.integers(1, n - 1))
+    assets = rng.uniform(0.5, 3.0, n)
+    external_liabilities = rng.uniform(0.0, 4.0, n)
+    liabilities = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(liabilities, 0.0)
+    liabilities[:debt_free] = 0.0
+    return FinancialNetwork([f"B{k}" for k in range(n)], assets,
+                            external_liabilities, liabilities)
+
+
+def _scale(net, assets) -> float:
+    """Largest magnitude a map value is summed from."""
+    terms = (np.abs(assets) + net.external_liabilities + net.total_obligations()
+             + net.interbank_liabilities.sum(axis=0))
+    return float(max(1.0, np.max(terms)))
+
+
+@given(networks(), st.floats(0.05, 1.0), st.floats(0.1, 2.0),
+       st.integers(0, 2**32 - 1))
+def test_monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed):
+    # one sample at beta = 1 is the greatest Eisenberg-Noe solution of the
+    # network holding that sample's terminal external assets
+    config = SolveConfig(epsilon=default_epsilon(net))
+    result = monte_carlo_global_valuation(net, sigma, tau, 1.0, 1, seed, config)
+    normals = np.random.default_rng(seed).standard_normal((1, net.n))
+    sigmas = np.full(net.n, sigma)
+    terminal = net.external_assets * np.exp(sigmas * np.sqrt(tau) * normals
+                                            - 0.5 * sigmas * sigmas * tau)
+    drawn = FinancialNetwork(net.bank_ids, terminal[0], net.external_liabilities,
+                             net.interbank_liabilities)
+    reference = greatest_solution(drawn, EN, config)
+    assert result.dropped == 0 and reference.converged
+    assert np.max(np.abs(result.mean - reference.solution)) <= 10 * config.epsilon
+
+
+@given(networks(), st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_payment_space_map_is_the_factor_map(net, beta, rows, seed):
+    # the sweep of _clearing equals cash + en_interbank(E, pbar, beta) @ L on
+    # equities spread over and beyond the lattice [m, M], haircut included
+    rng = np.random.default_rng(seed)
+    assets = net.external_assets * rng.uniform(0.2, 2.0, (rows, net.n))
+    obligations = net.total_obligations()
+    map_rows, start = _clearing(net, assets, beta)
+    lower = net.equity_lower_bound()
+    equities = lower - 1.0 + rng.random((rows, net.n)) * (start - lower + 2.0)
+    equities[:, ::2] = np.minimum(equities[:, ::2], -1e-3)  # defaulted banks
+    factor_map = (assets - net.external_liabilities - obligations
+                  + en_interbank(equities, obligations, beta) @ net.interbank_liabilities)
+    got = map_rows(np.arange(rows))(equities)
+    assert np.max(np.abs(got - factor_map)) <= 16 * ULP * _scale(net, assets)
+
+
+@given(networks(), st.floats(-3.0, 3.0))
+def test_clearing_payments_match_the_factor_and_the_oracle(net, shift):
+    obligations = net.total_obligations()
+    equities = net.book_equity() + shift
+    assert np.max(np.abs(en_clearing_payments(net, equities)
+                         - obligations * en_interbank(equities, obligations))
+                  ) <= 4 * ULP * max(1.0, np.max(obligations))
+    solution = greatest_solution(net, EN, SolveConfig(epsilon=1e-13)).solution
+    assert np.allclose(en_clearing_payments(net, solution), en_clearing_oracle(net),
+                       atol=1e-8)

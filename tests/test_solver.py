@@ -5,6 +5,8 @@ from neva import (FinancialNetwork, SolveConfig, ValuationSpec,
                   en_clearing_payments, greatest_solution, least_solution,
                   solve, solve_dag, topology, uniqueness_check)
 
+from neva.solver import _iterate
+
 from conftest import en_clearing_oracle, random_dag_network, random_network
 
 EN = ValuationSpec.eisenberg_noe()
@@ -87,6 +89,39 @@ def test_solve_config_validation():
         SolveConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolveConfig(start="somewhere")
+    # types are checked at construction, not coerced or left to fail later
+    for epsilon in (True, np.True_, "1e-9", 1j, [1e-9]):
+        with pytest.raises(ValueError, match="epsilon"):
+            SolveConfig(epsilon=epsilon)
+    for max_iterations in (True, 2.5, 3.0, np.float64(3.0), "10", None):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolveConfig(max_iterations=max_iterations)
+    config = SolveConfig(epsilon=np.float32(1e-9), max_iterations=np.int64(5))
+    assert config.max_iterations == 5
+    assert SolveConfig(epsilon=1).epsilon == 1
+
+
+def test_iterate_never_builds_a_map_for_zero_rows():
+    # an elementwise contraction per row (no mat-vec), so each row of the
+    # stack rounds exactly as its own solve; rows retire at different sweeps
+    targets = np.array([[1.0, -2.0], [5.0, 0.5], [-40.0, 3.0]])
+    sizes = []
+
+    def map_rows(rows):
+        sizes.append(len(rows))
+        return lambda equities: 0.5 * (equities + targets[rows])
+
+    start = np.zeros((3, 2))
+    stacked = _iterate(map_rows, start, 1e-9, 1000)
+    assert sizes == [3, 2, 1]
+    for k in range(3):
+        alone = _iterate(lambda rows: lambda equities: 0.5 * (equities + targets[k]),
+                         start[k:k + 1], 1e-9, 1000)
+        for got, want in zip(stacked, alone):
+            np.testing.assert_array_equal(got[k], want[0])
+    sizes.clear()
+    empty = _iterate(map_rows, np.zeros((0, 2)), 1e-9, 1000)
+    assert sizes == [] and empty[0].shape == (0, 2)
 
 
 def test_non_convergence_is_reported_not_raised(closed_chain):
