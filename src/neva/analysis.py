@@ -137,8 +137,7 @@ def stress_test(net: FinancialNetwork, spec: ValuationSpec,
     shocks, uniform, bound, reports, solutions = _shocked(net, spec, alphas, config)
     borrower = bound.borrower_factors(solutions)
     lender = bound.lender_factors(solutions)
-    lenders, borrowers = np.nonzero(net.interbank_assets > 0)
-    claims = net.interbank_assets[lenders, borrowers]
+    lenders, borrowers, claims = net.creditors, net.debtors, net.amounts
     total = claims.sum()
     write_offs = (claims * (1.0 - _claim_discounts(borrower, lender, lenders, borrowers))
                   ).sum(axis=-1)
@@ -167,7 +166,7 @@ def merton_vs_network_discount(net: FinancialNetwork, spec: ValuationSpec,
     if not spec.is_exante:
         raise SpecError("merton_vs_network_discount requires an exante family")
     shocks, uniform, bound, reports, solutions = _shocked(net, spec, alphas, config)
-    lenders, borrowers = np.nonzero(net.interbank_assets > 0)
+    lenders, borrowers = net.creditors, net.debtors
     edges = tuple(zip(lenders, borrowers))
     merton = bound.edge_factor(lenders, borrowers, bound.book_equity)
     network = bound.edge_factor(lenders, borrowers, solutions)
@@ -192,8 +191,7 @@ def _clearing(net: FinancialNetwork, assets: np.ndarray, beta: float) -> tuple:
     shares = (net.interbank_liabilities
               / np.where(obligations > 0, obligations, 1.0)[:, np.newaxis])
     cash = assets - net.external_liabilities - obligations
-    start = (assets - net.external_liabilities + net.interbank_assets.sum(axis=1)
-             - obligations)
+    start = assets - net.external_liabilities + net.total_claims() - obligations
     obligations = obligations[np.newaxis]  # (1, n): equal-rank operands are faster
 
     def map_rows(rows):

@@ -16,13 +16,15 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from .analysis import (DiscountComparison, LimitSeries, MonteCarloResult,
                        StressResult)
-from .network import FinancialNetwork
+from .network import FinancialNetwork, _invalid, _invalid_edges
 from .solver import SolveConfig, SolveReport
 from .valuation import (EXTERNAL_FAMILIES, INTERBANK_FAMILIES,
                         PARAMETER_CHECKS, SpecError, ValuationSpec)
@@ -113,65 +115,100 @@ def _checked(name):
     return read
 
 
+def _column(rows, key, types, other) -> list:
+    """Field ``key`` of every row; ``other`` stands in for a value whose type
+    is not one of ``types``, a missing field and a row that is not an object."""
+    try:
+        column = list(map(itemgetter(key), rows))
+    except (KeyError, TypeError):
+        column = [row.get(key) if isinstance(row, dict) else None for row in rows]
+    if set(map(type, column)) <= types:
+        return column
+    return [value if type(value) in types else other for value in column]
+
+
+def _indices(ids, index: dict) -> np.ndarray:
+    """Positions of ``ids`` in ``index``; -1 for an id it does not hold."""
+    return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+
+
+def _reject_edge(edge, context, index: dict) -> None:
+    """Raise the error of a liability row that the column checks found
+    invalid: the first of its faults in the order the fields are read."""
+    debtor = _require(edge, "debtor", context, str)
+    creditor = _require(edge, "creditor", context, str)
+    amount = _field(edge, "amount", context)
+    for bank in (debtor, creditor):
+        if bank not in index:
+            raise FileFormatError(f"{context}: unknown bank id {bank!r}")
+    if debtor == creditor:
+        raise FileFormatError(f"{context}: self-loan {debtor!r} -> {creditor!r}")
+    raise FileFormatError(
+        f"{context}: edge {debtor!r} -> {creditor!r} has invalid amount {amount}")
+
+
 def load_network(path) -> FinancialNetwork:
     """Read a network JSON file and return the validated network.
 
-    Duplicate (debtor, creditor) edges are summed with a warning; negative
-    amounts, self-loans and unknown bank ids are rejected with the offending
-    entry named.
+    Bank ids are strings and ``liabilities`` (absent: no edges) is a list.
+    Duplicate (debtor, creditor) edges are summed in file order with a
+    warning; non-string ids, amounts that are not finite nonnegative
+    numbers, self-loans and unknown bank ids are rejected with the first
+    offending entry named.  Each field is read as one column and checked
+    with array masks: O(banks + edges), no n x n matrix.
     """
     data = _load_json(path)
     banks = _require(data, "banks", str(path), list)
     if not banks:
         raise FileFormatError(f"{path}: banks list is empty")
-    ids = []
-    external_assets = []
-    external_liabilities = []
-    for k, bank in enumerate(banks):
+    numbers = {int, float}
+    ids = _column(banks, "id", {str}, None)
+    assets = np.array(_column(banks, "external_assets", numbers, np.nan), dtype=float)
+    liabilities = np.array(_column(banks, "external_liabilities", numbers, np.nan),
+                           dtype=float)
+    bad = _invalid(assets) | _invalid(liabilities) | np.array([b is None for b in ids])
+    if bad.any():
+        k = int(np.argmax(bad))
         context = f"{path}: banks[{k}]"
-        ids.append(str(_require(bank, "id", context)))
-        external_assets.append(_field(bank, "external_assets", context))
-        external_liabilities.append(_field(bank, "external_liabilities", context))
-    if len(set(ids)) != len(ids):
+        _require(banks[k], "id", context, str)
+        for key in ("external_assets", "external_liabilities"):
+            value = _field(banks[k], key, context)
+            if _invalid(np.float64(value)):
+                raise FileFormatError(
+                    f"{context}.{key}: expected a finite nonnegative number, got {value}")
+    index = {bank_id: k for k, bank_id in enumerate(ids)}
+    if len(index) != len(ids):
         dupes = sorted({b for b in ids if ids.count(b) > 1})
         raise FileFormatError(f"{path}: duplicate bank ids {dupes}")
-    index = {b: k for k, b in enumerate(ids)}
-    n = len(ids)
-    liabilities = np.zeros((n, n))
-    seen = set()
-    for k, edge in enumerate(data.get("liabilities", [])):
-        context = f"{path}: liabilities[{k}]"
-        debtor = str(_require(edge, "debtor", context))
-        creditor = str(_require(edge, "creditor", context))
-        amount = _field(edge, "amount", context)
-        for bank in (debtor, creditor):
-            if bank not in index:
-                raise FileFormatError(f"{context}: unknown bank id {bank!r}")
-        if debtor == creditor:
-            raise FileFormatError(f"{context}: self-loan {debtor!r} -> {creditor!r}")
-        if amount < 0 or not np.isfinite(amount):
-            raise FileFormatError(
-                f"{context}: edge {debtor!r} -> {creditor!r} has invalid amount {amount}")
-        if (debtor, creditor) in seen:
-            log.warning("%s: duplicate edge %s -> %s; amounts summed",
-                        path, debtor, creditor)
-        seen.add((debtor, creditor))
-        liabilities[index[debtor], index[creditor]] += amount
-    return FinancialNetwork(ids, external_assets, external_liabilities, liabilities)
+    edges = (_require(data, "liabilities", str(path), list)
+             if "liabilities" in data else [])
+    debtors = _indices(_column(edges, "debtor", {str}, None), index)
+    creditors = _indices(_column(edges, "creditor", {str}, None), index)
+    amounts = np.array(_column(edges, "amount", numbers, np.nan), dtype=float)
+    bad = _invalid_edges(len(ids), debtors, creditors, amounts)
+    if bad.any():
+        k = int(np.argmax(bad))
+        _reject_edge(edges[k], f"{path}: liabilities[{k}]", index)
+    repeated = np.ones(len(edges), dtype=bool)
+    repeated[np.unique(debtors * len(ids) + creditors, return_index=True)[1]] = False
+    for k in np.flatnonzero(repeated):
+        log.warning("%s: duplicate edge %s -> %s; amounts summed",
+                    path, ids[debtors[k]], ids[creditors[k]])
+    return FinancialNetwork._from_edges(ids, assets, liabilities,
+                                        debtors, creditors, amounts)
 
 
 def network_to_dict(net: FinancialNetwork) -> dict:
-    banks = [
-        {"id": bank, "external_assets": float(net.external_assets[k]),
-         "external_liabilities": float(net.external_liabilities[k])}
-        for k, bank in enumerate(net.bank_ids)
-    ]
-    edges = [
-        {"debtor": net.bank_ids[i], "creditor": net.bank_ids[j],
-         "amount": float(net.interbank_liabilities[i, j])}
-        for i in range(net.n) for j in range(net.n)
-        if net.interbank_liabilities[i, j] > 0
-    ]
+    """The network as a network-file document; edges debtor-major: O(edges)."""
+    ids = net.bank_ids
+    banks = [{"id": bank, "external_assets": assets, "external_liabilities": liabilities}
+             for bank, assets, liabilities in zip(ids, net.external_assets.tolist(),
+                                                  net.external_liabilities.tolist())]
+    order = np.lexsort((net.creditors, net.debtors))
+    edges = [{"debtor": ids[i], "creditor": ids[j], "amount": amount}
+             for i, j, amount in zip(net.debtors[order].tolist(),
+                                     net.creditors[order].tolist(),
+                                     net.amounts[order].tolist())]
     return {"banks": banks, "liabilities": edges}
 
 

@@ -1,13 +1,15 @@
 """Balance-sheet representation of an interbank financial system.
 
 A :class:`FinancialNetwork` holds, for each bank, external assets and
-liabilities plus the matrix of interbank liabilities.  Everything else the
-solver needs (book equities, equity lower bounds, obligation vector, claim
-topology) is derived from these fields.
+liabilities plus the interbank liabilities as edge arrays (debtor,
+creditor, amount).  Everything else the solver needs (book equities,
+equity lower bounds, obligation vector, claim topology, the dense
+liability matrix of the claim mat-vec) is derived from these fields.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -28,15 +30,31 @@ class NetworkError(ValueError):
     """Raised when balance-sheet data violates a structural invariant."""
 
 
+def _invalid(amounts: np.ndarray) -> np.ndarray:
+    """Mask of the amounts that are negative or not finite."""
+    return ~np.isfinite(amounts) | (amounts < 0)
+
+
+def _invalid_edges(n: int, debtors, creditors, amounts) -> np.ndarray:
+    """Mask of the liability edges among ``n`` banks that name a bank index
+    outside ``[0, n)``, are self-loans or have an invalid amount."""
+    return ((debtors < 0) | (debtors >= n) | (creditors < 0) | (creditors >= n)
+            | (debtors == creditors) | _invalid(amounts))
+
+
 def _as_amount_vector(values, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.shape != (n,):
         raise NetworkError(f"{name} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NetworkError(f"{name} contains non-finite entries")
-    if np.any(arr < 0):
-        bad = int(np.argmin(arr))
-        raise NetworkError(f"{name}[{bad}] is negative ({arr[bad]})")
+    bad = _invalid(arr)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NetworkError(f"{name}[{k}] is negative or not finite ({arr[k]})")
+    return arr
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
     return arr
 
 
@@ -60,7 +78,7 @@ class FinancialNetwork:
     Parameters
     ----------
     bank_ids : sequence of str
-        Unique identifiers; they fix the row/column order of all matrices.
+        Unique identifiers; they fix the order of all per-bank vectors.
     external_assets : array_like, shape (n,)
         Nonnegative holdings outside the interbank system.
     external_liabilities : array_like, shape (n,)
@@ -68,46 +86,87 @@ class FinancialNetwork:
     interbank_liabilities : array_like, shape (n, n)
         Entry ``[i, j]`` is the amount bank ``i`` owes bank ``j``.  The
         diagonal must be zero; interbank assets are the transpose.
+
+    The positive liabilities are kept as edges: bank ``debtors[k]`` owes bank
+    ``creditors[k]`` the amount ``amounts[k]``, ordered by creditor, then
+    debtor (as ``np.nonzero(interbank_assets > 0)``).
     """
 
     bank_ids: tuple
     external_assets: np.ndarray
     external_liabilities: np.ndarray
-    interbank_liabilities: np.ndarray
+    debtors: np.ndarray
+    creditors: np.ndarray
+    amounts: np.ndarray
 
     def __init__(self, bank_ids: Sequence[str], external_assets,
                  external_liabilities, interbank_liabilities):
+        ids = tuple(str(b) for b in bank_ids)
+        n = len(ids)
+        liab = np.asarray(interbank_liabilities, dtype=float)
+        if liab.shape != (n, n):
+            raise NetworkError(
+                f"interbank_liabilities must have shape ({n}, {n}), got {liab.shape}")
+        bad = _invalid(liab)
+        if bad.any():
+            i, j = np.unravel_index(int(np.argmax(bad)), liab.shape)
+            raise NetworkError(f"interbank_liabilities[{ids[i]} -> {ids[j]}] is "
+                               f"negative or not finite ({liab[i, j]})")
+        if np.any(np.diagonal(liab) != 0):
+            i = int(np.argmax(np.diagonal(liab) != 0))
+            raise NetworkError(f"self-loan on the diagonal for bank {ids[i]}")
+        creditors, debtors = np.nonzero(liab.T > 0)
+        self._fill(ids, external_assets, external_liabilities, debtors, creditors,
+                   liab[debtors, creditors])
+        vars(self)["interbank_liabilities"] = _read_only(liab.copy())
+
+    @classmethod
+    def _from_edges(cls, bank_ids, external_assets, external_liabilities,
+                    debtors, creditors, amounts) -> "FinancialNetwork":
+        """Network of edges that ``_invalid_edges`` accepts, as bank index
+        arrays; a repeated pair's amounts are summed in the given order, and
+        zero sums dropped.  O(edges)."""
+        n = len(bank_ids)
+        pairs, position = np.unique(np.asarray(creditors, dtype=np.intp) * n + debtors,
+                                    return_inverse=True)
+        sums = np.bincount(position, amounts, len(pairs))
+        held = sums > 0
+        creditors, debtors = np.divmod(pairs[held], n)
+        net = cls.__new__(cls)
+        net._fill(bank_ids, external_assets, external_liabilities, debtors, creditors,
+                  sums[held])
+        return net
+
+    def _fill(self, bank_ids, external_assets, external_liabilities, debtors, creditors,
+              amounts) -> None:
+        """Check the banks and set the fields from valid lender-major edges."""
         ids = tuple(str(b) for b in bank_ids)
         if not ids:
             raise NetworkError("network needs at least one bank")
         if len(set(ids)) != len(ids):
             raise NetworkError("bank ids are not unique")
         n = len(ids)
-        ae = _as_amount_vector(external_assets, n, "external_assets")
-        le = _as_amount_vector(external_liabilities, n, "external_liabilities")
-        liab = np.asarray(interbank_liabilities, dtype=float)
-        if liab.shape != (n, n):
-            raise NetworkError(
-                f"interbank_liabilities must have shape ({n}, {n}), got {liab.shape}")
-        if not np.all(np.isfinite(liab)):
-            raise NetworkError("interbank_liabilities contains non-finite entries")
-        if np.any(liab < 0):
-            i, j = np.unravel_index(int(np.argmin(liab)), liab.shape)
-            raise NetworkError(
-                f"interbank_liabilities[{ids[i]} -> {ids[j]}] is negative ({liab[i, j]})")
-        if np.any(np.diagonal(liab) != 0):
-            i = int(np.argmax(np.diagonal(liab) != 0))
-            raise NetworkError(f"self-loan on the diagonal for bank {ids[i]}")
-        for name, arr in (("bank_ids", ids), ("external_assets", ae.copy()),
-                          ("external_liabilities", le.copy()),
-                          ("interbank_liabilities", liab.copy())):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arrays = {
+            "external_assets": _as_amount_vector(external_assets, n, "external_assets"),
+            "external_liabilities": _as_amount_vector(external_liabilities, n,
+                                                      "external_liabilities"),
+            "debtors": debtors, "creditors": creditors, "amounts": amounts,
+            "_obligations": np.bincount(debtors, amounts, n),
+            "_claims": np.bincount(creditors, amounts, n)}
+        vars(self).update(  # frozen: fill the fields directly
+            {name: _read_only(arr) for name, arr in arrays.items()}, bank_ids=ids)
 
     @property
     def n(self) -> int:
         return len(self.bank_ids)
+
+    @cached_property
+    def interbank_liabilities(self) -> np.ndarray:
+        """Dense liability matrix: entry ``[i, j]`` is the amount bank i owes
+        bank j.  Built from the edges on first read, O(n²) memory."""
+        dense = np.zeros((self.n, self.n))
+        dense[self.debtors, self.creditors] = self.amounts
+        return _read_only(dense)
 
     @property
     def interbank_assets(self) -> np.ndarray:
@@ -122,17 +181,20 @@ class FinancialNetwork:
 
     def book_equity(self) -> EquityVector:
         """Assets minus liabilities at face value; the lattice upper bound."""
-        return (self.external_assets - self.external_liabilities
-                + self.interbank_assets.sum(axis=1)
-                - self.interbank_liabilities.sum(axis=1))
+        return (self.external_assets - self.external_liabilities + self._claims
+                - self._obligations)
 
     def equity_lower_bound(self) -> EquityVector:
         """Equity when every asset is worthless: minus all liabilities."""
-        return -(self.external_liabilities + self.interbank_liabilities.sum(axis=1))
+        return -(self.external_liabilities + self._obligations)
 
     def total_obligations(self) -> np.ndarray:
-        """Total interbank liability each bank has to settle."""
-        return self.interbank_liabilities.sum(axis=1)
+        """Total interbank liability each bank has to settle (read-only)."""
+        return self._obligations
+
+    def total_claims(self) -> np.ndarray:
+        """Total interbank claim each bank holds (read-only)."""
+        return self._claims
 
     def shock_vector(self, relative_shock: Union[float, Sequence[float]]) -> np.ndarray:
         """Per-bank fractions in [0, 1] of a uniform or per-bank relative shock."""
@@ -150,27 +212,22 @@ class FinancialNetwork:
         """Devalue external assets by a relative fraction in [0, 1].
 
         Accepts a single fraction applied uniformly or a per-bank vector.
-        Returns a new network; the original is untouched.
+        Returns a new network sharing this one's edges; the original is
+        untouched.
         """
-        return FinancialNetwork(
-            self.bank_ids,
-            (1.0 - self.shock_vector(relative_shock)) * self.external_assets,
-            self.external_liabilities,
-            self.interbank_liabilities,
-        )
+        assets = (1.0 - self.shock_vector(relative_shock)) * self.external_assets
+        shocked = FinancialNetwork.__new__(FinancialNetwork)
+        vars(shocked).update(vars(self), external_assets=_read_only(assets))
+        return shocked
 
     def transpose(self) -> "FinancialNetwork":
         """Network with every liability edge reversed."""
-        return FinancialNetwork(
-            self.bank_ids,
-            self.external_assets,
-            self.external_liabilities,
-            self.interbank_liabilities.T,
-        )
+        return FinancialNetwork._from_edges(
+            self.bank_ids, self.external_assets, self.external_liabilities,
+            self.creditors, self.debtors, self.amounts)
 
     def __repr__(self) -> str:  # keep reprs short for n of realistic size
-        return (f"FinancialNetwork(n={self.n}, "
-                f"edges={int(np.count_nonzero(self.interbank_liabilities))})")
+        return f"FinancialNetwork(n={self.n}, edges={len(self.amounts)})"
 
 
 def topology(net: FinancialNetwork) -> TopologyInfo:
@@ -179,12 +236,15 @@ def topology(net: FinancialNetwork) -> TopologyInfo:
     When acyclic, ``dag_depth`` is the longest chain of claims hanging off
     any bank, computed by dynamic programming over a topological order of
     the claim graph; source banks (no claims held) have depth zero.
+    O(banks + edges).
     """
-    claims = net.interbank_assets > 0
     n = net.n
-    out_lists = [np.nonzero(claims[i])[0] for i in range(n)]
+    # edges are lender-major: the claims of each bank are one run of borrowers
+    bounds = np.searchsorted(net.creditors, np.arange(n + 1)).tolist()
+    borrowers = net.debtors.tolist()
+    out_lists = [borrowers[start:stop] for start, stop in zip(bounds, bounds[1:])]
     # Kahn's algorithm on claim edges i -> j.
-    indegree = claims.sum(axis=0).astype(int)
+    indegree = np.bincount(net.debtors, minlength=n).tolist()
     queue = [i for i in range(n) if indegree[i] == 0]
     order = []
     while queue:
@@ -196,9 +256,9 @@ def topology(net: FinancialNetwork) -> TopologyInfo:
                 queue.append(j)
     if len(order) != n:
         return TopologyInfo(is_dag=False, dag_depth=None)
-    depth = np.zeros(n, dtype=int)
+    depth = [0] * n
     # Reverse topological order: every claim target is settled before its holder.
     for i in reversed(order):
-        if out_lists[i].size:
+        if out_lists[i]:
             depth[i] = 1 + max(depth[j] for j in out_lists[i])
-    return TopologyInfo(is_dag=True, dag_depth=int(depth.max()))
+    return TopologyInfo(is_dag=True, dag_depth=max(depth))

@@ -484,8 +484,8 @@ class ValuationSpec:
         constants.update(
             obligations=obligations, external_assets=assets,
             sigma=None if self.sigma is None else self.sigma_vector(net.n),
-            book_equity=(assets - net.external_liabilities
-                         + net.interbank_assets.sum(axis=1) - obligations))
+            book_equity=(assets - net.external_liabilities + net.total_claims()
+                         - obligations))
         return BoundValuation(self, net, constants)
 
 

@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import neva
 from neva import (FileFormatError, ValuationSpec, dump_network,
-                  load_network, load_scenario, serialize_results)
+                  load_network, load_scenario, serialize_results, topology)
 from neva.cli import run_command
+from neva.files import network_to_dict
 from neva.valuation import INTERBANK_FAMILIES
 
 from conftest import closed_chain_network, ring_network
@@ -124,6 +126,100 @@ def test_network_round_trip(tmp_path):
     assert np.array_equal(loaded.external_assets, original.external_assets)
     assert np.array_equal(loaded.external_liabilities, original.external_liabilities)
     assert np.array_equal(loaded.interbank_liabilities, original.interbank_liabilities)
+
+
+MISSING = object()
+
+
+def faulty_ring(*settings):
+    """RING_FILE with each ``(path, value)`` setting applied; ``MISSING``
+    deletes the field."""
+    payload = json.loads(json.dumps(RING_FILE))
+    for path, value in settings:
+        *parents, key = path
+        owner = payload
+        for step in parents:
+            owner = owner[step]
+        if value is MISSING:
+            del owner[key]
+        else:
+            owner[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("settings, field", [
+    ([(("liabilities", 1, "amount"), MISSING)], "liabilities[1]: missing field 'amount'"),
+    ([(("liabilities", 2), "edge")], "liabilities[2]: missing field 'debtor'"),
+    ([(("liabilities", 0, "amount"), "0.5")], "liabilities[0].amount: expected a number"),
+    ([(("liabilities", 0, "amount"), True)], "liabilities[0].amount: expected a number"),
+    ([(("liabilities", 0, "amount"), None)], "liabilities[0].amount: expected a number"),
+    ([(("liabilities", 0, "amount"), float("nan"))],
+     "liabilities[0]: edge 'B' -> 'A' has invalid amount nan"),
+    ([(("liabilities", 1, "amount"), -0.5)],
+     "liabilities[1]: edge 'C' -> 'B' has invalid amount -0.5"),
+    ([(("liabilities", 2, "creditor"), "Z")], "liabilities[2]: unknown bank id 'Z'"),
+    ([(("liabilities", 0, "creditor"), "B")], "liabilities[0]: self-loan 'B' -> 'B'"),
+    ([(("liabilities", 1, "amount"), -1.0), (("liabilities", 2, "debtor"), "Z")],
+     "liabilities[1]: edge 'C' -> 'B' has invalid amount -1.0"),
+    ([(("liabilities", 0, "debtor"), "Z"), (("liabilities", 2, "amount"), MISSING)],
+     "liabilities[0]: unknown bank id 'Z'"),
+    ([(("banks", 2, "id"), "A")], "duplicate bank ids ['A']"),
+    ([(("banks", 1, "external_liabilities"), MISSING)],
+     "banks[1]: missing field 'external_liabilities'"),
+    # rejected since the loader reads columns: the fields and their paths
+    ([(("liabilities",), None)], ".liabilities: expected"),
+    ([(("liabilities",), 3)], ".liabilities: expected"),
+    ([(("liabilities",), {"x": 1})], ".liabilities: expected"),
+    ([(("banks", 1, "id"), None)], "banks[1].id: expected"),
+    ([(("banks", 1, "id"), 7)], "banks[1].id: expected"),
+    ([(("liabilities", 0, "debtor"), 7)], "liabilities[0].debtor: expected"),
+    ([(("liabilities", 2, "creditor"), None)], "liabilities[2].creditor: expected"),
+    ([(("banks", 0, "external_assets"), -1)], "banks[0].external_assets: expected"),
+    ([(("banks", 2, "external_assets"), float("inf"))],
+     "banks[2].external_assets: expected"),
+    ([(("banks", 1, "external_liabilities"), float("nan"))],
+     "banks[1].external_liabilities: expected"),
+], ids=["missing-amount", "edge-not-an-object", "string-amount", "bool-amount",
+        "null-amount", "nan-amount", "negative-amount", "unknown-id", "self-loan",
+        "first-of-two-bad-edges", "first-of-bad-id-and-missing-field",
+        "duplicate-bank-id", "missing-bank-field", "null-liabilities",
+        "number-liabilities", "object-liabilities", "null-bank-id", "number-bank-id",
+        "number-debtor", "null-creditor", "negative-external-assets",
+        "infinite-external-assets", "nan-external-liabilities"])
+def test_cli_names_the_first_fault_of_a_network_file(tmp_path, capsys, settings, field):
+    network = write_json(tmp_path / "net.json", faulty_ring(*settings))
+    scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    out = tmp_path / "out.csv"
+    assert run_command(["solve", "--network", network, "--scenario", scenario,
+                        "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    separator = "" if field.startswith(".") else ": "
+    assert f"{network}{separator}{field}" in err
+    assert "Traceback" not in err and err.count("\n") == 1  # one error line
+    assert not out.exists()
+
+
+def test_large_ring_file_loads_without_a_dense_matrix(tmp_path):
+    # the dense claim matrix of 20 000 banks would take 3.2 GB
+    n = 20_000
+    ids = [f"b{k:05d}" for k in range(n)]
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({
+        "banks": [{"id": bank, "external_assets": 2.0, "external_liabilities": 1.0}
+                  for bank in ids],
+        "liabilities": [{"debtor": ids[k], "creditor": ids[(k + 1) % n], "amount": 0.5}
+                        for k in range(n)],
+    }), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        net = load_network(str(path))
+        assert np.all(net.book_equity() == 1.0)
+        assert not topology(net).is_dag
+        assert len(network_to_dict(net)["liabilities"]) == n
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ------------------------------------------------------------- scenario files

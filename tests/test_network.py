@@ -124,6 +124,24 @@ def test_interbank_assets_are_transpose(ring):
     assert np.array_equal(ring.interbank_assets, ring.interbank_liabilities.T)
 
 
+def test_edges_are_the_positive_claims_in_lender_major_order():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        net = random_network(rng)
+        lenders, borrowers = np.nonzero(net.interbank_assets > 0)
+        for edges in (net, net.apply_shock(0.5)):
+            assert np.array_equal(edges.creditors, lenders)
+            assert np.array_equal(edges.debtors, borrowers)
+            assert np.array_equal(edges.amounts, net.interbank_assets[lenders, borrowers])
+        flipped = net.transpose()
+        assert np.array_equal(flipped.interbank_liabilities, net.interbank_assets)
+        lenders, borrowers = np.nonzero(flipped.interbank_assets > 0)
+        assert np.array_equal(flipped.creditors, lenders)
+        assert np.array_equal(flipped.debtors, borrowers)
+        assert np.array_equal(flipped.total_obligations(), net.total_claims())
+        assert repr(flipped) == f"FinancialNetwork(n={net.n}, edges={len(lenders)})"
+
+
 def test_construction_rejects_bad_data():
     with pytest.raises(NetworkError):
         FinancialNetwork([], [], [], np.zeros((0, 0)))
@@ -146,6 +164,10 @@ def test_arrays_are_read_only(ring):
         ring.external_assets[0] = 5.0
     with pytest.raises(ValueError):
         ring.interbank_liabilities[0, 1] = 5.0
+    with pytest.raises(ValueError):
+        ring.amounts[0] = 5.0
+    with pytest.raises(ValueError):
+        ring.transpose().interbank_liabilities[0, 1] = 5.0
 
 
 def test_index_of(ring):

@@ -1,6 +1,11 @@
-"""Property tests of the payment-space clearing kernel on small random
-networks that include banks without obligations and banks whose external
-liabilities exceed their external assets."""
+"""Property tests on small random networks: the payment-space clearing
+kernel, on networks that include banks without obligations and banks whose
+external liabilities exceed their external assets, and the network file
+round trip, on files that repeat edges and leave banks without edges."""
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -8,8 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from neva import (FinancialNetwork, SolveConfig, ValuationSpec, default_epsilon,
-                  en_clearing_payments, greatest_solution,
-                  monte_carlo_global_valuation)
+                  dump_network, en_clearing_payments, greatest_solution,
+                  load_network, monte_carlo_global_valuation)
 from neva.analysis import _clearing
 from neva.valuation import en_interbank
 
@@ -88,3 +93,48 @@ def test_clearing_payments_match_the_factor_and_the_oracle(net, shift):
     solution = greatest_solution(net, EN, SolveConfig(epsilon=1e-13)).solution
     assert np.allclose(en_clearing_payments(net, solution), en_clearing_oracle(net),
                        atol=1e-8)
+
+
+@st.composite
+def network_files(draw, max_banks=6, max_edges=15):
+    """A network file document plus its edges as (debtor, creditor, amount)
+    index triples in file order; edges may repeat a pair, and banks past a
+    drawn count have none."""
+    n = draw(st.integers(2, max_banks))
+    active = draw(st.integers(2, n))
+    amount = st.floats(0.0, 1e3, allow_subnormal=False)
+    edges = []
+    for debtor, shift, value in draw(st.lists(st.tuples(
+            st.integers(0, active - 1), st.integers(1, active - 1), amount),
+            max_size=max_edges)):
+        edges.append((debtor, (debtor + shift) % active, value))
+    assets = draw(st.lists(st.tuples(amount, amount), min_size=n, max_size=n))
+    ids = [f"B{k}" for k in range(n)]
+    return {"banks": [{"id": bank, "external_assets": a, "external_liabilities": b}
+                      for bank, (a, b) in zip(ids, assets)],
+            "liabilities": [{"debtor": ids[d], "creditor": ids[c], "amount": value}
+                            for d, c, value in edges]}, edges
+
+
+@given(network_files())
+def test_network_file_round_trip(drawn):
+    document, edges = drawn
+    n = len(document["banks"])
+    expected = np.zeros((n, n))
+    for debtor, creditor, amount in edges:  # repeated edges add up in file order
+        expected[debtor, creditor] += amount
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "net.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        net = load_network(path)
+        assert np.array_equal(net.interbank_liabilities, expected)
+        dump_network(net, path)
+        again = load_network(path)
+    assert again.bank_ids == net.bank_ids == tuple(b["id"] for b in document["banks"])
+    for loaded in (net, again):
+        assert np.array_equal(loaded.external_assets,
+                              [b["external_assets"] for b in document["banks"]])
+        assert np.array_equal(loaded.external_liabilities,
+                              [b["external_liabilities"] for b in document["banks"]])
+    assert np.array_equal(again.interbank_liabilities, expected)
