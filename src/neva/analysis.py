@@ -17,7 +17,7 @@ import numpy as np
 from .network import FinancialNetwork
 from .solver import (FACE_VALUES, SolveConfig, SolveReport, _greatest, _iterate,
                      _required_start, greatest_solution)
-from .valuation import SpecError, ValuationSpec, _claim_discounts, _pro_rata_payments
+from .valuation import SpecError, ValuationSpec, _claim_discounts
 
 __all__ = [
     "StressResult",
@@ -177,39 +177,13 @@ def merton_vs_network_discount(net: FinancialNetwork, spec: ValuationSpec,
             for k, report in enumerate(reports)]
 
 
-def _clearing(net: FinancialNetwork, assets: np.ndarray, beta: float) -> tuple:
-    """``_iterate``'s ``map_rows`` and face-value start for pro-rata clearing
-    with haircut ``beta``, one problem per row of external assets ``assets``.
-
-    The map runs in payment space: each sweep pays ``_pro_rata_payments``
-    through the relative-liability matrix ``L / obligations`` and adds the
-    cash ``assets - external liabilities - obligations``; nothing is divided
-    per sweep.
-    """
-    obligations = net.total_obligations()
-    # a bank without obligations owes nothing: its row of L is zero, and so is Pi's
-    shares = (net.interbank_liabilities
-              / np.where(obligations > 0, obligations, 1.0)[:, np.newaxis])
-    cash = assets - net.external_liabilities - obligations
-    start = assets - net.external_liabilities + net.total_claims() - obligations
-    obligations = obligations[np.newaxis]  # (1, n): equal-rank operands are faster
-
-    def map_rows(rows):
-        cash_rows = cash[rows]
-
-        def equity_map(equities):
-            inflow = _pro_rata_payments(equities, obligations, beta) @ shares
-            inflow += cash_rows
-            return inflow
-        return equity_map
-    return map_rows, start
-
-
 def _run_limit(net: FinancialNetwork, parameter_name: str, parameters,
-               specs, reference: np.ndarray, settled: bool,
+               specs, reference_spec: ValuationSpec,
                config: Optional[SolveConfig], notes: tuple = ()) -> LimitSeries:
-    """Greatest solutions of ``specs`` against a (``settled``) reference."""
-    if not settled:
+    """Greatest solutions of ``specs`` against the greatest solution of
+    ``reference_spec``."""
+    reference = greatest_solution(net, reference_spec, config)
+    if not reference.converged:
         notes = notes + ("reference solve did not converge",)
     # one stack: a row per spec, the varying parameter a column of the binding
     bound = specs[0].bind(net, np.broadcast_to(net.external_assets, (len(specs), net.n)))
@@ -219,11 +193,11 @@ def _run_limit(net: FinancialNetwork, parameter_name: str, parameters,
         parameter_name=parameter_name,
         parameters=tuple(float(p) for p in parameters),
         equities=tuple(report.solution for report in reports),
-        reference=reference,
-        deviations=tuple(float(np.max(np.abs(report.solution - reference)))
+        reference=reference.solution,
+        deviations=tuple(float(np.max(np.abs(report.solution - reference.solution)))
                          for report in reports),
         converged=tuple(report.converged for report in reports),
-        partial=not (settled and all(report.converged for report in reports)),
+        partial=not (reference.converged and all(report.converged for report in reports)),
         notes=notes,
     )
 
@@ -234,19 +208,16 @@ def maturity_limit_experiment(net: FinancialNetwork, sigma,
     """Greatest solutions of the log-normal before-maturity family along a
     decreasing sequence of times to maturity, referenced against their
     limit at maturity: pro-rata clearing with haircut ``beta`` on what
-    defaulted borrowers pay (the eisenberg_noe solution when ``beta`` is 1)."""
+    defaulted borrowers pay, the eisenberg_noe_haircut family (eisenberg_noe
+    when ``beta`` is 1)."""
     taus = [float(t) for t in taus]
     if not taus or any(t <= 0 for t in taus):
         raise SpecError("tau sequence must be positive")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise SpecError("tau sequence must be strictly decreasing")
     specs = [ValuationSpec.exante_en_gbm(sigma, tau, beta) for tau in taus]
-    config = _required_start(config, FACE_VALUES)
-    epsilon = config.resolve_epsilon(net)
-    map_rows, start = _clearing(net, net.external_assets[np.newaxis], specs[0].beta)
-    (reference,), _, (step,), _ = _iterate(map_rows, start, epsilon, config.max_iterations)
-    reference = np.clip(reference, net.equity_lower_bound(), start[0])
-    return _run_limit(net, "maturity", taus, specs, reference, step <= epsilon, config)
+    return _run_limit(net, "maturity", taus, specs,
+                      ValuationSpec.eisenberg_noe_haircut(specs[0].beta), config)
 
 
 def debtrank_limit_experiment(net: FinancialNetwork, betas: Sequence[float],
@@ -265,9 +236,8 @@ def debtrank_limit_experiment(net: FinancialNetwork, betas: Sequence[float],
         notes = (f"banks with non-positive book equity valued at zero: "
                  f"{', '.join(degenerate)}",)
     specs = [ValuationSpec.exante_en_uniform(beta) for beta in betas]
-    reference = greatest_solution(net, ValuationSpec.linear_debtrank(), config)
-    return _run_limit(net, "beta", betas, specs, reference.solution,
-                      reference.converged, config, notes)
+    return _run_limit(net, "beta", betas, specs, ValuationSpec.linear_debtrank(),
+                      config, notes)
 
 
 def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
@@ -297,23 +267,19 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     normals = np.random.default_rng(seed).standard_normal((samples, n))
     drift = -0.5 * sigma * sigma * tau
     terminal_assets = net.external_assets * np.exp(sigma * np.sqrt(tau) * normals + drift)
-    solutions, _, residuals, _ = _iterate(*_clearing(net, terminal_assets, beta),
-                                          epsilon, config.max_iterations)
+    bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, terminal_assets)
+    # one network-level tolerance and no per-sample report
+    solutions, _, residuals, _ = _iterate(lambda rows: bound.rows(rows).equity_map,
+                                          bound.book_equity, epsilon, config.max_iterations)
     kept = solutions[residuals <= epsilon]
     count = len(kept)
     dropped = samples - count
     if dropped:
         log.warning("monte carlo: dropped %d of %d unconverged samples",
                     dropped, samples)
-    if count > 0:
-        mean = kept.sum(axis=0) / count
-        if count > 1:
-            std_error = kept.std(axis=0, ddof=1) / np.sqrt(count)
-        else:
-            std_error = np.zeros(n)
-    else:
-        mean = np.full(n, np.nan)
-        std_error = np.full(n, np.nan)
+    mean = kept.sum(axis=0) / count if count else np.full(n, np.nan)
+    std_error = (kept.std(axis=0, ddof=1) / np.sqrt(count) if count > 1
+                 else np.full(n, 0.0 if count else np.nan))
     valid = dropped <= 0.01 * samples
     return MonteCarloResult(mean=mean, std_error=std_error, samples=samples,
                             dropped=dropped, seed=int(seed), valid=valid)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when the run completed but some solve did not
-converge (or a Monte Carlo run dropped too many samples), 2 on input errors.
+converge (or a Monte Carlo run dropped too many samples), 2 on input errors,
+including inputs whose arrays cannot be allocated.
 Diagnostics go to standard error at the level set by the NEVA_LOG
 environment variable (error, warn, info, debug); results go to --output or
 standard output.
@@ -120,8 +121,8 @@ def run_command(argv=None) -> int:
         text = files.serialize_results(result, args.format, net)
         files.write_output(text, args.output)
         return status
-    except (ValueError, OSError) as exc:
-        # input errors; FileFormatError, NetworkError and SpecError are ValueErrors
+    except (ValueError, OSError, MemoryError) as exc:
+        # input errors (FileFormatError, NetworkError, SpecError), too large ones
         log.error("%s", exc)
         return 2
 

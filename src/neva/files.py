@@ -64,21 +64,33 @@ def _load_json(path) -> dict:
                               f"column {exc.colno}: {exc.msg}") from exc
 
 
-def _require(mapping, key, context, types=None):
+# What a message calls the value of a parsed JSON type.
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+              int: "a number", float: "a number", type(None): "null"}
+
+
+def _require(mapping, key, context, kind=None):
+    """``mapping[key]``, which must be there and (when given) of type ``kind``."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise FileFormatError(f"{context}: missing field {key!r}")
     value = mapping[key]
-    if types is not None and not isinstance(value, types):
-        raise FileFormatError(f"{context}.{key}: expected {types}, got {type(value).__name__}")
+    if kind is not None and not isinstance(value, kind):
+        raise FileFormatError(f"{context}.{key}: expected {_JSON_NAMES[kind]}, "
+                              f"got {_JSON_NAMES[type(value)]}")
     return value
 
 
 def _number(value, where) -> float:
-    """``value`` as a float; booleans, strings and other types are rejected
-    with ``where``, the value's context path, in the message."""
+    """``value`` as a float; booleans, strings, other types and integers
+    beyond the float range are rejected with ``where``, the value's context
+    path, in the message."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FileFormatError(f"{where}: expected a number, got an integer beyond "
+                              "the float range") from None
 
 
 def _whole(value, where) -> int:
@@ -127,6 +139,16 @@ def _column(rows, key, types, other) -> list:
     return [value if type(value) in types else other for value in column]
 
 
+def _amounts(rows, key) -> np.ndarray:
+    """Field ``key`` of every row as floats; NaN or inf, which the amount
+    checks reject, where it is not a number or lies beyond the float range."""
+    column = _column(rows, key, {int, float}, np.nan)
+    try:
+        return np.array(column, dtype=float)
+    except OverflowError:  # from an integer, which as text reads as inf
+        return np.array([float(str(value)) for value in column])
+
+
 def _indices(ids, index: dict) -> np.ndarray:
     """Positions of ``ids`` in ``index``; -1 for an id it does not hold."""
     return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
@@ -161,11 +183,9 @@ def load_network(path) -> FinancialNetwork:
     banks = _require(data, "banks", str(path), list)
     if not banks:
         raise FileFormatError(f"{path}: banks list is empty")
-    numbers = {int, float}
     ids = _column(banks, "id", {str}, None)
-    assets = np.array(_column(banks, "external_assets", numbers, np.nan), dtype=float)
-    liabilities = np.array(_column(banks, "external_liabilities", numbers, np.nan),
-                           dtype=float)
+    assets = _amounts(banks, "external_assets")
+    liabilities = _amounts(banks, "external_liabilities")
     bad = _invalid(assets) | _invalid(liabilities) | np.array([b is None for b in ids])
     if bad.any():
         k = int(np.argmax(bad))
@@ -184,7 +204,7 @@ def load_network(path) -> FinancialNetwork:
              if "liabilities" in data else [])
     debtors = _indices(_column(edges, "debtor", {str}, None), index)
     creditors = _indices(_column(edges, "creditor", {str}, None), index)
-    amounts = np.array(_column(edges, "amount", numbers, np.nan), dtype=float)
+    amounts = _amounts(edges, "amount")
     bad = _invalid_edges(len(ids), debtors, creditors, amounts)
     if bad.any():
         k = int(np.argmax(bad))

@@ -19,8 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .network import FinancialNetwork, topology
-from .valuation import (BoundValuation, ValuationSpec, _pro_rata_payments,
-                        unit_external)
+from .valuation import BoundValuation, ValuationSpec, en_interbank, unit_external
 
 __all__ = [
     "SolveConfig",
@@ -149,10 +148,13 @@ def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
         if equity_map is None:
             equity_map = map_rows(active)
         updated = equity_map(equities)
-        change = updated - equities
-        steps = np.max(np.abs(change), axis=1)
+        # the last iterate is not read again: its buffer takes the change
+        change = np.subtract(updated, equities, out=equities)
         if direction:
             ordered = ordered & ~np.any(direction * change < -MONOTONE_SLACK, axis=1)
+        # the row maxima as segments of the flat stack: max(axis=1) pays per row
+        steps = np.maximum.reduceat(np.abs(change, out=change).ravel(),
+                                    np.arange(0, change.size, change.shape[1]))
         equities = updated
         done = steps <= tolerance
         if done.any():
@@ -296,4 +298,5 @@ def solve_dag(net: FinancialNetwork, spec: ValuationSpec,
 def en_clearing_payments(net: FinancialNetwork, equities: np.ndarray) -> np.ndarray:
     """Interbank payments implied by an equity vector under pro-rata
     clearing: each bank pays its obligations scaled by its clearing factor."""
-    return _pro_rata_payments(equities, net.total_obligations())
+    obligations = net.total_obligations()
+    return obligations * en_interbank(equities, obligations)

@@ -19,7 +19,7 @@ recovered from a defaulted borrower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -62,36 +62,27 @@ def _positive_part(x):
     return np.maximum(x, 0.0)
 
 
-def en_interbank(equity, obligations, haircut=1.0):
+def en_interbank(equity, obligations, beta=1.0):
     """Pro-rata clearing factor: full repayment when solvent, otherwise the
     fraction of total obligations covered by the residual assets, times an
-    exogenous ``haircut`` on what a defaulted borrower pays.
+    exogenous haircut ``beta`` on what a defaulted borrower pays.
 
-    ``1`` if ``equity >= 0``, else ``haircut * ((equity + obligations)/obligations)+``.
+    ``1`` if ``equity >= 0``, else ``beta * clip(1 + equity/obligations, 0, 1)``.
     A bank with zero obligations has no creditors, so its factor is fixed at
-    ``1`` (the value never enters the equity map but must stay feasible).
-    Works rowwise on a batch of equity vectors.
+    ``1`` for every ``beta`` (the value never enters the equity map but must
+    stay feasible).  Works rowwise on a batch of equity vectors; only the
+    obligations are divided, so a batch costs one multiply per entry.
     """
-    equity = np.asarray(equity, dtype=float)
     obligations = np.asarray(obligations, dtype=float)
-    safe = np.where(obligations > 0, obligations, 1.0)
-    frac = haircut * np.clip((equity + obligations) / safe, 0.0, 1.0)
-    frac = np.where(obligations > 0, frac, 1.0)
-    return np.where(equity >= 0, 1.0, frac)
-
-
-def _pro_rata_payments(equity, obligations, haircut=1.0):
-    """What each bank pays under pro-rata clearing, ``obligations *
-    en_interbank(equity, obligations, haircut)``, without a division:
-    ``clip(equity + obligations, 0, obligations)``, times ``haircut`` where
-    ``equity < 0``.  This is exactly ``obligations`` for a solvent bank and
-    zero for a bank without obligations.  Works rowwise on a batch."""
-    payments = np.add(equity, obligations)
-    np.maximum(payments, 0.0, out=payments)
-    np.minimum(payments, obligations, out=payments)
-    if haircut < 1:
-        payments *= np.where(equity < 0, haircut, 1.0)
-    return payments
+    has_debt = obligations > 0
+    scale = np.divide(1.0, obligations, out=np.zeros(obligations.shape), where=has_debt)
+    factor = np.asarray(equity * scale)  # 0-d for scalars: the steps below work in place
+    factor += 1.0
+    np.maximum(factor, 0.0, out=factor)
+    np.minimum(factor, 1.0, out=factor)
+    if not (isinstance(beta, float) and beta == 1.0):
+        factor *= np.where(np.less(equity, 0.0), np.where(has_debt, beta, 1.0), 1.0)
+    return factor
 
 
 def unit_external(equity):
@@ -295,8 +286,8 @@ def _check_maturity(name: str, value) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0:
         raise SpecError(f"time to {name} must be positive; valuation at maturity "
-                        "is pro-rata clearing with haircut beta (the "
-                        "eisenberg_noe family when beta is 1)")
+                        "is the eisenberg_noe_haircut family (eisenberg_noe "
+                        "when beta is 1)")
     return value
 
 
@@ -357,6 +348,7 @@ class Family:
 
 INTERBANK_FAMILIES = {
     "eisenberg_noe": Family(en_interbank, ("obligations",)),
+    "eisenberg_noe_haircut": Family(en_interbank, ("obligations", "beta"), jump="beta"),
     "rogers_veraart": Family(en_interbank, ("obligations",), rv_lender, ("beta",),
                              jump="beta"),
     "furfine": Family(furfine_interbank, ("recovery",), jump="recovery"),
@@ -411,6 +403,10 @@ class ValuationSpec:
     @classmethod
     def eisenberg_noe(cls) -> "ValuationSpec":
         return cls(interbank_kind="eisenberg_noe")
+
+    @classmethod
+    def eisenberg_noe_haircut(cls, beta: float) -> "ValuationSpec":
+        return cls(interbank_kind="eisenberg_noe_haircut", beta=beta)
 
     @classmethod
     def rogers_veraart(cls, alpha: float, beta: float) -> "ValuationSpec":
@@ -480,12 +476,12 @@ class ValuationSpec:
         if assets.ndim not in (1, 2) or assets.shape[-1] != net.n:
             raise NetworkError(f"external assets of shape {assets.shape} for {net.n} banks")
         obligations = net.total_obligations()
+        cash = assets - net.external_liabilities
         constants = {name: getattr(self, name) for name in PARAMETER_CHECKS}
         constants.update(
-            obligations=obligations, external_assets=assets,
+            obligations=obligations, external_assets=assets, cash=cash,
             sigma=None if self.sigma is None else self.sigma_vector(net.n),
-            book_equity=(assets - net.external_liabilities + net.total_claims()
-                         - obligations))
+            book_equity=cash + net.total_claims() - obligations)
         return BoundValuation(self, net, constants)
 
 
@@ -504,21 +500,19 @@ def _claim_discounts(borrower_factors, lender_factors, lenders, borrowers):
 class BoundValuation:
     """A valuation spec attached to one network's balance-sheet constants.
 
-    ``constants`` maps every name a factor can read to its value: the
-    per-bank obligations, book equities, external assets and (for the
-    log-normal family) volatilities, and the spec parameters.  The family's
-    factor functions are bound to them once, so factor vectors and the
-    equity map can be evaluated repeatedly at different equities, row by row
-    when bound to a ``(batch, n)`` stack of external assets.
+    ``constants`` maps every name a factor or the equity map can read to its
+    value: the per-bank obligations, book equities, external assets, cash
+    (external assets less external liabilities) and (for the log-normal
+    family) volatilities, and the spec parameters.  The family's factor
+    functions are bound to them once, so factor vectors and the equity map
+    can be evaluated repeatedly at different equities, row by row when bound
+    to a ``(batch, n)`` stack of external assets.
     """
 
     spec: ValuationSpec
     net: FinancialNetwork
     constants: dict = field(repr=False)
-    obligations: np.ndarray = field(init=False)
-    book_equity: np.ndarray = field(init=False)
-    external_assets: np.ndarray = field(init=False)
-    sigma: Optional[np.ndarray] = field(init=False)  # None outside log-normal
+    book_equity: np.ndarray = field(init=False)  # None on a rows() view
     _borrower: Callable = field(init=False, repr=False)
     _lender: Optional[Callable] = field(init=False, repr=False)
     _external: Callable = field(init=False, repr=False)
@@ -528,18 +522,26 @@ class BoundValuation:
         borrower, *lender = self.spec.family.bind(constants)
         (external,) = self.spec.external_family.bind(constants)
         vars(self).update(  # frozen: fill the init=False fields directly
-            obligations=constants["obligations"], book_equity=constants["book_equity"],
-            external_assets=constants["external_assets"], sigma=constants["sigma"],
-            _borrower=borrower, _lender=lender[0] if lender else None, _external=external)
+            book_equity=constants.get("book_equity"), _borrower=borrower,
+            _lender=lender[0] if lender else None, _external=external)
+
+    @cached_property
+    def _map_reads(self) -> tuple:
+        """The constants the equity map reads."""
+        return (self.spec.family.fields + self.spec.external_family.fields
+                + ("obligations", "cash" if self.spec.external_kind == "unit"
+                   else "external_assets"))
 
     def rows(self, index) -> "BoundValuation":
-        """The valuation of rows ``index`` of a stack of external assets; per-bank
-        constants shared by every row become one ``(1, n)`` row, because numpy
-        combines operands of equal rank on a faster path."""
-        return BoundValuation(self.spec, self.net, {
-            name: value[index] if np.ndim(value) == 2
-            else value[np.newaxis] if np.ndim(value) == 1 else value
-            for name, value in self.constants.items()})
+        """The valuation of rows ``index`` of a stack of external assets, holding
+        only the constants its equity map reads.  Per-bank constants shared by
+        every row become one ``(1, n)`` row, because numpy combines operands
+        of equal rank on a faster path."""
+        read = {name: self.constants[name] for name in self._map_reads}
+        return BoundValuation(self.spec, self.net, {  # parameters are floats or None
+            name: value[index] if getattr(value, "ndim", 0) == 2
+            else value[np.newaxis] if getattr(value, "ndim", 0) == 1 else value
+            for name, value in read.items()})
 
     def external_factors(self, equities: np.ndarray) -> np.ndarray:
         return self._external(equities)
@@ -568,13 +570,20 @@ class BoundValuation:
     def equity_map(self, equities: np.ndarray) -> np.ndarray:
         """One application of the self-consistent balance-sheet valuation:
         external assets at their external factor, claims at their discount
-        factors, liabilities at face value; row by row on a stack."""
+        factors, liabilities at face value; row by row on a stack, whose shape
+        ``equities`` must have, as the sums run in place."""
         inflow = self.borrower_factors(equities) @ self.net.interbank_liabilities
         lender = self.lender_factors(equities)
         if lender is not None:
-            inflow = lender * inflow
-        return (self.external_assets * self.external_factors(equities)
-                - self.net.external_liabilities + inflow - self.obligations)
+            inflow *= lender
+        # summed like book_equity, (cash + claims) - obligations, so that a bank
+        # without claims maps exactly to its book equity
+        constants = self.constants
+        inflow += (constants["cash"] if self.spec.external_kind == "unit"
+                   else constants["external_assets"] * self.external_factors(equities)
+                   - self.net.external_liabilities)
+        inflow -= constants["obligations"]
+        return inflow
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -167,25 +169,36 @@ def faulty_ring(*settings):
     ([(("banks", 1, "external_liabilities"), MISSING)],
      "banks[1]: missing field 'external_liabilities'"),
     # rejected since the loader reads columns: the fields and their paths
-    ([(("liabilities",), None)], ".liabilities: expected"),
-    ([(("liabilities",), 3)], ".liabilities: expected"),
-    ([(("liabilities",), {"x": 1})], ".liabilities: expected"),
-    ([(("banks", 1, "id"), None)], "banks[1].id: expected"),
-    ([(("banks", 1, "id"), 7)], "banks[1].id: expected"),
-    ([(("liabilities", 0, "debtor"), 7)], "liabilities[0].debtor: expected"),
-    ([(("liabilities", 2, "creditor"), None)], "liabilities[2].creditor: expected"),
+    ([(("liabilities",), None)], ".liabilities: expected a list, got null"),
+    ([(("liabilities",), 3)], ".liabilities: expected a list, got a number"),
+    ([(("liabilities",), {"x": 1})], ".liabilities: expected a list, got an object"),
+    ([(("banks", 1, "id"), None)], "banks[1].id: expected a string, got null"),
+    ([(("banks", 1, "id"), 7)], "banks[1].id: expected a string, got a number"),
+    ([(("liabilities", 0, "debtor"), 7)],
+     "liabilities[0].debtor: expected a string, got a number"),
+    ([(("liabilities", 2, "creditor"), None)],
+     "liabilities[2].creditor: expected a string, got null"),
     ([(("banks", 0, "external_assets"), -1)], "banks[0].external_assets: expected"),
     ([(("banks", 2, "external_assets"), float("inf"))],
      "banks[2].external_assets: expected"),
     ([(("banks", 1, "external_liabilities"), float("nan"))],
      "banks[1].external_liabilities: expected"),
+    # integer literals beyond the float range
+    ([(("liabilities", 1, "amount"), 10**400)],
+     "liabilities[1].amount: expected a number, got an integer beyond the float range"),
+    ([(("banks", 2, "external_assets"), 10**400)],
+     "banks[2].external_assets: expected a number, got an integer beyond the float range"),
+    ([(("banks", 0, "external_liabilities"), -10**400)],
+     "banks[0].external_liabilities: expected a number, got an integer beyond the "
+     "float range"),
 ], ids=["missing-amount", "edge-not-an-object", "string-amount", "bool-amount",
         "null-amount", "nan-amount", "negative-amount", "unknown-id", "self-loan",
         "first-of-two-bad-edges", "first-of-bad-id-and-missing-field",
         "duplicate-bank-id", "missing-bank-field", "null-liabilities",
         "number-liabilities", "object-liabilities", "null-bank-id", "number-bank-id",
         "number-debtor", "null-creditor", "negative-external-assets",
-        "infinite-external-assets", "nan-external-liabilities"])
+        "infinite-external-assets", "nan-external-liabilities", "overflowing-amount",
+        "overflowing-external-assets", "overflowing-external-liabilities"])
 def test_cli_names_the_first_fault_of_a_network_file(tmp_path, capsys, settings, field):
     network = write_json(tmp_path / "net.json", faulty_ring(*settings))
     scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
@@ -349,6 +362,7 @@ def test_cli_curve_families(tmp_path):
             "equity_grid": {"min": -3.0, "max": 3.0, "points": 121},
             "families": [
                 {"family": "eisenberg_noe", "obligations": 2.0},
+                {"family": "eisenberg_noe_haircut", "obligations": 2.0, "beta": 0.5},
                 {"family": "furfine", "recovery": 1.0},
                 {"family": "linear_debtrank", "book_equity": 2.5},
                 {"family": "exante_en_gbm", "external_assets": 1.0,
@@ -377,6 +391,11 @@ def test_cli_curve_families(tmp_path):
     assert all(v == 1.0 for v in by_family["furfine"])  # unit recovery curve
     # a defaulted lender (equity -1) keeps half of the pro-rata curve
     assert by_family["rogers_veraart"] == [0.5 * v for v in by_family["eisenberg_noe"]]
+    # a defaulted borrower pays half of its pro-rata share
+    grid = np.linspace(-3.0, 3.0, 121)
+    assert by_family["eisenberg_noe_haircut"] == [
+        0.5 * v if equity < 0 else v
+        for equity, v in zip(grid, by_family["eisenberg_noe"])]
 
 
 @pytest.mark.parametrize("family", [
@@ -448,6 +467,12 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
      "scenario.sigma"),
     ("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "beta": 2}}, "scenario.beta"),
     ("solve", {**EN_SOLVE_SCENARIO, "solver": {"epsilon": float("inf")}}, "solver"),
+    # integer literals beyond the float range
+    ("solve", {**EN_SOLVE_SCENARIO, "solver": {"epsilon": 10**400}}, "solver.epsilon"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "sigma": 10**400}}, "scenario.sigma"),
+    ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                "scenario": {"kind": "stress", "alpha_grid": [0.0, 10**400]}},
+     "scenario.alpha_grid[1]"),
 ])
 def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     network = write_json(tmp_path / "net.json", RING_FILE)
@@ -456,6 +481,21 @@ def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     assert run_command([command, "--network", network, "--scenario", scenario,
                         "--output", str(out)]) == 2
     assert f"{field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reports_an_unallocatable_run(tmp_path, capsys):
+    # 10**17 samples of three banks need 2.4e18 bytes, more than any address
+    # space maps, so the draw fails at once without allocating
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    scenario = write_json(tmp_path / "scn.json",
+                          {"scenario": {**MC_SCENARIO, "samples": 10**17}})
+    out = tmp_path / "out.csv"
+    assert run_command(["mc-global", "--network", network, "--scenario", scenario,
+                        "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Unable to allocate" in err
+    assert "Traceback" not in err and err.count("\n") == 1  # one error line
     assert not out.exists()
 
 
@@ -683,6 +723,24 @@ def test_scenario_per_bank_sigma(tmp_path):
     assert status == 0
     payload = json.loads(out.read_text())
     assert payload["converged"] is True
+
+
+def test_every_traced_name_resolves():
+    # perfbench/layers.py wraps these attributes by name for `--trace 1`; a
+    # rename here would break the per-layer benchmark run
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layers.py")
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = []
+    for targets in layers.TARGETS.values():
+        for module_name, attribute_path in targets:
+            owner = importlib.import_module(module_name)
+            for name in attribute_path.split("."):
+                owner = getattr(owner, name, None)
+            if not callable(owner):
+                missing.append(f"{module_name}.{attribute_path}")
+    assert missing == []
 
 
 def test_every_public_name_resolves():

@@ -1,10 +1,13 @@
-"""Property tests on small random networks: the payment-space clearing
-kernel, on networks that include banks without obligations and banks whose
-external liabilities exceed their external assets, and the network file
+"""Property tests on small random networks, which include banks without
+obligations and banks whose external liabilities exceed their external
+assets: the pro-rata clearing map against its payment-space form, the
+solution lattice (a solve from any start lies between the least and the
+greatest solution), losses that grow with the shock, and the network file
 round trip, on files that repeat edges and leave banks without edges."""
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from hypothesis import given, strategies as st
 
 from neva import (FinancialNetwork, SolveConfig, ValuationSpec, default_epsilon,
                   dump_network, en_clearing_payments, greatest_solution,
-                  load_network, monte_carlo_global_valuation)
-from neva.analysis import _clearing
+                  least_solution, load_network, monte_carlo_global_valuation, solve,
+                  stress_test)
 from neva.valuation import en_interbank
 
 from conftest import en_clearing_oracle
@@ -68,19 +71,59 @@ def test_monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed):
 @given(networks(), st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 4),
        st.integers(0, 2**32 - 1))
 def test_payment_space_map_is_the_factor_map(net, beta, rows, seed):
-    # the sweep of _clearing equals cash + en_interbank(E, pbar, beta) @ L on
-    # equities spread over and beyond the lattice [m, M], haircut included
+    # the haircut family's equity map, factors times liabilities, equals
+    # pro-rata clearing written in payment space, cash + payments @ (L / pbar)
+    # with payments clip(E + pbar, 0, pbar) and the haircut where E < 0, on a
+    # stack of equities spread over and beyond the lattice [m, M]
     rng = np.random.default_rng(seed)
     assets = net.external_assets * rng.uniform(0.2, 2.0, (rows, net.n))
     obligations = net.total_obligations()
-    map_rows, start = _clearing(net, assets, beta)
+    bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, assets)
     lower = net.equity_lower_bound()
-    equities = lower - 1.0 + rng.random((rows, net.n)) * (start - lower + 2.0)
+    equities = lower - 1.0 + rng.random((rows, net.n)) * (bound.book_equity - lower + 2.0)
     equities[:, ::2] = np.minimum(equities[:, ::2], -1e-3)  # defaulted banks
-    factor_map = (assets - net.external_liabilities - obligations
-                  + en_interbank(equities, obligations, beta) @ net.interbank_liabilities)
-    got = map_rows(np.arange(rows))(equities)
-    assert np.max(np.abs(got - factor_map)) <= 16 * ULP * _scale(net, assets)
+    shares = (net.interbank_liabilities
+              / np.where(obligations > 0, obligations, 1.0)[:, np.newaxis])
+    payments = (np.clip(equities + obligations, 0.0, obligations)
+                * np.where(equities < 0, beta, 1.0))
+    payment_map = assets - net.external_liabilities - obligations + payments @ shares
+    tolerance = 16 * ULP * _scale(net, assets)
+    assert np.max(np.abs(bound.equity_map(equities) - payment_map)) <= tolerance
+    assert np.array_equal(bound.rows(np.arange(rows)).equity_map(equities),
+                          bound.equity_map(equities))
+
+
+LATTICE_SPECS = [EN, ValuationSpec.eisenberg_noe_haircut(0.5),
+                 ValuationSpec.linear_debtrank(), ValuationSpec.exante_en_uniform(0.5)]
+
+
+@given(networks(), st.sampled_from(LATTICE_SPECS), st.integers(0, 2**32 - 1))
+def test_a_solve_from_any_start_lies_between_the_brackets(net, spec, seed):
+    # from m <= start <= M, monotone sweeps keep F^k(m) <= F^k(start) <= F^k(M);
+    # the bracket iterates are monotone, so a custom solve that runs longer
+    # than they do, up to its sweep budget without converging (it may cycle
+    # between fixed points), stays inside them too
+    lower, upper = net.equity_lower_bound(), net.book_equity()
+    start = lower + np.random.default_rng(seed).random(net.n) * (upper - lower)
+    config = SolveConfig(epsilon=default_epsilon(net), max_iterations=10_000)
+    greatest = greatest_solution(net, spec, config)
+    least = least_solution(net, spec, replace(config, start="lower_bounds"))
+    custom = solve(net, spec, replace(config, start=start))
+    assert greatest.converged and least.converged
+    assert np.all(least.solution <= custom.solution + config.epsilon)
+    assert np.all(custom.solution <= greatest.solution + config.epsilon)
+
+
+@given(networks(), st.sampled_from([EN, ValuationSpec.eisenberg_noe_haircut(0.5),
+                                    ValuationSpec.rogers_veraart(0.5, 0.5)]),
+       st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
+def test_stress_losses_grow_with_the_shock(net, spec, alphas):
+    # less external assets lower the map everywhere, and so the greatest solution
+    results = stress_test(net, spec, sorted(alphas))
+    for smaller, larger in zip(results, results[1:]):
+        assert smaller.report.converged and larger.report.converged
+        epsilon = max(smaller.report.epsilon, larger.report.epsilon)
+        assert np.all(larger.delta_equity >= smaller.delta_equity - epsilon)
 
 
 @given(networks(), st.floats(-3.0, 3.0))

@@ -31,6 +31,22 @@ def test_en_interbank_values():
     assert en_interbank(5.0, 0.0) == 1.0
 
 
+def test_en_interbank_haircut_values():
+    # the haircut scales what a defaulted borrower pays, and nothing else
+    assert en_interbank(0.5, 2.0, 0.5) == 1.0
+    assert en_interbank(0.0, 2.0, 0.5) == 1.0
+    assert en_interbank(-1.0, 2.0, 0.5) == 0.25
+    assert en_interbank(-3.0, 2.0, 0.5) == 0.0
+    assert en_interbank(-5.0, 0.0, 0.5) == 1.0  # no obligations: still one
+    equities = np.array([[-1.0, -0.5, 0.0, 3.0], [-4.0, -1.5, -1e-300, 1.0]])
+    obligations = np.array([[2.0, 0.0, 1.0, 1.0]])
+    assert np.array_equal(en_interbank(equities, obligations, 1.0),
+                          en_interbank(equities, obligations))
+    assert np.array_equal(en_interbank(equities, obligations, 0.3),
+                          np.where((equities < 0) & (obligations > 0), 0.3, 1.0)
+                          * en_interbank(equities, obligations))
+
+
 def test_rv_external_values():
     assert rv_external(0.0, 0.3) == 1.0  # boundary counts as solvent
     assert rv_external(-0.01, 0.3) == 0.3
@@ -211,6 +227,10 @@ def test_spec_validation():
     with pytest.raises(SpecError):
         ValuationSpec(interbank_kind="eisenberg_noe", beta=0.5)  # stray param
     with pytest.raises(SpecError):
+        ValuationSpec(interbank_kind="eisenberg_noe_haircut")  # beta missing
+    with pytest.raises(SpecError):
+        ValuationSpec.eisenberg_noe_haircut(beta=1.5)
+    with pytest.raises(SpecError):
         ValuationSpec(interbank_kind=["eisenberg_noe"])  # not a name
     with pytest.raises(SpecError):
         ValuationSpec.exante_en_gbm(sigma=1.0, maturity=0.0)  # served by EN
@@ -224,6 +244,8 @@ def test_spec_validation():
 
 def test_continuity_metadata():
     assert ValuationSpec.eisenberg_noe().continuous_from_below
+    assert ValuationSpec.eisenberg_noe_haircut(1.0).continuous_from_below
+    assert not ValuationSpec.eisenberg_noe_haircut(0.5).continuous_from_below
     assert ValuationSpec.linear_debtrank().continuous_from_below
     assert ValuationSpec.exante_en_gbm(1.0, 1.0).continuous_from_below
     assert ValuationSpec.exante_en_uniform(0.5).continuous_from_below
@@ -240,6 +262,8 @@ def test_edge_factor_matches_closed_forms(ring):
     closed_forms = {
         "eisenberg_noe": (ValuationSpec.eisenberg_noe(),
                           lambda i, j: en_interbank(equities[j], pbar[j])),
+        "eisenberg_noe_haircut": (ValuationSpec.eisenberg_noe_haircut(0.4),
+                                  lambda i, j: en_interbank(equities[j], pbar[j], 0.4)),
         "rogers_veraart": (ValuationSpec.rogers_veraart(0.4, 0.6),
                            lambda i, j: rv_interbank(equities[i], equities[j],
                                                      0.6, pbar[j])),
@@ -270,6 +294,7 @@ def test_edge_factor_matches_closed_forms(ring):
 def all_shipped_specs():
     return [
         ValuationSpec.eisenberg_noe(),
+        ValuationSpec.eisenberg_noe_haircut(0.5),
         ValuationSpec.rogers_veraart(0.5, 0.5),
         ValuationSpec.furfine(0.0),
         ValuationSpec.linear_debtrank(),
