@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .network import FinancialNetwork
-from .solver import (FACE_VALUES, SolveConfig, SolveReport, _greatest, _iterate,
-                     _required_start, greatest_solution)
+from .solver import (SolveConfig, SolveReport, _greatest, _is_number, _iterate,
+                     greatest_solution)
 from .valuation import SpecError, ValuationSpec, _claim_discounts
 
 __all__ = [
@@ -255,13 +256,15 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     samples extend a run and never change the earlier ones; the final
     reduction runs in ascending sample order.
     """
-    if samples < 1:
-        raise SpecError("samples must be at least 1")
+    for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
+        if not (_is_number(value, Integral) and value >= least):
+            raise SpecError(f"{name} must be a whole number of at least {least}, "
+                            f"got {value!r}")
     # the parameters are those of the before-maturity (local) counterpart
     local = ValuationSpec.exante_en_gbm(sigma, tau, beta)
     n = net.n
     sigma, tau, beta = local.sigma_vector(n), local.maturity, local.beta
-    config = _required_start(config, FACE_VALUES)
+    config = config or SolveConfig()
     epsilon = config.resolve_epsilon(net)
 
     normals = np.random.default_rng(seed).standard_normal((samples, n))

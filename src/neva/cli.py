@@ -94,7 +94,7 @@ def run_command(argv=None) -> int:
         params = scenario.params
         status = 0
         if scenario.kind == "solve":
-            result = solve(net, scenario.valuation, config)
+            result = solve(net, scenario.valuation, config, params["start"])
             status = 0 if result.converged else 1
         elif scenario.kind == "stress":
             result = analysis.stress_test(net, scenario.valuation,

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import (DiscountComparison, LimitSeries, MonteCarloResult,
                        StressResult)
 from .network import FinancialNetwork, _invalid, _invalid_edges
-from .solver import SolveConfig, SolveReport
+from .solver import FACE_VALUES, LOWER_BOUNDS, SolveConfig, SolveReport
 from .valuation import (EXTERNAL_FAMILIES, INTERBANK_FAMILIES,
                         PARAMETER_CHECKS, SpecError, ValuationSpec)
 
@@ -44,8 +44,15 @@ __all__ = [
 
 log = logging.getLogger("neva")
 
-SCENARIO_KINDS = ("solve", "stress", "limit_maturity", "limit_beta", "curve",
-                  "mc_global")
+# Scenario kinds and the fields their ``scenario`` block reads besides ``kind``.
+SCENARIO_KINDS = {
+    "solve": (),
+    "stress": ("alpha_grid",),
+    "limit_maturity": ("tau_sequence", "sigma", "beta"),
+    "limit_beta": ("beta_sequence",),
+    "curve": ("equity_grid", "families"),
+    "mc_global": ("tau", "samples", "seed", "sigma", "beta"),
+}
 
 # More grid points than any experiment needs; np.linspace allocates them all.
 MAX_GRID_POINTS = 100_000
@@ -80,6 +87,14 @@ def _require(mapping, key, context, kind=None):
     return value
 
 
+def _known(block: dict, keys, context, reader) -> None:
+    """Reject the first field of ``block`` that is not in ``keys``, the
+    fields ``reader`` reads: a misspelt field is an error, not ignored."""
+    for key in block:
+        if key not in keys:
+            raise FileFormatError(f"{context}.{key}: does not apply to {reader}")
+
+
 def _number(value, where) -> float:
     """``value`` as a float; booleans, strings, other types and integers
     beyond the float range are rejected with ``where``, the value's context
@@ -91,6 +106,14 @@ def _number(value, where) -> float:
     except OverflowError:
         raise FileFormatError(f"{where}: expected a number, got an integer beyond "
                               "the float range") from None
+
+
+def _finite(value, where) -> float:
+    """``value`` as a finite float, for numbers that no parameter check bounds."""
+    number = _number(value, where)
+    if not np.isfinite(number):
+        raise FileFormatError(f"{where}: expected a finite number, got {number}")
+    return number
 
 
 def _whole(value, where) -> int:
@@ -240,6 +263,7 @@ def _parse_valuation(block, context) -> ValuationSpec:
     """Spec of a ``valuation`` block; each parameter sits in the block
     (``interbank`` or ``external``) whose family reads it."""
     interbank = _require(block, "interbank", context, dict)
+    _known(block, ("interbank", "external"), context, "a valuation block")
     external = block.get("external", {})
     if not isinstance(external, dict):
         raise FileFormatError(f"{context}.external: expected an object")
@@ -252,30 +276,37 @@ def _parse_valuation(block, context) -> ValuationSpec:
         if kind not in table:
             raise FileFormatError(f"{where}: unknown kind {kind!r}")
         fields[f"{side}_kind"] = kind
-        for name in PARAMETER_CHECKS:
-            if name not in part:
-                continue
-            if name not in table[kind].params:
-                raise FileFormatError(f"{where}.{name}: does not apply to {kind}")
-            read = _numbers if name == "sigma" else _number  # sigma may be per bank
-            fields[name] = read(part[name], f"{where}.{name}")
+        params = table[kind].params
+        _known(part, ("kind",) + params, where, kind)
+        for name in params:
+            if name in part:
+                read = _numbers if name == "sigma" else _number  # sigma may be per bank
+                fields[name] = read(part[name], f"{where}.{name}")
     try:
         return ValuationSpec(**fields)
     except SpecError as exc:
         raise FileFormatError(f"{context}: {exc}") from exc
 
 
-def _parse_solver(block, context) -> SolveConfig:
+def _start(value, where) -> str:
+    if value not in (FACE_VALUES, LOWER_BOUNDS):
+        raise FileFormatError(f"{where}: expected {FACE_VALUES!r} or {LOWER_BOUNDS!r}, "
+                              f"got {value!r}")
+    return value
+
+
+def _parse_solver(block, context, kind) -> SolveConfig:
+    """Solver controls; the start, which only ``solve`` reads, is left out."""
     if block is None:
         return SolveConfig()
     if not isinstance(block, dict):
         raise FileFormatError(f"{context}: expected an object")
+    _known(block, ("epsilon", "max_iterations") + (("start",) if kind == "solve" else ()),
+           context, f"a {kind} scenario")
     fields = {}
     for key, read in (("epsilon", _number), ("max_iterations", _whole)):
         if key in block:
             fields[key] = _field(block, key, context, read)
-    if "start" in block:
-        fields["start"] = _require(block, "start", context, str)
     try:
         return SolveConfig(**fields)
     except ValueError as exc:
@@ -287,11 +318,13 @@ def _parse_grid(block, key, context, read=_number) -> list:
     where = f"{context}.{key}"
     value = _require(block, key, context)
     if isinstance(value, dict):
-        lo = _field(value, "min", where)
-        hi = _field(value, "max", where)
+        _known(value, ("min", "max", "points"), where, "a min/max/points grid")
+        lo = _field(value, "min", where, read)
+        hi = _field(value, "max", where, read)
         points = _field(value, "points", where, _whole)
-        if not 2 <= points <= MAX_GRID_POINTS or hi <= lo:
-            raise FileFormatError(f"{where}: need 2-{MAX_GRID_POINTS} points, max > min")
+        if not 2 <= points <= MAX_GRID_POINTS or not 0 < hi - lo < np.inf:
+            raise FileFormatError(f"{where}: need 2-{MAX_GRID_POINTS} points, "
+                                  "max > min and max - min finite")
         value = list(np.linspace(lo, hi, points))
     elif not isinstance(value, list) or not value:
         raise FileFormatError(f"{where}: expected a non-empty list or min/max/points")
@@ -305,12 +338,14 @@ def _parse_curve(entry, context) -> dict:
     family = INTERBANK_FAMILIES.get(name)
     if family is None:
         raise FileFormatError(f"{context}: unknown family {name!r}")
+    lender = ("lender_equity",) if family.lender is not None else ()
+    _known(entry, ("family",) + family.fields + lender, context, f"family {name!r}")
     curve = {"family": name}
     for key in family.fields:
         curve[key] = _field(entry, key, context,
-                            _checked(key) if key in PARAMETER_CHECKS else _number)
-    if family.lender is not None:
-        curve["lender_equity"] = _field(entry, "lender_equity", context, default=0.0)
+                            _checked(key) if key in PARAMETER_CHECKS else _finite)
+    if lender:
+        curve["lender_equity"] = _field(entry, "lender_equity", context, _finite, default=0.0)
     return curve
 
 
@@ -327,19 +362,26 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     data = _load_json(path)
+    context = f"{path}: scenario"
     block = _require(data, "scenario", str(path), dict)
-    kind = _require(block, "kind", f"{path}: scenario")
+    kind = _require(block, "kind", context, str)
     if kind not in SCENARIO_KINDS:
         raise FileFormatError(f"{path}: unknown scenario kind {kind!r}")
-    solver = _parse_solver(data.get("solver"), f"{path}: solver")
+    blocks = ("scenario", "solver", "valuation") if kind in ("solve", "stress") else (
+        "scenario", "solver")
+    _known(data, blocks, str(path), f"a {kind} scenario")
+    _known(block, ("kind",) + SCENARIO_KINDS[kind], context, f"a {kind} scenario")
+    solver = _parse_solver(data.get("solver"), f"{path}: solver", kind)
     valuation = None
     if kind in ("solve", "stress"):
         if "valuation" not in data:
             raise FileFormatError(f"{path}: scenario kind {kind!r} needs a valuation block")
         valuation = _parse_valuation(data["valuation"], f"{path}: valuation")
-    context = f"{path}: scenario"
     params: dict = {}
-    if kind == "stress":
+    if kind == "solve":
+        params["start"] = _field(data.get("solver") or {}, "start", f"{path}: solver",
+                                 _start, default=FACE_VALUES)
+    elif kind == "stress":
         params["alpha_grid"] = _parse_grid(block, "alpha_grid", context, _checked("alpha"))
     elif kind == "limit_maturity":
         params["tau_sequence"] = _parse_grid(block, "tau_sequence", context,
@@ -348,7 +390,7 @@ def load_scenario(path) -> Scenario:
         params["beta_sequence"] = _parse_grid(block, "beta_sequence", context,
                                               _checked("beta"))
     elif kind == "curve":
-        params["equity_grid"] = _parse_grid(block, "equity_grid", context)
+        params["equity_grid"] = _parse_grid(block, "equity_grid", context, _finite)
         families = _require(block, "families", context, list)
         params["families"] = [_parse_curve(entry, f"{context}.families[{k}]")
                               for k, entry in enumerate(families)]
@@ -425,10 +467,11 @@ def _labels(values) -> tuple:
 
 
 def _quoted(text: str) -> str:
-    """``text`` as one CSV field, quoted where ``csv.writer`` quotes it."""
+    """``text`` as one CSV field, quoted where ``csv.writer`` quotes it; with a
+    CRLF terminator it quotes a carriage return as well as a newline."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
-    return buffer.getvalue()[:-2]  # drop the empty second field's ",\n"
+    csv.writer(buffer, lineterminator="\r\n").writerow((text, ""))
+    return buffer.getvalue()[:-3]  # drop the empty second field's ",\r\n"
 
 
 def _text(value) -> str:

@@ -12,7 +12,7 @@ depth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional, Union
 
@@ -60,16 +60,10 @@ def _is_number(value, kind) -> bool:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration controls.
-
-    ``start`` is one of the strings ``"face_values"`` / ``"lower_bounds"``
-    or an explicit per-bank equity vector (clamped into ``[m, M]`` before
-    iterating).  ``epsilon=None`` selects the scale-aware default.
-    """
+    """Iteration controls; ``epsilon=None`` selects the scale-aware default."""
 
     epsilon: Optional[float] = None
     max_iterations: int = 100_000
-    start: Union[str, np.ndarray] = FACE_VALUES
 
     def __post_init__(self):
         if self.epsilon is not None and not (
@@ -78,11 +72,6 @@ class SolveConfig:
         if not (_is_number(self.max_iterations, Integral) and self.max_iterations >= 1):
             raise ValueError(f"max_iterations must be at least 1 and whole, "
                              f"got {self.max_iterations!r}")
-        if isinstance(self.start, str):
-            if self.start not in (FACE_VALUES, LOWER_BOUNDS):
-                raise ValueError(f"unknown start {self.start!r}")
-        else:
-            object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
 
     def resolve_epsilon(self, net: FinancialNetwork) -> float:
         return self.epsilon if self.epsilon is not None else default_epsilon(net)
@@ -190,37 +179,34 @@ def _solve(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: in
     return reports
 
 
-def _required_start(config: Optional[SolveConfig], start: str) -> SolveConfig:
-    """``config`` (by default one starting at ``start``), checked to start at ``start``."""
-    config = config or SolveConfig(start=start)
-    if not (isinstance(config.start, str) and config.start == start):
-        raise ValueError(f"start must be {start!r} for this solve, got {config.start!r}")
-    return config
-
-
 def _greatest(bound: BoundValuation, config: Optional[SolveConfig]) -> list:
     """Greatest solves of the rows of a stacked binding, from their book equities."""
-    config = _required_start(config, FACE_VALUES)
+    config = config or SolveConfig()
     epsilon = config.epsilon or _scaled_epsilon(bound.book_equity)  # per row
     return _solve(bound, bound.book_equity, epsilon, config.max_iterations, "greatest")
 
 
-def solve(net: FinancialNetwork, spec: ValuationSpec,
-          config: Optional[SolveConfig] = None) -> SolveReport:
-    """Run the fixed-point iteration from the start point in ``config``.
+def solve(net: FinancialNetwork, spec: ValuationSpec, config: Optional[SolveConfig] = None,
+          start: Union[str, np.ndarray] = FACE_VALUES) -> SolveReport:
+    """Run the fixed-point iteration from ``start``.
 
-    String starts map to the greatest/least bracket solves; an explicit
-    vector is clamped into ``[m, M]`` and iterated as a custom solve, whose
-    limit (when it converges) lies between the two bracket solutions.
+    ``"face_values"`` and ``"lower_bounds"`` give the greatest/least bracket
+    solves; a per-bank equity vector is clamped into ``[m, M]`` and iterated
+    as a custom solve, whose limit (when it converges) lies between the two
+    bracket solutions.
     """
     config = config or SolveConfig()
     bound = spec.bind(net)
-    kind, start, warnings = "custom", config.start, ()
+    kind, warnings = "custom", ()
     if isinstance(start, str):
+        if start not in (FACE_VALUES, LOWER_BOUNDS):
+            raise ValueError(f"unknown start {start!r}")
         kind = "greatest" if start == FACE_VALUES else "least"
         start = bound.book_equity if start == FACE_VALUES else net.equity_lower_bound()
-    elif start.shape != (net.n,):
-        raise ValueError(f"custom start must have shape ({net.n},), got {start.shape}")
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (net.n,):
+            raise ValueError(f"custom start must have shape ({net.n},), got {start.shape}")
     if kind == "least" and not spec.continuous_from_below:
         warnings = (
             "spec contains a valuation function that is not continuous from "
@@ -234,7 +220,7 @@ def solve(net: FinancialNetwork, spec: ValuationSpec,
 def greatest_solution(net: FinancialNetwork, spec: ValuationSpec,
                       config: Optional[SolveConfig] = None) -> SolveReport:
     """Iterate from face values; converges to the greatest solution."""
-    return solve(net, spec, _required_start(config, FACE_VALUES))
+    return solve(net, spec, config)
 
 
 def least_solution(net: FinancialNetwork, spec: ValuationSpec,
@@ -245,7 +231,7 @@ def least_solution(net: FinancialNetwork, spec: ValuationSpec,
     functions continuous from below; specs with downward jumps carry a
     warning in the report.
     """
-    return solve(net, spec, _required_start(config, LOWER_BOUNDS))
+    return solve(net, spec, config, LOWER_BOUNDS)
 
 
 def uniqueness_check(net: FinancialNetwork, spec: ValuationSpec,
@@ -256,9 +242,8 @@ def uniqueness_check(net: FinancialNetwork, spec: ValuationSpec,
     the solve tolerance; if either bracket failed to converge the answer
     is indeterminate (``unique=None``).
     """
-    config = config or SolveConfig()
-    greatest = greatest_solution(net, spec, replace(config, start=FACE_VALUES))
-    least = least_solution(net, spec, replace(config, start=LOWER_BOUNDS))
+    greatest = greatest_solution(net, spec, config)
+    least = least_solution(net, spec, config)
     gap = float(np.max(np.abs(greatest.solution - least.solution)))
     if not (greatest.converged and least.converged):
         return UniquenessReport(unique=None, gap=gap, greatest=greatest, least=least)
@@ -266,8 +251,7 @@ def uniqueness_check(net: FinancialNetwork, spec: ValuationSpec,
                             greatest=greatest, least=least)
 
 
-def solve_dag(net: FinancialNetwork, spec: ValuationSpec,
-              config: Optional[SolveConfig] = None) -> SolveReport:
+def solve_dag(net: FinancialNetwork, spec: ValuationSpec) -> SolveReport:
     """Exact solve on an acyclic claim graph.
 
     With unit external valuation and borrower-only interbank factors, banks
@@ -275,8 +259,8 @@ def solve_dag(net: FinancialNetwork, spec: ValuationSpec,
     each sweep finalizes the next depth layer, so the iteration reaches a
     bitwise fixed point within ``depth + 1`` sweeps and the unique solution
     is returned with zero residual.  This is the generic iteration with a
-    budget of ``depth + 1`` sweeps and an exact stop; ``config`` only sets
-    the tolerance recorded in the report.
+    budget of ``depth + 1`` sweeps and an exact stop, which the report
+    records as ``epsilon=0.0``.
     """
     info = topology(net)
     if not info.is_dag:
@@ -286,13 +270,12 @@ def solve_dag(net: FinancialNetwork, spec: ValuationSpec,
     if spec.depends_on_lender:
         raise ValueError(
             "solve_dag requires borrower-only interbank valuation functions")
-    config = config or SolveConfig()
     bound = spec.bind(net)
     (report,) = _solve(bound, bound.book_equity[np.newaxis], 0.0, info.dag_depth + 1,
                        "greatest")
     if not report.converged:
         raise RuntimeError("acyclic iteration failed to settle within depth+1 sweeps")
-    return replace(report, epsilon=config.resolve_epsilon(net))
+    return report
 
 
 def en_clearing_payments(net: FinancialNetwork, equities: np.ndarray) -> np.ndarray:

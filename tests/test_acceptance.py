@@ -81,7 +81,7 @@ def test_criterion_03_dag_termination_bound():
     for _ in range(100):
         net = random_dag_network(rng, max_banks=10)
         depth = topology(net).dag_depth
-        fast = solve_dag(net, EN, config)
+        fast = solve_dag(net, EN)
         generic = greatest_solution(net, EN, config)
         gap = float(np.max(np.abs(fast.solution - generic.solution)))
         if not (fast.residual == 0.0 and fast.iterations <= depth + 1

@@ -391,6 +391,20 @@ def test_monte_carlo_validation(ring):
         monte_carlo_global_valuation(ring, -1.0, 1.0, 1.0, 10)
 
 
+@pytest.mark.parametrize("samples, seed, name", [
+    (10, True, "seed"), (10, -1, "seed"), (10, 2.5, "seed"), (10, 2.0, "seed"),
+    (3.0, 0, "samples"), (True, 0, "samples"), (np.float64(3.0), 0, "samples"),
+], ids=["bool-seed", "negative-seed", "fractional-seed", "float-seed", "float-samples",
+        "bool-samples", "numpy-float-samples"])
+def test_monte_carlo_rejects_argument_types_before_drawing(ring, monkeypatch,
+                                                          samples, seed, name):
+    def no_draws(*args):
+        raise AssertionError("drew samples")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(SpecError, match=name):
+        monte_carlo_global_valuation(ring, 1.0, 1.0, 1.0, samples, seed)
+
+
 def test_monte_carlo_global_vs_local_differ(open_chain):
     # before maturity, averaging solved equities (global) and solving with
     # averaged factors (local) need not agree; the gap is reported, and on

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import neva
-from neva import (FileFormatError, ValuationSpec, dump_network,
+from neva import (FileFormatError, SolveConfig, ValuationSpec, dump_network,
                   load_network, load_scenario, serialize_results, topology)
 from neva.cli import run_command
 from neva.files import network_to_dict
@@ -241,7 +241,11 @@ def test_load_scenario_solve(tmp_path):
     scenario = load_scenario(write_json(tmp_path / "s.json", EN_SOLVE_SCENARIO))
     assert scenario.kind == "solve"
     assert scenario.valuation.interbank_kind == "eisenberg_noe"
-    assert scenario.solver.start == "face_values"
+    assert scenario.params == {"start": "face_values"}
+    least = load_scenario(write_json(tmp_path / "least.json", {
+        **EN_SOLVE_SCENARIO, "solver": {"epsilon": 1e-12, "start": "lower_bounds"}}))
+    assert least.params == {"start": "lower_bounds"}
+    assert least.solver == SolveConfig(epsilon=1e-12)
 
 
 def test_load_scenario_full_blocks(tmp_path):
@@ -250,7 +254,7 @@ def test_load_scenario_full_blocks(tmp_path):
             "external": {"kind": "rogers_veraart", "alpha": 0.5},
             "interbank": {"kind": "rogers_veraart", "beta": 0.5},
         },
-        "solver": {"epsilon": 1e-12, "max_iterations": 500, "start": "lower_bounds"},
+        "solver": {"epsilon": 1e-12, "max_iterations": 500},
         "scenario": {"kind": "stress", "alpha_grid": [0.0, 0.5, 1.0]},
     }
     scenario = load_scenario(write_json(tmp_path / "s.json", payload))
@@ -473,6 +477,55 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
     ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
                 "scenario": {"kind": "stress", "alpha_grid": [0.0, 10**400]}},
      "scenario.alpha_grid[1]"),
+    # fields no reader reads (misspelt or misplaced) are rejected, not ignored
+    ("mc-global", {"scenario": {**MC_SCENARIO, "betta": 0.2}}, "scenario.betta"),
+    ("mc-global", {"scenario": {**MC_SCENARIO, "sed": 7}}, "scenario.sed"),
+    ("mc-global", {"scenario": MC_SCENARIO, "solver": {"max_iter": 1}}, "solver.max_iter"),
+    ("mc-global", {"scenario": MC_SCENARIO, "valuation": EN_SOLVE_SCENARIO["valuation"]},
+     ".valuation"),
+    ("solve", {**EN_SOLVE_SCENARIO, "solvr": {"epsilon": 1e-12}}, ".solvr"),
+    ("solve", {"valuation": {"interbank": {"kind": "eisenberg_noe"},
+                             "extrenal": {"kind": "rogers_veraart", "alpha": 0.1}},
+               "scenario": {"kind": "solve"}}, "valuation.extrenal"),
+    ("solve", {"valuation": {"interbank": {"kind": "eisenberg_noe", "recovry": 0.1}},
+               "scenario": {"kind": "solve"}}, "valuation.interbank.recovry"),
+    ("solve", {**EN_SOLVE_SCENARIO, "solver": {"start": "middle"}}, "solver.start"),
+    ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                "scenario": {"kind": "stress", "alpha_grid": [0.0], "alpha": 0.1}},
+     "scenario.alpha"),
+    ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                "scenario": {"kind": "stress", "alpha_grid": {
+                    "min": 0.0, "max": 0.5, "points": 3, "step": 0.25}}},
+     "scenario.alpha_grid.step"),
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "furfine", "recovery": 1.0, "obligations": 2.0}]}},
+     "families[0].obligations"),
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "eisenberg_noe", "obligations": 2.0, "lender_equity": 1.0}]}},
+     "families[0].lender_equity"),
+    # non-finite curve numbers
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [
+        float("-inf"), -1.0, 0.0, float("nan")],
+        "families": [{"family": "eisenberg_noe", "obligations": 0}]}},
+     "scenario.equity_grid[0]"),
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0, float("nan")],
+                            "families": [{"family": "eisenberg_noe", "obligations": 1}]}},
+     "scenario.equity_grid[1]"),
+    ("curve", {"scenario": {"kind": "curve",
+                            "equity_grid": {"min": float("-inf"), "max": 1.0, "points": 3},
+                            "families": [{"family": "eisenberg_noe", "obligations": 1}]}},
+     "scenario.equity_grid.min"),
+    ("curve", {"scenario": {"kind": "curve",
+                            "equity_grid": {"min": -1e308, "max": 1e308, "points": 3},
+                            "families": [{"family": "eisenberg_noe", "obligations": 1}]}},
+     "scenario.equity_grid"),
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "eisenberg_noe", "obligations": float("inf")}]}},
+     "families[0].obligations"),
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "rogers_veraart", "obligations": 1.0, "beta": 0.5,
+         "lender_equity": float("nan")}]}},
+     "families[0].lender_equity"),
 ])
 def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     network = write_json(tmp_path / "net.json", RING_FILE)
@@ -527,7 +580,8 @@ def test_cli_rejects_an_infinite_epsilon_flag(tmp_path, capsys):
     ("mc-global", MC_SCENARIO),
 ])
 def test_cli_rejects_a_start_its_solves_ignore(tmp_path, capsys, command, scenario):
-    # these commands solve from the face values only
+    # these commands solve from the face values only, so the loader rejects
+    # the key before anything is solved
     network = write_json(tmp_path / "net.json", RING_FILE)
     document = {"scenario": scenario, "solver": {"start": "lower_bounds"}}
     if command == "stress":
@@ -535,7 +589,7 @@ def test_cli_rejects_a_start_its_solves_ignore(tmp_path, capsys, command, scenar
     out = tmp_path / "out.csv"
     assert run_command([command, "--network", network, "--output", str(out),
                         "--scenario", write_json(tmp_path / "scn.json", document)]) == 2
-    assert "start must be 'face_values'" in capsys.readouterr().err
+    assert "solver.start: does not apply to" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,11 +3,14 @@ obligations and banks whose external liabilities exceed their external
 assets: the pro-rata clearing map against its payment-space form, the
 solution lattice (a solve from any start lies between the least and the
 greatest solution), losses that grow with the shock, and the network file
-round trip, on files that repeat edges and leave banks without edges."""
+round trip, on files that repeat edges and leave banks without edges; and
+result files that give back every bank id and value bit for bit."""
+import csv
+import io
 import json
 import os
 import tempfile
-from dataclasses import replace
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,10 +18,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from neva import (FinancialNetwork, SolveConfig, ValuationSpec, default_epsilon,
-                  dump_network, en_clearing_payments, greatest_solution,
-                  least_solution, load_network, monte_carlo_global_valuation, solve,
-                  stress_test)
+from neva import (FinancialNetwork, SolveConfig, SolveReport, StressResult,
+                  ValuationSpec, default_epsilon, dump_network, en_clearing_payments,
+                  greatest_solution, least_solution, load_network,
+                  monte_carlo_global_valuation, serialize_results, solve, stress_test)
 from neva.valuation import en_interbank
 
 from conftest import en_clearing_oracle
@@ -107,8 +110,8 @@ def test_a_solve_from_any_start_lies_between_the_brackets(net, spec, seed):
     start = lower + np.random.default_rng(seed).random(net.n) * (upper - lower)
     config = SolveConfig(epsilon=default_epsilon(net), max_iterations=10_000)
     greatest = greatest_solution(net, spec, config)
-    least = least_solution(net, spec, replace(config, start="lower_bounds"))
-    custom = solve(net, spec, replace(config, start=start))
+    least = least_solution(net, spec, config)
+    custom = solve(net, spec, config, start)
     assert greatest.converged and least.converged
     assert np.all(least.solution <= custom.solution + config.epsilon)
     assert np.all(custom.solution <= greatest.solution + config.epsilon)
@@ -181,3 +184,59 @@ def test_network_file_round_trip(drawn):
         assert np.array_equal(loaded.external_liabilities,
                               [b["external_liabilities"] for b in document["banks"]])
     assert np.array_equal(again.interbank_liabilities, expected)
+
+
+# ids that CSV must quote (quotes, commas, line breaks) or that are not ASCII
+BANK_IDS = st.lists(st.text('Ab "\',;\n\r\u00e9\u00df\u4e2d\u20ac', max_size=5),
+                    min_size=1, max_size=4, unique=True)
+EDGE_FLOATS = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+ASSETS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308]), st.floats(0.0, 1e308))
+
+
+def _bits(value):
+    """A float's exact value, sign of zero included; None stays None."""
+    return None if value is None else float(value).hex()
+
+
+def _csv_rows(text) -> list:
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _json_rows(text) -> list:
+    return json.loads(text)["rows"]
+
+
+@given(BANK_IDS, st.data())
+def test_result_files_round_trip_exactly(ids, data):
+    n = len(ids)
+    net = FinancialNetwork(ids, data.draw(st.lists(ASSETS, min_size=n, max_size=n)),
+                           np.zeros(n), np.zeros((n, n)))
+    solution = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)))
+
+    def report(converged):
+        return SolveReport(solution, 3, converged, 1.0, None, "custom", 1e-10)
+
+    # an unconverged point has no network effect: an empty cell, null in JSON
+    points = data.draw(st.lists(st.tuples(
+        FLOATS, st.lists(FLOATS, min_size=n, max_size=n), st.none() | FLOATS),
+        min_size=1, max_size=3))
+    stress = [StressResult(alpha, np.full(n, alpha), report(effect is not None),
+                           np.array(delta), effect, None)
+              for alpha, delta, effect in points]
+    solved = Counter((bank, _bits(book), _bits(equity)) for bank, book, equity
+                     in zip(ids, net.book_equity(), solution))
+    stressed = Counter((_bits(alpha), bank, _bits(loss), _bits(effect))
+                       for alpha, delta, effect in points
+                       for bank, loss in zip(ids, delta))
+    for fmt, parse, empty in (("csv", _csv_rows, ""), ("json", _json_rows, None)):
+        rows = parse(serialize_results(report(False), fmt, net))
+        assert Counter((row["bank_id"], _bits(row["book_equity"]), _bits(row["equity"]))
+                       for row in rows) == solved
+        rows = parse(serialize_results(stress, fmt, net))
+        assert Counter((_bits(row["alpha"]), row["bank_id"], _bits(row["delta_equity"]),
+                        _bits(None if row["network_effect"] == empty
+                              else row["network_effect"]))
+                       for row in rows) == stressed

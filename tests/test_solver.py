@@ -73,22 +73,26 @@ def test_least_solution_closed_chain(closed_chain):
     assert np.allclose(report.solution, [0.6, 1.1, 1.3])
 
 
-def test_start_enforcement(open_chain):
-    with pytest.raises(ValueError):
-        greatest_solution(open_chain, EN, SolveConfig(start="lower_bounds"))
-    with pytest.raises(ValueError):
-        least_solution(open_chain, EN, SolveConfig(start="face_values"))
+def test_brackets_take_a_config_that_sets_only_the_tolerance(closed_chain):
+    config = SolveConfig(epsilon=1e-12)
+    least = least_solution(closed_chain, EN, config)
+    assert least.kind == "least" and least.converged and least.epsilon == 1e-12
+    assert np.allclose(least.solution, [0.6, 1.1, 1.3])
+    check = uniqueness_check(closed_chain, EN, config)
+    assert check.least.kind == "least" and check.greatest.kind == "greatest"
+    np.testing.assert_array_equal(check.least.solution, least.solution)
+    assert check.greatest.epsilon == 1e-12 and check.unique is True
 
 
-def test_solve_config_validation():
+def test_solve_config_validation(ring):
     with pytest.raises(ValueError):
         SolveConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SolveConfig(epsilon=np.inf)
     with pytest.raises(ValueError):
         SolveConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolveConfig(start="somewhere")
+    with pytest.raises(ValueError, match="unknown start"):
+        solve(ring, EN, start="somewhere")
     # types are checked at construction, not coerced or left to fail later
     for epsilon in (True, np.True_, "1e-9", 1j, [1e-9]):
         with pytest.raises(ValueError, match="epsilon"):
@@ -125,7 +129,7 @@ def test_iterate_never_builds_a_map_for_zero_rows():
 
 
 def test_non_convergence_is_reported_not_raised(closed_chain):
-    config = SolveConfig(start="lower_bounds", max_iterations=1)
+    config = SolveConfig(max_iterations=1)
     report = least_solution(closed_chain, EN, config)
     assert not report.converged
     assert report.iterations == 1
@@ -196,7 +200,7 @@ def test_solve_dag_preconditions(open_chain, closed_chain):
 
 def test_custom_start_is_clamped_and_bracketed(closed_chain):
     start = np.array([100.0, -100.0, 0.0])  # far outside the lattice
-    report = solve(closed_chain, EN, SolveConfig(start=start))
+    report = solve(closed_chain, EN, start=start)
     assert report.kind == "custom" and report.converged
     assert report.monotone is None
     greatest = greatest_solution(closed_chain, EN)
@@ -289,7 +293,7 @@ def test_en_clearing_correspondence_negative_cashflow():
 
 def test_custom_start_shape_validation(ring):
     with pytest.raises(ValueError):
-        solve(ring, EN, SolveConfig(start=np.zeros(5)))
+        solve(ring, EN, start=np.zeros(5))
 
 
 def test_equity_boundary_evaluations_are_quiet(ring):
