@@ -178,11 +178,17 @@ def merton_vs_network_discount(net: FinancialNetwork, spec: ValuationSpec,
             for k, report in enumerate(reports)]
 
 
-def _run_limit(net: FinancialNetwork, parameter_name: str, parameters,
-               specs, reference_spec: ValuationSpec,
+def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parameters,
+               spec, reference_spec: ValuationSpec,
                config: Optional[SolveConfig], notes: tuple = ()) -> LimitSeries:
-    """Greatest solutions of ``specs`` against the greatest solution of
-    ``reference_spec``."""
+    """Greatest solutions of ``spec(p)`` for each ``p`` of the non-empty,
+    strictly decreasing ``parameters`` against the greatest solution of
+    ``reference_spec``; ``sequence`` names the parameters in errors."""
+    if not parameters:
+        raise SpecError(f"{sequence} sequence must not be empty")
+    if any(b >= a for a, b in zip(parameters, parameters[1:])):
+        raise SpecError(f"{sequence} sequence must be strictly decreasing")
+    specs = [spec(p) for p in parameters]
     reference = greatest_solution(net, reference_spec, config)
     if not reference.converged:
         notes = notes + ("reference solve did not converge",)
@@ -212,13 +218,11 @@ def maturity_limit_experiment(net: FinancialNetwork, sigma,
     defaulted borrowers pay, the eisenberg_noe_haircut family (eisenberg_noe
     when ``beta`` is 1)."""
     taus = [float(t) for t in taus]
-    if not taus or any(t <= 0 for t in taus):
+    if any(t <= 0 for t in taus):
         raise SpecError("tau sequence must be positive")
-    if any(b >= a for a, b in zip(taus, taus[1:])):
-        raise SpecError("tau sequence must be strictly decreasing")
-    specs = [ValuationSpec.exante_en_gbm(sigma, tau, beta) for tau in taus]
-    return _run_limit(net, "maturity", taus, specs,
-                      ValuationSpec.eisenberg_noe_haircut(specs[0].beta), config)
+    return _run_limit(net, "tau", "maturity", taus,
+                      lambda tau: ValuationSpec.exante_en_gbm(sigma, tau, beta),
+                      ValuationSpec.eisenberg_noe_haircut(beta), config)
 
 
 def debtrank_limit_experiment(net: FinancialNetwork, betas: Sequence[float],
@@ -227,18 +231,15 @@ def debtrank_limit_experiment(net: FinancialNetwork, betas: Sequence[float],
     sequence of exogenous recovery fractions, referenced against the linear
     distress-propagation solution (their common limit at zero recovery)."""
     betas = [float(b) for b in betas]
-    if not betas or any(b < 0 or b > 1 for b in betas):
+    if any(b < 0 or b > 1 for b in betas):
         raise SpecError("beta sequence must lie in [0, 1]")
-    if any(b >= a for a, b in zip(betas, betas[1:])):
-        raise SpecError("beta sequence must be strictly decreasing")
     notes = ()
     degenerate = [net.bank_ids[j] for j in np.nonzero(net.book_equity() <= 0)[0]]
     if degenerate:
         notes = (f"banks with non-positive book equity valued at zero: "
                  f"{', '.join(degenerate)}",)
-    specs = [ValuationSpec.exante_en_uniform(beta) for beta in betas]
-    return _run_limit(net, "beta", betas, specs, ValuationSpec.linear_debtrank(),
-                      config, notes)
+    return _run_limit(net, "beta", "beta", betas, ValuationSpec.exante_en_uniform,
+                      ValuationSpec.linear_debtrank(), config, notes)
 
 
 def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,

@@ -15,8 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import analysis, files
-from .solver import SolveConfig, solve
+from . import files
 
 log = logging.getLogger("neva")
 
@@ -43,35 +42,37 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+# Flags that override a scenario value, dest -> (flag, type, help): a command has
+# the solver flags if its kind solves, a field's flag if its kind reads the field.
+SOLVER_FLAGS = {"epsilon": ("--epsilon", float, "override solver tolerance"),
+                "max_iterations": ("--max-iter", int, "override solver iteration cap")}
+FIELD_FLAGS = {"seed": ("--seed", _seed, "override the Monte Carlo seed (default 0)")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neva",
         description="Self-consistent network valuation of interbank claims.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, kind in COMMANDS.items():
-        cmd = sub.add_parser(command, help=f"run a {kind.replace('_', ' ')} scenario")
+    for command, name in COMMANDS.items():
+        kind = files.SCENARIO_KINDS[name]
+        cmd = sub.add_parser(command, help=f"run a {name.replace('_', ' ')} scenario")
         cmd.add_argument("--scenario", required=True, help="scenario JSON file")
-        cmd.add_argument("--network", required=(command != "curve"),
-                         help="network JSON file")
+        cmd.add_argument("--network", required=kind.solves, help="network JSON file")
         cmd.add_argument("--output", default=None,
                          help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        cmd.add_argument("--epsilon", type=float, default=None,
-                         help="override solver tolerance")
-        cmd.add_argument("--max-iter", type=int, default=None,
-                         help="override solver iteration cap")
-        cmd.add_argument("--seed", type=_seed, default=None,
-                         help="override the Monte Carlo seed (default 0)")
+        flags = {**(SOLVER_FLAGS if kind.solves else {}),
+                 **{dest: FIELD_FLAGS[dest] for dest in kind.fields if dest in FIELD_FLAGS}}
+        for dest, (flag, parse, text) in flags.items():
+            cmd.add_argument(flag, dest=dest, type=parse, help=text,
+                             metavar=flag[2:].upper().replace("-", "_"))
     return parser
 
 
-def _solver_config(scenario: files.Scenario, args) -> SolveConfig:
-    config = scenario.solver
-    if args.epsilon is not None:
-        config = replace(config, epsilon=args.epsilon)
-    if args.max_iter is not None:
-        config = replace(config, max_iterations=args.max_iter)
-    return config
+def _given(args, flags) -> dict:
+    return {dest: value for dest in flags
+            if (value := getattr(args, dest, None)) is not None}
 
 
 def run_command(argv=None) -> int:
@@ -84,43 +85,18 @@ def run_command(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         scenario = files.load_scenario(args.scenario)
-        expected = COMMANDS[args.command]
-        if scenario.kind != expected:
+        if scenario.kind != COMMANDS[args.command]:
             raise files.FileFormatError(
                 f"{args.scenario}: scenario kind {scenario.kind!r} does not "
                 f"match subcommand {args.command!r}")
         net = files.load_network(args.network) if args.network else None
-        config = _solver_config(scenario, args)
-        params = scenario.params
-        status = 0
-        if scenario.kind == "solve":
-            result = solve(net, scenario.valuation, config, params["start"])
-            status = 0 if result.converged else 1
-        elif scenario.kind == "stress":
-            result = analysis.stress_test(net, scenario.valuation,
-                                          params["alpha_grid"], config)
-            status = 0 if all(p.report.converged for p in result) else 1
-        elif scenario.kind == "limit_maturity":
-            result = analysis.maturity_limit_experiment(
-                net, params["sigma"], params["tau_sequence"], params["beta"],
-                config)
-            status = 1 if result.partial else 0
-        elif scenario.kind == "limit_beta":
-            result = analysis.debtrank_limit_experiment(
-                net, params["beta_sequence"], config)
-            status = 1 if result.partial else 0
-        elif scenario.kind == "curve":
-            result = files.evaluate_curves(params["families"],
-                                           params["equity_grid"])
-        else:  # mc_global
-            seed = args.seed if args.seed is not None else params["seed"]
-            result = analysis.monte_carlo_global_valuation(
-                net, params["sigma"], params["tau"], params["beta"],
-                params["samples"], seed, config)
-            status = 0 if result.valid else 1
+        kind = files.SCENARIO_KINDS[scenario.kind]
+        config = scenario.solver and replace(scenario.solver, **_given(args, SOLVER_FLAGS))
+        result = kind.run(net, scenario.valuation, config,
+                          **{**scenario.params, **_given(args, FIELD_FLAGS)})
         text = files.serialize_results(result, args.format, net)
         files.write_output(text, args.output)
-        return status
+        return 0 if kind.complete(result) else 1
     except (ValueError, OSError, MemoryError) as exc:
         # input errors (FileFormatError, NetworkError, SpecError), too large ones
         log.error("%s", exc)

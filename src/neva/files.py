@@ -15,13 +15,14 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import analysis, solver
 from .analysis import (DiscountComparison, LimitSeries, MonteCarloResult,
                        StressResult)
 from .network import FinancialNetwork, _invalid, _invalid_edges
@@ -43,16 +44,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("neva")
-
-# Scenario kinds and the fields their ``scenario`` block reads besides ``kind``.
-SCENARIO_KINDS = {
-    "solve": (),
-    "stress": ("alpha_grid",),
-    "limit_maturity": ("tau_sequence", "sigma", "beta"),
-    "limit_beta": ("beta_sequence",),
-    "curve": ("equity_grid", "families"),
-    "mc_global": ("tau", "samples", "seed", "sigma", "beta"),
-}
 
 # More grid points than any experiment needs; np.linspace allocates them all.
 MAX_GRID_POINTS = 100_000
@@ -117,11 +108,14 @@ def _finite(value, where) -> float:
 
 
 def _whole(value, where) -> int:
-    """``value`` as an int; like ``_number``, and a fractional part is an error."""
+    """``value`` as an int; like ``_number``, and a fractional part or a
+    negative count is an error."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise FileFormatError(f"{where}: expected a whole number, got {value!r}")
+    if value < 0:
+        raise FileFormatError(f"{where}: must not be negative")
     return value
 
 
@@ -295,40 +289,38 @@ def _start(value, where) -> str:
     return value
 
 
-def _parse_solver(block, context, kind) -> SolveConfig:
-    """Solver controls; the start, which only ``solve`` reads, is left out."""
+def _parse_solver(block, context, reader, keys) -> SolveConfig:
+    """Solver controls; ``keys`` are the other fields the block may hold."""
     if block is None:
         return SolveConfig()
     if not isinstance(block, dict):
         raise FileFormatError(f"{context}: expected an object")
-    _known(block, ("epsilon", "max_iterations") + (("start",) if kind == "solve" else ()),
-           context, f"a {kind} scenario")
-    fields = {}
-    for key, read in (("epsilon", _number), ("max_iterations", _whole)):
-        if key in block:
-            fields[key] = _field(block, key, context, read)
+    _known(block, ("epsilon", "max_iterations") + keys, context, reader)
+    fields = {key: _field(block, key, context, read) for key, read in
+              (("epsilon", _number), ("max_iterations", _whole)) if key in block}
     try:
         return SolveConfig(**fields)
     except ValueError as exc:
         raise FileFormatError(f"{context}: {exc}") from exc
 
 
-def _parse_grid(block, key, context, read=_number) -> list:
-    """Grid ``key``: a non-empty list or min/max/points object, read by ``read``."""
-    where = f"{context}.{key}"
-    value = _require(block, key, context)
-    if isinstance(value, dict):
-        _known(value, ("min", "max", "points"), where, "a min/max/points grid")
-        lo = _field(value, "min", where, read)
-        hi = _field(value, "max", where, read)
-        points = _field(value, "points", where, _whole)
-        if not 2 <= points <= MAX_GRID_POINTS or not 0 < hi - lo < np.inf:
-            raise FileFormatError(f"{where}: need 2-{MAX_GRID_POINTS} points, "
-                                  "max > min and max - min finite")
-        value = list(np.linspace(lo, hi, points))
-    elif not isinstance(value, list) or not value:
-        raise FileFormatError(f"{where}: expected a non-empty list or min/max/points")
-    return [read(v, f"{where}[{k}]") for k, v in enumerate(value)]
+def _grid(read, descending=False):
+    """A ``_field`` reader of a grid: a non-empty list or a min/max/points
+    object (from max down to min when ``descending``), entries read by ``read``."""
+    def grid(value, where) -> list:
+        if isinstance(value, dict):
+            _known(value, ("min", "max", "points"), where, "a min/max/points grid")
+            lo = _field(value, "min", where, read)
+            hi = _field(value, "max", where, read)
+            points = _field(value, "points", where, _whole)
+            if not 2 <= points <= MAX_GRID_POINTS or not 0 < hi - lo < np.inf:
+                raise FileFormatError(f"{where}: need 2-{MAX_GRID_POINTS} points, "
+                                      "max > min and max - min finite")
+            value = list(np.linspace(*((hi, lo) if descending else (lo, hi)), points))
+        elif not isinstance(value, list) or not value:
+            raise FileFormatError(f"{where}: expected a non-empty list or min/max/points")
+        return [read(v, f"{where}[{k}]") for k, v in enumerate(value)]
+    return grid
 
 
 def _parse_curve(entry, context) -> dict:
@@ -349,14 +341,70 @@ def _parse_curve(entry, context) -> dict:
     return curve
 
 
+def _curves(value, where) -> list:
+    if not isinstance(value, list):
+        raise FileFormatError(f"{where}: expected a list, got {_JSON_NAMES[type(value)]}")
+    return [_parse_curve(entry, f"{where}[{k}]") for k, entry in enumerate(value)]
+
+
+@dataclass(frozen=True)
+class ScenarioKind:
+    """One scenario kind.  ``fields`` and ``solver_fields`` map the fields the
+    ``scenario`` and ``solver`` blocks read to ``(reader, default)`` (None:
+    required).  ``run(net, valuation, config, **fields)`` looks its function up
+    when called, so tracing wrappers see the call; exit 1 unless ``complete``."""
+
+    fields: dict
+    run: Callable
+    complete: Callable
+    valuation: bool = False  # reads a valuation block
+    solves: bool = True  # solves on a network: needs one, reads solver controls
+    solver_fields: dict = field(default_factory=dict)
+
+
+SCENARIO_KINDS = {
+    "solve": ScenarioKind(
+        {}, lambda net, spec, config, start: solver.solve(net, spec, config, start),
+        lambda report: report.converged, valuation=True,
+        solver_fields={"start": (_start, FACE_VALUES)}),
+    "stress": ScenarioKind(
+        {"alpha_grid": (_grid(_checked("alpha")), None)},
+        lambda net, spec, config, alpha_grid: analysis.stress_test(
+            net, spec, alpha_grid, config),
+        lambda points: all(point.report.converged for point in points), valuation=True),
+    "limit_maturity": ScenarioKind(
+        {"tau_sequence": (_grid(_checked("maturity"), descending=True), None),
+         "sigma": (_checked("sigma"), None), "beta": (_checked("beta"), 1.0)},
+        lambda net, spec, config, tau_sequence, sigma, beta:
+            analysis.maturity_limit_experiment(net, sigma, tau_sequence, beta, config),
+        lambda series: not series.partial),
+    "limit_beta": ScenarioKind(
+        {"beta_sequence": (_grid(_checked("beta"), descending=True), None)},
+        lambda net, spec, config, beta_sequence: analysis.debtrank_limit_experiment(
+            net, beta_sequence, config),
+        lambda series: not series.partial),
+    "curve": ScenarioKind(
+        {"equity_grid": (_grid(_finite), None), "families": (_curves, None)},
+        lambda net, spec, config, equity_grid, families: evaluate_curves(
+            families, equity_grid),
+        lambda table: True, solves=False),
+    "mc_global": ScenarioKind(
+        {"tau": (_checked("maturity"), None), "samples": (_whole, None), "seed": (_whole, 0),
+         "sigma": (_checked("sigma"), None), "beta": (_checked("beta"), 1.0)},
+        lambda net, spec, config, **fields: analysis.monte_carlo_global_valuation(
+            net, config=config, **fields),
+        lambda result: result.valid),
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario file: a valuation spec (when the scenario uses one),
-    solver controls, the scenario kind and its kind-specific parameters."""
+    """Parsed scenario file: a valuation spec and solver controls (when the
+    kind reads them), the scenario kind and the fields its row reads."""
 
     kind: str
     valuation: Optional[ValuationSpec]
-    solver: SolveConfig
+    solver: Optional[SolveConfig]
     params: dict
 
 
@@ -364,46 +412,25 @@ def load_scenario(path) -> Scenario:
     data = _load_json(path)
     context = f"{path}: scenario"
     block = _require(data, "scenario", str(path), dict)
-    kind = _require(block, "kind", context, str)
-    if kind not in SCENARIO_KINDS:
-        raise FileFormatError(f"{path}: unknown scenario kind {kind!r}")
-    blocks = ("scenario", "solver", "valuation") if kind in ("solve", "stress") else (
-        "scenario", "solver")
-    _known(data, blocks, str(path), f"a {kind} scenario")
-    _known(block, ("kind",) + SCENARIO_KINDS[kind], context, f"a {kind} scenario")
-    solver = _parse_solver(data.get("solver"), f"{path}: solver", kind)
-    valuation = None
-    if kind in ("solve", "stress"):
-        if "valuation" not in data:
-            raise FileFormatError(f"{path}: scenario kind {kind!r} needs a valuation block")
-        valuation = _parse_valuation(data["valuation"], f"{path}: valuation")
-    params: dict = {}
-    if kind == "solve":
-        params["start"] = _field(data.get("solver") or {}, "start", f"{path}: solver",
-                                 _start, default=FACE_VALUES)
-    elif kind == "stress":
-        params["alpha_grid"] = _parse_grid(block, "alpha_grid", context, _checked("alpha"))
-    elif kind == "limit_maturity":
-        params["tau_sequence"] = _parse_grid(block, "tau_sequence", context,
-                                             _checked("maturity"))
-    elif kind == "limit_beta":
-        params["beta_sequence"] = _parse_grid(block, "beta_sequence", context,
-                                              _checked("beta"))
-    elif kind == "curve":
-        params["equity_grid"] = _parse_grid(block, "equity_grid", context, _finite)
-        families = _require(block, "families", context, list)
-        params["families"] = [_parse_curve(entry, f"{context}.families[{k}]")
-                              for k, entry in enumerate(families)]
-    elif kind == "mc_global":
-        params["tau"] = _field(block, "tau", context, _checked("maturity"))
-        params["samples"] = _field(block, "samples", context, _whole)
-        params["seed"] = _field(block, "seed", context, _whole, default=0)
-        if params["seed"] < 0:
-            raise FileFormatError(f"{context}.seed: must not be negative")
-    if kind in ("limit_maturity", "mc_global"):
-        params["sigma"] = _field(block, "sigma", context, _checked("sigma"))
-        params["beta"] = _field(block, "beta", context, _checked("beta"), default=1.0)
-    return Scenario(kind=kind, valuation=valuation, solver=solver, params=params)
+    name = _require(block, "kind", context, str)
+    if name not in SCENARIO_KINDS:
+        raise FileFormatError(f"{path}: unknown scenario kind {name!r}")
+    kind, reader = SCENARIO_KINDS[name], f"a {name} scenario"
+    _known(data, ("scenario",) + ("solver",) * kind.solves + ("valuation",) * kind.valuation,
+           str(path), reader)
+    _known(block, ("kind", *kind.fields), context, reader)
+    config = _parse_solver(data.get("solver"), f"{path}: solver", reader,
+                           tuple(kind.solver_fields)) if kind.solves else None
+    if kind.valuation and "valuation" not in data:
+        raise FileFormatError(f"{path}: scenario kind {name!r} needs a valuation block")
+    valuation = (_parse_valuation(data["valuation"], f"{path}: valuation")
+                 if kind.valuation else None)
+    params = {key: _field(source, key, where, read, default)
+              for source, where, fields in (
+                  (block, context, kind.fields),
+                  (data.get("solver") or {}, f"{path}: solver", kind.solver_fields))
+              for key, (read, default) in fields.items()}
+    return Scenario(kind=name, valuation=valuation, solver=config, params=params)
 
 
 @dataclass(frozen=True)
@@ -516,7 +543,7 @@ def _stress_table(net: FinancialNetwork, results) -> tuple:
     ), {"converged": all(res.report.converged for res in results)}
 
 
-def _curve_table(table: CurveTable) -> tuple:
+def _curve_table(net: FinancialNetwork, table: CurveTable) -> tuple:
     families, equities, values = zip(*table.rows) if table.rows else ((), (), ())
     return "curve", ("family", "equity", "value"), (
         _labels(families), _floats(equities), _floats(values)), {}
@@ -557,6 +584,12 @@ def _discount_table(net: FinancialNetwork, results) -> tuple:
     ), {"converged": all(res.converged for res in results)}
 
 
+# Result type -> its table; (type,) for a list of that type.
+_TABLES = {SolveReport: _solve_table, (StressResult,): _stress_table,
+           CurveTable: _curve_table, LimitSeries: _limit_table,
+           MonteCarloResult: _mc_table, (DiscountComparison,): _discount_table}
+
+
 def serialize_results(result, fmt: str = "csv",
                       net: Optional[FinancialNetwork] = None) -> str:
     """Render a result object as CSV or JSON text.
@@ -567,21 +600,10 @@ def serialize_results(result, fmt: str = "csv",
     """
     if fmt not in ("csv", "json"):
         raise FileFormatError(f"unknown output format {fmt!r}")
-    if isinstance(result, SolveReport):
-        table = _solve_table(net, result)
-    elif isinstance(result, CurveTable):
-        table = _curve_table(result)
-    elif isinstance(result, LimitSeries):
-        table = _limit_table(net, result)
-    elif isinstance(result, MonteCarloResult):
-        table = _mc_table(net, result)
-    elif isinstance(result, (list, tuple)) and result and isinstance(result[0], StressResult):
-        table = _stress_table(net, result)
-    elif isinstance(result, (list, tuple)) and result and isinstance(result[0], DiscountComparison):
-        table = _discount_table(net, result)
-    else:
+    key = (type(result[0]),) if isinstance(result, (list, tuple)) and result else type(result)
+    if key not in _TABLES:
         raise FileFormatError(f"cannot serialize {type(result).__name__}")
-    kind, header, columns, extra = table
+    kind, header, columns, extra = _TABLES[key](net, result)
     cells = [_cells(values, index, fmt == "csv") for values, index in columns]
     if fmt == "csv":
         return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"

@@ -437,3 +437,19 @@ def test_stress_with_lender_dependent_family(ring):
         assert result.report.converged
         assert 0.0 <= result.network_effect <= 1.0
         assert result.edge_discounts.shape == (3, 3)
+
+
+def test_limit_sequences_are_checked_in_one_place(ring):
+    # both experiments share the non-empty and strictly-decreasing check, and
+    # each keeps its own range check
+    for sequence, run in (("tau", lambda p: maturity_limit_experiment(ring, 1.0, p)),
+                          ("beta", lambda p: debtrank_limit_experiment(ring, p))):
+        with pytest.raises(SpecError, match=f"^{sequence} sequence must not be empty$"):
+            run([])
+        with pytest.raises(SpecError,
+                           match=f"^{sequence} sequence must be strictly decreasing$"):
+            run([0.5, 0.5])
+    with pytest.raises(SpecError, match="^tau sequence must be positive$"):
+        maturity_limit_experiment(ring, 1.0, [1.0, 0.0])
+    with pytest.raises(SpecError, match=r"^beta sequence must lie in \[0, 1\]$"):
+        debtrank_limit_experiment(ring, [1.5, 0.5])

@@ -12,7 +12,7 @@ import pytest
 import neva
 from neva import (FileFormatError, SolveConfig, ValuationSpec, dump_network,
                   load_network, load_scenario, serialize_results, topology)
-from neva.cli import run_command
+from neva.cli import build_parser, run_command
 from neva.files import network_to_dict
 from neva.valuation import INTERBANK_FAMILIES
 
@@ -526,6 +526,11 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
         {"family": "rogers_veraart", "obligations": 1.0, "beta": 0.5,
          "lender_equity": float("nan")}]}},
      "families[0].lender_equity"),
+    # a curve solves nothing, so it reads no solver block
+    ("curve", {"solver": {"epsilon": 1e-3},
+               "scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+                   {"family": "furfine", "recovery": 1.0}]}},
+     ".solver"),
 ])
 def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     network = write_json(tmp_path / "net.json", RING_FILE)
@@ -561,6 +566,55 @@ def test_cli_rejects_a_seed_flag_the_scenario_would_reject(tmp_path, capsys, see
                         "--output", str(out), "--seed", seed]) == 2
     assert "--seed:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# The flags each command reads: the solver flags where its kind solves, --seed
+# where its kind reads a seed.
+COMMON_FLAGS = ["--scenario", "--network", "--output", "--format"]
+SOLVER_FLAGS = ["--epsilon", "--max-iter"]
+COMMAND_FLAGS = {
+    "solve": COMMON_FLAGS + SOLVER_FLAGS,
+    "stress": COMMON_FLAGS + SOLVER_FLAGS,
+    "limit-maturity": COMMON_FLAGS + SOLVER_FLAGS,
+    "limit-beta": COMMON_FLAGS + SOLVER_FLAGS,
+    "curve": COMMON_FLAGS,
+    "mc-global": COMMON_FLAGS + SOLVER_FLAGS + ["--seed"],
+}
+
+
+def test_each_command_has_only_the_flags_its_kind_reads():
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions if action.choices]
+    flags = {command: [option for action in sub._actions for option in action.option_strings
+                       if option not in ("-h", "--help")]
+             for command, sub in commands.choices.items()}
+    assert flags == COMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 35
+
+
+@pytest.mark.parametrize("command, scenario, flags", [
+    ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                "scenario": {"kind": "stress", "alpha_grid": [0.0]}}, ["--seed", "7"]),
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0],
+                            "families": [{"family": "furfine", "recovery": 1.0}]}},
+     ["--epsilon", "1e-3"]),
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0],
+                            "families": [{"family": "furfine", "recovery": 1.0}]}},
+     ["--max-iter", "2"]),
+    ("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0],
+                            "families": [{"family": "furfine", "recovery": 1.0}]}},
+     ["--seed", "3"]),
+], ids=["stress-seed", "curve-epsilon", "curve-max-iter", "curve-seed"])
+def test_cli_rejects_a_flag_its_command_does_not_read(tmp_path, capsys, command,
+                                                      scenario, flags):
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    out = tmp_path / "out.csv"
+    assert run_command([command, "--network", network, "--output", str(out),
+                        "--scenario", write_json(tmp_path / "scn.json", scenario),
+                        *flags]) == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob(".neva-*"))
 
 
 def test_cli_rejects_an_infinite_epsilon_flag(tmp_path, capsys):
@@ -746,6 +800,24 @@ def test_cli_limit_beta(tmp_path):
     assert payload["parameter_name"] == "beta"
     parameters = [row["parameter"] for row in payload["rows"]]
     assert parameters == sorted(parameters, reverse=True)
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("limit-maturity", {"kind": "limit_maturity", "sigma": 0.5,
+                        "tau_sequence": {"min": 0.1, "max": 0.9, "points": 3}}),
+    ("limit-beta", {"kind": "limit_beta",
+                    "beta_sequence": {"min": 0.1, "max": 0.9, "points": 3}}),
+])
+def test_cli_limit_object_grid_runs_from_max_to_min(tmp_path, command, scenario):
+    network = write_json(tmp_path / "net.json", OPEN_CHAIN_FILE)
+    out = tmp_path / "limit.csv"
+    assert run_command([command, "--network", network, "--output", str(out),
+                        "--scenario", write_json(tmp_path / "scn.json",
+                                                 {"scenario": scenario})]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    parameters = list(dict.fromkeys(float(row[0]) for row in rows))
+    assert parameters == pytest.approx([0.9, 0.5, 0.1])
+    assert parameters[0] == 0.9 and parameters[-1] == 0.1  # the grid's own ends
 
 
 def test_discount_comparison_serialization(ring):

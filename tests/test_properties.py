@@ -3,14 +3,19 @@ obligations and banks whose external liabilities exceed their external
 assets: the pro-rata clearing map against its payment-space form, the
 solution lattice (a solve from any start lies between the least and the
 greatest solution), losses that grow with the shock, and the network file
-round trip, on files that repeat edges and leave banks without edges; and
-result files that give back every bank id and value bit for bit."""
+round trip, on files that repeat edges and leave banks without edges;
+result files that give back every bank id and value bit for bit; and a CLI
+that, on any perturbed scenario file, exits with 0, 1 or 2 only and leaves
+no file behind on 2."""
+import contextlib
+import copy
 import csv
 import io
 import json
 import os
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,8 @@ from neva import (FinancialNetwork, SolveConfig, SolveReport, StressResult,
                   ValuationSpec, default_epsilon, dump_network, en_clearing_payments,
                   greatest_solution, least_solution, load_network,
                   monte_carlo_global_valuation, serialize_results, solve, stress_test)
+from neva.cli import run_command
+from neva.files import SCENARIO_KINDS
 from neva.valuation import en_interbank
 
 from conftest import en_clearing_oracle
@@ -240,3 +247,95 @@ def test_result_files_round_trip_exactly(ids, data):
                         _bits(None if row["network_effect"] == empty
                               else row["network_effect"]))
                        for row in rows) == stressed
+
+
+# A valid document per scenario kind, with every optional field and block
+# the kind reads.
+SCENARIOS = {
+    "solve": {"valuation": {"external": {"kind": "unit"},
+                            "interbank": {"kind": "eisenberg_noe"}},
+              "solver": {"epsilon": 1e-9, "max_iterations": 100, "start": "lower_bounds"},
+              "scenario": {"kind": "solve"}},
+    "stress": {"valuation": {"external": {"kind": "rogers_veraart", "alpha": 0.5},
+                             "interbank": {"kind": "rogers_veraart", "beta": 0.5}},
+               "solver": {"epsilon": 1e-9},
+               "scenario": {"kind": "stress",
+                            "alpha_grid": {"min": 0.0, "max": 0.5, "points": 3}}},
+    "limit_maturity": {"solver": {"max_iterations": 1000},
+                       "scenario": {"kind": "limit_maturity", "sigma": 0.5,
+                                    "tau_sequence": [1.0, 0.5], "beta": 0.5}},
+    "limit_beta": {"solver": {"epsilon": 1e-9},
+                   "scenario": {"kind": "limit_beta",
+                                "beta_sequence": {"min": 0.25, "max": 1.0, "points": 2}}},
+    "curve": {"scenario": {"kind": "curve", "equity_grid": [-1.0, 0.0, 1.0], "families": [
+        {"family": "rogers_veraart", "obligations": 2.0, "beta": 0.5, "lender_equity": -1.0},
+        {"family": "exante_en_gbm", "external_assets": 1.0, "obligations": 2.0,
+         "beta": 1.0, "sigma": 1.0, "maturity": 1.0}]}},
+    "mc_global": {"solver": {"epsilon": 1e-9},
+                  "scenario": {"kind": "mc_global", "sigma": 0.5, "tau": 1.0, "beta": 0.5,
+                               "samples": 10, "seed": 3}},
+}
+NETWORK = {"banks": [{"id": bank, "external_assets": assets, "external_liabilities": 0.5}
+                     for bank, assets in (("A", 1.0), ("B", 0.5), ("C", 2.0))],
+           "liabilities": [{"debtor": "A", "creditor": "B", "amount": 1.0},
+                           {"debtor": "B", "creditor": "C", "amount": 1.0}]}
+HUGE = "@1e400"  # written as the JSON number 1e400, which parses as infinity
+BAD_VALUES = [None, "x", True, -1, HUGE]
+
+
+def _sites(node, path=()) -> list:
+    """``(path of a container, key in it)`` for every value of ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    sites = []
+    for key, value in items:
+        sites.append((path, key))
+        if isinstance(value, (dict, list)):
+            sites.extend(_sites(value, path + (key,)))
+    return sites
+
+
+def _run(kind, document, tmp) -> tuple:
+    """Exit status, standard error and output path of one CLI run in ``tmp``."""
+    (tmp / "net.json").write_text(json.dumps(NETWORK), encoding="utf-8")
+    (tmp / "scn.json").write_text(json.dumps(document).replace(f'"{HUGE}"', "1e400"),
+                                  encoding="utf-8")
+    out = tmp / "out.csv"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        status = run_command([kind.replace("_", "-"), "--network", str(tmp / "net.json"),
+                              "--scenario", str(tmp / "scn.json"), "--output", str(out)])
+    return status, stderr.getvalue(), out
+
+
+def test_every_scenario_kind_has_a_valid_document(tmp_path):
+    assert set(SCENARIOS) == set(SCENARIO_KINDS)
+    for kind, document in SCENARIOS.items():
+        assert _run(kind, document, tmp_path)[0] == 0, kind
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIO_KINDS))
+@given(st.data())
+def test_cli_exits_only_with_0_1_2(kind, data):
+    document = copy.deepcopy(SCENARIOS[kind])
+    path, key = data.draw(st.sampled_from(_sites(document)))
+    container = document
+    for step in path:
+        container = container[step]
+    change = data.draw(st.sampled_from(["drop", "add"] + BAD_VALUES))
+    if change == "drop":
+        del container[key]
+    elif change == "add":
+        # into the value when it is an object, else into its own object
+        value = container[key]
+        target = value if isinstance(value, dict) else (
+            container if isinstance(container, dict) else document)
+        target["unread"] = 1
+    else:
+        container[key] = change
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        status, stderr, out = _run(kind, document, tmp)
+        assert status in (0, 1, 2)
+        assert "Traceback" not in stderr
+        assert out.exists() == (status != 2)
+        assert not list(tmp.glob(".neva-*"))
