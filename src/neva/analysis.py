@@ -9,7 +9,7 @@ globally valued expected equities.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional, Sequence
 
@@ -193,9 +193,9 @@ def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parame
     if not reference.converged:
         notes = notes + ("reference solve did not converge",)
     # one stack: a row per spec, the varying parameter a column of the binding
-    bound = specs[0].bind(net, np.broadcast_to(net.external_assets, (len(specs), net.n)))
-    column = {parameter_name: np.array(parameters, dtype=float)[:, np.newaxis]}
-    reports = _greatest(replace(bound, constants={**bound.constants, **column}), config)
+    bound = specs[0].bind(net, np.broadcast_to(net.external_assets, (len(specs), net.n)),
+                          **{parameter_name: np.array(parameters, dtype=float)[:, np.newaxis]})
+    reports = _greatest(bound, config)
     return LimitSeries(
         parameter_name=parameter_name,
         parameters=tuple(float(p) for p in parameters),

@@ -10,6 +10,7 @@ standard output.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -49,6 +50,7 @@ SOLVER_FLAGS = {"epsilon": ("--epsilon", float, "override solver tolerance"),
 FIELD_FLAGS = {"seed": ("--seed", _seed, "override the Monte Carlo seed (default 0)")}
 
 
+@functools.cache  # built once per process: parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neva",

@@ -291,10 +291,8 @@ def _start(value, where) -> str:
 
 def _parse_solver(block, context, reader, keys) -> SolveConfig:
     """Solver controls; ``keys`` are the other fields the block may hold."""
-    if block is None:
-        return SolveConfig()
     if not isinstance(block, dict):
-        raise FileFormatError(f"{context}: expected an object")
+        raise FileFormatError(f"{context}: expected an object, got {_JSON_NAMES[type(block)]}")
     _known(block, ("epsilon", "max_iterations") + keys, context, reader)
     fields = {key: _field(block, key, context, read) for key, read in
               (("epsilon", _number), ("max_iterations", _whole)) if key in block}
@@ -325,7 +323,8 @@ def _grid(read, descending=False):
 
 def _parse_curve(entry, context) -> dict:
     """One curve family entry: its name plus every field its factors read,
-    parameters checked like those of a ``ValuationSpec``."""
+    parameters checked like those of a ``ValuationSpec`` and amounts (not book
+    equity, which may have either sign) like those of a network."""
     name = _require(entry, "family", context, str)
     family = INTERBANK_FAMILIES.get(name)
     if family is None:
@@ -336,6 +335,9 @@ def _parse_curve(entry, context) -> dict:
     for key in family.fields:
         curve[key] = _field(entry, key, context,
                             _checked(key) if key in PARAMETER_CHECKS else _finite)
+        if key in ("obligations", "external_assets") and curve[key] < 0:
+            raise FileFormatError(f"{context}.{key}: expected a finite nonnegative number, "
+                                  f"got {curve[key]}")
     if lender:
         curve["lender_equity"] = _field(entry, "lender_equity", context, _finite, default=0.0)
     return curve
@@ -419,7 +421,7 @@ def load_scenario(path) -> Scenario:
     _known(data, ("scenario",) + ("solver",) * kind.solves + ("valuation",) * kind.valuation,
            str(path), reader)
     _known(block, ("kind", *kind.fields), context, reader)
-    config = _parse_solver(data.get("solver"), f"{path}: solver", reader,
+    config = _parse_solver(data.get("solver", {}), f"{path}: solver", reader,
                            tuple(kind.solver_fields)) if kind.solves else None
     if kind.valuation and "valuation" not in data:
         raise FileFormatError(f"{path}: scenario kind {name!r} needs a valuation block")
@@ -428,7 +430,7 @@ def load_scenario(path) -> Scenario:
     params = {key: _field(source, key, where, read, default)
               for source, where, fields in (
                   (block, context, kind.fields),
-                  (data.get("solver") or {}, f"{path}: solver", kind.solver_fields))
+                  (data.get("solver", {}), f"{path}: solver", kind.solver_fields))
               for key, (read, default) in fields.items()}
     return Scenario(kind=name, valuation=valuation, solver=config, params=params)
 
@@ -452,7 +454,8 @@ def evaluate_curves(families: list, grid) -> CurveTable:
         name = curve["family"]
         if name not in INTERBANK_FAMILIES:
             raise SpecError(f"unknown curve family {name!r}")
-        factor, *lender = INTERBANK_FAMILIES[name].bind(curve)
+        family = INTERBANK_FAMILIES[name]
+        factor, *lender = family.bind(family.prepare_values(curve))
         values = factor(grid)
         if lender:
             values = lender[0](curve.get("lender_equity", 0.0)) * values
@@ -465,16 +468,16 @@ def evaluate_curves(families: list, grid) -> CurveTable:
 # A column is (values, index): row r holds values[index[r]] (values[r] when
 # the index is None).  Values are a float array, formatted cell by cell in
 # one pass, or a list of labels and shared values, each rendered once; index
-# len(values) of a float array leaves the cell empty.
+# len(values) of a float array leaves the cell empty (JSON null).
 
 def _cells(values, index, csv_text: bool) -> list:
     if isinstance(values, np.ndarray):
         if csv_text:  # the text ends in a newline: the split adds one empty cell
             rendered = (("%.17g\n" * len(values)) % tuple(values.tolist())).split("\n")
-        else:
-            rendered = values.tolist() + [None]
+        else:  # one list through the C encoder; no float's text holds ", "
+            rendered = json.dumps(values.tolist() + [None])[1:-1].split(", ")
     else:
-        rendered = [_text(value) for value in values] if csv_text else values
+        rendered = list(map(_text if csv_text else json.dumps, values))
     return rendered if index is None else np.array(rendered, dtype=object)[index].tolist()
 
 
@@ -603,12 +606,20 @@ def serialize_results(result, fmt: str = "csv",
     key = (type(result[0]),) if isinstance(result, (list, tuple)) and result else type(result)
     if key not in _TABLES:
         raise FileFormatError(f"cannot serialize {type(result).__name__}")
-    kind, header, columns, extra = _TABLES[key](net, result)
+    return _render(*_TABLES[key](net, result), fmt)
+
+
+def _render(kind: str, header, columns, extra: dict, fmt: str) -> str:
+    """The text of a result table; its JSON is that of ``json.dumps`` with
+    ``indent=2``, with the cells encoded column by column and spliced in."""
     cells = [_cells(values, index, fmt == "csv") for values, index in columns]
     if fmt == "csv":
         return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
-    rows = [dict(zip(header, row)) for row in zip(*cells)]
-    return json.dumps({"kind": kind, **extra, "rows": rows}, indent=2) + "\n"
+    head = json.dumps({"kind": kind, **extra, "rows": []}, indent=2)
+    row = "    {%s\n    }" % ",".join("\n      %s: %%s" % json.dumps(name).replace("%", "%%")
+                                       for name in header)
+    rows = ",\n".join(row % values for values in zip(*cells))  # head ends in "[]\n}"
+    return (head[:-4] + "[\n" + rows + "\n  ]\n}" if rows else head) + "\n"
 
 
 def write_output(text: str, path=None) -> None:

@@ -129,6 +129,7 @@ def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
     residuals = np.full(active.shape, np.inf)
     monotone = np.ones(active.shape, dtype=bool)
     tolerance = np.broadcast_to(epsilon, active.shape)
+    offsets = np.arange(len(solutions)) * solutions.shape[1]  # of the rows in the flat stack
     equities, steps, ordered = solutions, residuals, monotone
     equity_map = None
     for sweep in range(1, max_iterations + 1):
@@ -139,11 +140,12 @@ def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
         updated = equity_map(equities)
         # the last iterate is not read again: its buffer takes the change
         change = np.subtract(updated, equities, out=equities)
-        if direction:
-            ordered = ordered & ~np.any(direction * change < -MONOTONE_SLACK, axis=1)
+        if direction:  # a step against it beyond the slack
+            ordered = ordered & ~np.any(change > MONOTONE_SLACK if direction < 0
+                                        else change < -MONOTONE_SLACK, axis=1)
         # the row maxima as segments of the flat stack: max(axis=1) pays per row
         steps = np.maximum.reduceat(np.abs(change, out=change).ravel(),
-                                    np.arange(0, change.size, change.shape[1]))
+                                    offsets[:len(active)])
         equities = updated
         done = steps <= tolerance
         if done.any():

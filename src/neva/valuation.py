@@ -18,6 +18,7 @@ recovered from a defaulted borrower.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -58,8 +59,24 @@ class SpecError(ValueError):
     """Raised for valuation parameters outside their admissible range."""
 
 
-def _positive_part(x):
-    return np.maximum(x, 0.0)
+def _en_prepare(obligations, beta=1.0) -> dict:
+    """Reciprocal obligations (0 for a bank owing nothing) and, unless ``beta``
+    is 1, the haircut on what a defaulted borrower pays (1 without debt)."""
+    obligations = np.asarray(obligations, dtype=float)
+    has_debt = obligations > 0
+    return {"reciprocal": np.divide(1.0, obligations, out=np.zeros(obligations.shape),
+                                    where=has_debt),
+            "haircut": None if np.all(np.equal(beta, 1.0)) else np.where(has_debt, beta, 1.0)}
+
+
+def _en_kernel(equity, reciprocal, haircut):
+    factor = np.asarray(equity * reciprocal)  # 0-d for scalars: the steps below work in place
+    factor += 1.0
+    np.maximum(factor, 0.0, out=factor)
+    np.minimum(factor, 1.0, out=factor)
+    if haircut is not None:
+        factor *= np.where(np.less(equity, 0.0), haircut, 1.0)
+    return factor
 
 
 def en_interbank(equity, obligations, beta=1.0):
@@ -70,19 +87,10 @@ def en_interbank(equity, obligations, beta=1.0):
     ``1`` if ``equity >= 0``, else ``beta * clip(1 + equity/obligations, 0, 1)``.
     A bank with zero obligations has no creditors, so its factor is fixed at
     ``1`` for every ``beta`` (the value never enters the equity map but must
-    stay feasible).  Works rowwise on a batch of equity vectors; only the
-    obligations are divided, so a batch costs one multiply per entry.
+    stay feasible).  Works rowwise on a batch of equity vectors; the
+    obligations are inverted once, so a batch costs one multiply per entry.
     """
-    obligations = np.asarray(obligations, dtype=float)
-    has_debt = obligations > 0
-    scale = np.divide(1.0, obligations, out=np.zeros(obligations.shape), where=has_debt)
-    factor = np.asarray(equity * scale)  # 0-d for scalars: the steps below work in place
-    factor += 1.0
-    np.maximum(factor, 0.0, out=factor)
-    np.minimum(factor, 1.0, out=factor)
-    if not (isinstance(beta, float) and beta == 1.0):
-        factor *= np.where(np.less(equity, 0.0), np.where(has_debt, beta, 1.0), 1.0)
-    return factor
+    return _en_kernel(equity, **_en_prepare(obligations, beta))
 
 
 def unit_external(equity):
@@ -123,41 +131,39 @@ def debtrank_interbank(equity, book_equity):
     nothing (factor ``0``), which keeps the factor within ``[0, 1]`` and
     nondecreasing on all inputs.
     """
-    equity = np.asarray(equity, dtype=float)
+    return _debtrank_kernel(equity, **_debtrank_prepare(book_equity))
+
+
+def _debtrank_prepare(book_equity) -> dict:
+    """Book equities, 1 where not positive, and the mask of those (None if empty)."""
     book_equity = np.asarray(book_equity, dtype=float)
-    safe = np.where(book_equity > 0, book_equity, 1.0)
-    frac = np.clip(_positive_part(equity) / safe, 0.0, 1.0)
-    return np.where(book_equity > 0, frac, 0.0)
+    positive = book_equity > 0
+    return {"safe_book": np.where(positive, book_equity, 1.0),
+            "worthless": None if positive.all() else ~positive}
 
 
-def _gbm_args(equity, external_assets, sigma, maturity):
-    equity = np.asarray(equity, dtype=float)
+def _debtrank_kernel(equity, safe_book, worthless):
+    frac = np.asarray(np.maximum(equity, 0.0) / safe_book)
+    np.clip(frac, 0.0, 1.0, out=frac)
+    return frac if worthless is None else np.where(worthless, 0.0, frac)
+
+
+def _gbm_prepare(external_assets, sigma, maturity, obligations=0.0, beta=None) -> dict:
+    """``-Ae`` (-1 where zero), half variance and spread of the log move, safe
+    and doubled obligations (1 and 2 where zero) and the mask of zero assets."""
     external_assets = np.asarray(external_assets, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0):
         raise SpecError("sigma must be positive")
     if np.any(np.asarray(maturity) <= 0):
         raise SpecError("time to maturity must be positive")
-    return equity, external_assets, sigma
-
-
-def _gbm_terms(x, external_assets, half_var, spread):
-    """Default probability at equity ``x`` and the recovery's tail term
-    ``erf((half_var + L)/spread) + erf((half_var - L)/spread)``, ``L = log(1 -
-    x/Ae)``, where ``x`` lies below positive external assets (else zero)."""
-    # imported on first use, so that ``import neva`` does not load scipy
-    from scipy.special import erf
-
-    stochastic = external_assets > 0
-    under = stochastic & (x < external_assets)
-    ratio = np.divide(x, external_assets, out=np.zeros(under.shape), where=under)
-    # log1p(-1) = -inf would still feed erf the correct limit; keep it quiet
-    with np.errstate(divide="ignore"):
-        log = np.log1p(-ratio)
-    plus = erf((log + half_var) / spread)
-    prob = np.where(stochastic, np.where(under, 0.5 * (1.0 + plus), 0.0),
-                    np.where(x < 0, 1.0, 0.0))
-    return prob, np.where(under, plus + erf((half_var - log) / spread), 0.0)
+    obligations = np.asarray(obligations, dtype=float)
+    flat, safe = external_assets <= 0, np.where(obligations > 0, obligations, 1.0)
+    return {"external_assets": external_assets, "obligations": obligations,
+            "negated_assets": np.where(flat, -1.0, -external_assets),
+            "half_variance": 0.5 * sigma * sigma * maturity,
+            "spread": np.sqrt(2.0 * maturity) * sigma, "flat": flat if flat.any() else None,
+            "safe_obligations": safe, "doubled_obligations": 2.0 * safe, "beta": beta}
 
 
 def gbm_default_probability(equity, external_assets, sigma, maturity):
@@ -171,32 +177,45 @@ def gbm_default_probability(equity, external_assets, sigma, maturity):
     there.  With zero external assets the move is identically zero and the
     probability degenerates to the solvency indicator.
     """
-    equity, external_assets, sigma = _gbm_args(equity, external_assets, sigma, maturity)
-    out = _gbm_terms(equity, external_assets, 0.5 * sigma * sigma * maturity,
-                     np.sqrt(2.0 * maturity) * sigma)[0]
+    out = _gbm_kernel(np.asarray(equity, dtype=float),
+                      **_gbm_prepare(external_assets, sigma, maturity))[0]
     return out if out.ndim else float(out)
 
 
-def _gbm_recovery(equity, external_assets, sigma, maturity, obligations):
-    """Default probability and endogenous recovery under the log-normal model:
-    each of their four erf terms is evaluated once."""
-    equity, external_assets, sigma = _gbm_args(equity, external_assets, sigma, maturity)
-    obligations = np.asarray(obligations, dtype=float)
-    half_var = 0.5 * sigma * sigma * maturity
-    spread = np.sqrt(2.0 * maturity) * sigma
-    p_default, tail0 = _gbm_terms(equity, external_assets, half_var, spread)
-    p_cleared, tail1 = _gbm_terms(equity + obligations, external_assets,
-                                  half_var, spread)
-    has_debt = obligations > 0
-    safe_pbar = np.where(has_debt, obligations, 1.0)
-    closed = ((1.0 + equity / safe_pbar) * (p_default - p_cleared)
-              + external_assets * (tail1 - tail0) / (2.0 * safe_pbar))
-    # Degenerate point mass at zero move: at-maturity pro-rata recovery.
-    point_mass = np.where(equity < 0,
-                          np.clip((equity + obligations) / safe_pbar, 0.0, 1.0),
-                          0.0)
-    recovery = np.where(external_assets > 0, closed, point_mass)
-    return p_default, np.where(has_debt, np.clip(recovery, 0.0, 1.0), 0.0)
+def _gbm_kernel(equity, external_assets, obligations, negated_assets, half_variance, spread,
+                flat, safe_obligations, doubled_obligations, beta):
+    """Default probability and endogenous recovery under the log-normal model,
+    or given ``beta`` the before-maturity factor, from the probability ``(1 +
+    erf((hv + L)/s))/2`` and tail ``erf((hv + L)/s) + erf((hv - L)/s)``, ``L =
+    log(1 - x/Ae)``, at ``x`` = equity (row 0) and equity + obligations (row
+    1).  Both are 0 from ``x = Ae`` up, where the ratio is clamped to ``L =
+    -inf``; with zero obligations the rows agree and the closed form is +0."""
+    # imported on first use, so that ``import neva`` does not load scipy
+    from scipy.special import erf
+
+    x = np.empty((2,) + np.broadcast(equity, obligations, negated_assets, spread).shape)
+    np.copyto(x[0, ...], equity)
+    np.add(equity, obligations, out=x[1, ...])
+    log = x / negated_assets
+    with np.errstate(divide="ignore"):
+        np.log1p(np.maximum(log, -1.0, out=log), out=log)
+    prob = log + half_variance
+    erf(np.divide(prob, spread, out=prob), out=prob)
+    tail = np.subtract(half_variance, log, out=log)
+    erf(np.divide(tail, spread, out=tail), out=tail)
+    tail += prob
+    np.multiply(np.add(prob, 1.0, out=prob), 0.5, out=prob)
+    if flat is not None:  # no move: the solvency indicator
+        prob = np.where(flat, np.where(x < 0, 1.0, 0.0), prob)
+    p_default, closed = prob[0, ...], np.subtract(prob[0], prob[1], out=prob[1, ...])
+    closed *= equity / safe_obligations + 1.0
+    closed += (np.subtract(tail[1], tail[0], out=tail[1, ...]) * external_assets
+               / doubled_obligations)
+    if flat is not None:  # point mass at zero move: at-maturity pro-rata recovery
+        point_mass = np.where(equity < 0, np.clip(x[1, ...] / safe_obligations, 0.0, 1.0), 0.0)
+        closed = np.where(flat, point_mass, closed)
+    np.clip(closed, 0.0, 1.0, out=closed)
+    return (p_default, closed) if beta is None else _exante(p_default, closed, beta)
 
 
 def gbm_endogenous_recovery(equity, external_assets, sigma, maturity, obligations):
@@ -210,22 +229,30 @@ def gbm_endogenous_recovery(equity, external_assets, sigma, maturity, obligation
     scale.  Zero obligations leave nothing to recover against; zero
     external assets reduce to the at-maturity pro-rata fraction.
     """
-    out = _gbm_recovery(equity, external_assets, sigma, maturity, obligations)[1]
+    out = _gbm_kernel(np.asarray(equity, dtype=float),
+                      **_gbm_prepare(external_assets, sigma, maturity, obligations))[1]
     return out if out.ndim else float(out)
 
 
 def exante_interbank(default_probability, recovery, beta):
     """Before-maturity factor ``1 - p_default + beta * recovery``."""
-    value = 1.0 - np.asarray(default_probability, dtype=float) \
-        + np.asarray(beta, dtype=float) * np.asarray(recovery, dtype=float)
-    return np.clip(value, 0.0, 1.0)
+    return _exante(*(np.array(factor, dtype=float) for factor in
+                     np.broadcast_arrays(default_probability, recovery)), beta)[()]
+
+
+def _exante(default_probability, recovery, beta):
+    """``exante_interbank`` in the buffers of its factors, which it overwrites."""
+    if not (np.ndim(beta) == 0 and beta == 1.0):  # else beta * recovery is recovery
+        recovery = np.asarray(recovery * beta)
+    value = np.subtract(1.0, default_probability, out=default_probability)
+    return np.clip(np.add(value, recovery, out=recovery), 0.0, 1.0, out=recovery)
 
 
 def exante_en_gbm_interbank(equity, external_assets, sigma, maturity,
                             obligations, beta=1.0):
     """Before-maturity pro-rata factor under the log-normal shock model."""
-    return exante_interbank(*_gbm_recovery(equity, external_assets, sigma,
-                                           maturity, obligations), beta)
+    return _gbm_kernel(np.asarray(equity, dtype=float), **_gbm_prepare(
+        external_assets, sigma, maturity, obligations, beta))[()]
 
 
 def uniform_default_probability(equity, book_equity):
@@ -238,6 +265,36 @@ def uniform_default_probability(equity, book_equity):
     return out if np.ndim(out) else float(out)
 
 
+def _uniform_prepare(book_equity, obligations, beta=None) -> dict:
+    """The linear factor's constants, negations, and the divisors ``pbar *
+    book`` and ``2 * pbar * book`` (1 unless both are positive)."""
+    book_equity = np.asarray(book_equity, dtype=float)
+    obligations = np.asarray(obligations, dtype=float)
+    ok = (book_equity > 0) & (obligations > 0)
+    return {**_debtrank_prepare(book_equity), "obligations": obligations,
+            "negated_obligations": -obligations, "negated_book": -book_equity,
+            "scale": np.where(ok, obligations * book_equity, 1.0),
+            "doubled_scale": np.where(ok, 2.0 * obligations * book_equity, 1.0), "beta": beta}
+
+
+def _uniform_kernel(equity, safe_book, worthless, obligations, negated_obligations,
+                    negated_book, scale, doubled_scale, beta):
+    """The uniform-shock recovery (0 without a mask where book equity or
+    obligations are not positive: the width is not positive there); given
+    ``beta``, the before-maturity factor."""
+    upper = -np.maximum(equity, 0.0)
+    lower = np.maximum(negated_obligations - equity, negated_book)
+    width = upper - lower
+    value = ((equity + obligations) / scale * width
+             + (upper * upper - lower * lower) / doubled_scale)
+    value = np.where(width > 0, value, 0.0)
+    np.clip(value, 0.0, 1.0, out=value)
+    if beta is None:
+        return value
+    p_default = _debtrank_kernel(equity, safe_book, worthless)
+    return _exante(np.subtract(1.0, p_default, out=p_default), value, beta)
+
+
 def uniform_endogenous_recovery(equity, book_equity, obligations):
     """Expected pro-rata repayment fraction under the uniform shock model.
 
@@ -245,27 +302,15 @@ def uniform_endogenous_recovery(equity, book_equity, obligations):
     moves in ``[-book_equity, 0]`` that leave the borrower in default with
     residual assets; the integral is elementary and evaluated exactly.
     """
-    equity = np.asarray(equity, dtype=float)
-    book_equity = np.asarray(book_equity, dtype=float)
-    obligations = np.asarray(obligations, dtype=float)
-    ok = (book_equity > 0) & (obligations > 0)
-    safe_m = np.where(ok, book_equity, 1.0)
-    safe_p = np.where(ok, obligations, 1.0)
-    upper = -_positive_part(equity)
-    lower = np.maximum(-obligations - equity, -book_equity)
-    width = upper - lower
-    value = ((equity + obligations) / (safe_p * safe_m) * width
-             + (upper * upper - lower * lower) / (2.0 * safe_p * safe_m))
-    value = np.where(width > 0, value, 0.0)
-    out = np.where(ok, np.clip(value, 0.0, 1.0), 0.0)
+    out = _uniform_kernel(np.asarray(equity, dtype=float),
+                          **_uniform_prepare(book_equity, obligations))
     return out if out.ndim else float(out)
 
 
 def exante_en_uniform_interbank(equity, book_equity, obligations, beta=1.0):
     """Before-maturity pro-rata factor under the uniform shock model."""
-    pd_ = uniform_default_probability(equity, book_equity)
-    rho = uniform_endogenous_recovery(equity, book_equity, obligations)
-    return exante_interbank(pd_, rho, beta)
+    return _uniform_kernel(np.asarray(equity, dtype=float),
+                           **_uniform_prepare(book_equity, obligations, beta))[()]
 
 
 def _check_unit_interval(name: str, value) -> float:
@@ -312,7 +357,9 @@ class Family:
     per-bank constants (``obligations``, ``book_equity``,
     ``external_assets``, per-bank ``sigma``) or spec parameters (the keys of
     ``PARAMETER_CHECKS``).  ``jump`` names the parameter that, below one,
-    makes a factor jump at zero equity.
+    makes a factor jump at zero equity.  A factor with a ``kernel`` is
+    ``kernel(equity, **prepare(**reads))``: what does not depend on the
+    equity is prepared once, at bind.
     """
 
     factor: Callable
@@ -321,6 +368,8 @@ class Family:
     lender_reads: tuple = ()
     jump: Optional[str] = None
     exante: bool = False
+    prepare: Optional[Callable] = None
+    kernel: Optional[Callable] = None
 
     @property
     def factors(self) -> tuple:
@@ -339,25 +388,41 @@ class Family:
         """The spec parameters the family needs."""
         return tuple(name for name in self.fields if name in PARAMETER_CHECKS)
 
+    @cached_property
+    def kernels(self) -> tuple:
+        """``factors``, the factor's kernel (reading what ``prepare`` returns) in its place."""
+        kernel = self.kernel and (self.kernel,
+                                  tuple(inspect.signature(self.kernel).parameters)[1:])
+        return (kernel or self.factors[0],) + self.factors[1:]
+
+    def prepare_values(self, values: Mapping) -> dict:
+        """``values`` and what ``prepare`` computes from the ``reads`` in them."""
+        return {**values, **(self.prepare(**{name: values[name] for name in self.reads})
+                             if self.prepare else {})}
+
     def bind(self, values: Mapping) -> tuple:
-        """The functions of ``factors`` with every argument but the equity
-        taken from ``values``."""
+        """The functions of ``kernels`` with every argument but the equity
+        taken from ``values``, which hold what ``prepare_values`` adds."""
         return tuple(partial(function, **{name: values[name] for name in reads})
-                     for function, reads in self.factors)
+                     for function, reads in self.kernels)
 
 
+_EN = {"prepare": _en_prepare, "kernel": _en_kernel}
 INTERBANK_FAMILIES = {
-    "eisenberg_noe": Family(en_interbank, ("obligations",)),
-    "eisenberg_noe_haircut": Family(en_interbank, ("obligations", "beta"), jump="beta"),
+    "eisenberg_noe": Family(en_interbank, ("obligations",), **_EN),
+    "eisenberg_noe_haircut": Family(en_interbank, ("obligations", "beta"), jump="beta",
+                                    **_EN),
     "rogers_veraart": Family(en_interbank, ("obligations",), rv_lender, ("beta",),
-                             jump="beta"),
+                             jump="beta", **_EN),
     "furfine": Family(furfine_interbank, ("recovery",), jump="recovery"),
-    "linear_debtrank": Family(debtrank_interbank, ("book_equity",)),
+    "linear_debtrank": Family(debtrank_interbank, ("book_equity",),
+                              prepare=_debtrank_prepare, kernel=_debtrank_kernel),
     "exante_en_gbm": Family(exante_en_gbm_interbank,
                             ("external_assets", "sigma", "maturity", "obligations",
-                             "beta"), exante=True),
+                             "beta"), exante=True, prepare=_gbm_prepare, kernel=_gbm_kernel),
     "exante_en_uniform": Family(exante_en_uniform_interbank,
-                                ("book_equity", "obligations", "beta"), exante=True),
+                                ("book_equity", "obligations", "beta"), exante=True,
+                                prepare=_uniform_prepare, kernel=_uniform_kernel),
 }
 EXTERNAL_FAMILIES = {
     "unit": Family(unit_external),
@@ -468,9 +533,14 @@ class ValuationSpec:
             raise SpecError(f"sigma must be scalar or have shape ({n},), got {sigma.shape}")
         return sigma.copy()
 
-    def bind(self, net: FinancialNetwork, external_assets=None) -> "BoundValuation":
+    def bind(self, net: FinancialNetwork, external_assets=None,
+             **parameters) -> "BoundValuation":
         """Attach the spec to ``net``; ``external_assets``, an ``(n,)`` vector
-        or a ``(batch, n)`` stack, stands in for the network's (row by row)."""
+        or a ``(batch, n)`` stack, stands in for the network's (row by row),
+        and a ``(batch, 1)`` column of ``parameters`` for the spec's parameter
+        of its name.  The factors' equity-independent constants are computed here."""
+        if not set(parameters) <= set(self.family.params + self.external_family.params):
+            raise SpecError(f"{self.interbank_kind} does not read all of {sorted(parameters)}")
         assets = (net.external_assets if external_assets is None
                   else np.asarray(external_assets, dtype=float))
         if assets.ndim not in (1, 2) or assets.shape[-1] != net.n:
@@ -479,10 +549,10 @@ class ValuationSpec:
         cash = assets - net.external_liabilities
         constants = {name: getattr(self, name) for name in PARAMETER_CHECKS}
         constants.update(
-            obligations=obligations, external_assets=assets, cash=cash,
+            parameters, obligations=obligations, external_assets=assets, cash=cash,
             sigma=None if self.sigma is None else self.sigma_vector(net.n),
             book_equity=cash + net.total_claims() - obligations)
-        return BoundValuation(self, net, constants)
+        return BoundValuation(self, net, self.family.prepare_values(constants))
 
 
 def _claim_discounts(borrower_factors, lender_factors, lenders, borrowers):
@@ -503,10 +573,11 @@ class BoundValuation:
     ``constants`` maps every name a factor or the equity map can read to its
     value: the per-bank obligations, book equities, external assets, cash
     (external assets less external liabilities) and (for the log-normal
-    family) volatilities, and the spec parameters.  The family's factor
-    functions are bound to them once, so factor vectors and the equity map
-    can be evaluated repeatedly at different equities, row by row when bound
-    to a ``(batch, n)`` stack of external assets.
+    family) volatilities, the spec parameters, and what the family's
+    ``prepare`` computes from them.  The family's kernels are bound to them
+    once, so factor vectors and the equity map can be evaluated repeatedly at
+    different equities, row by row when bound to a ``(batch, n)`` stack of
+    external assets.
     """
 
     spec: ValuationSpec
@@ -528,9 +599,9 @@ class BoundValuation:
     @cached_property
     def _map_reads(self) -> tuple:
         """The constants the equity map reads."""
-        return (self.spec.family.fields + self.spec.external_family.fields
-                + ("obligations", "cash" if self.spec.external_kind == "unit"
-                   else "external_assets"))
+        return tuple(name for family in (self.spec.family, self.spec.external_family)
+                     for _, reads in family.kernels for name in reads) + (
+            "obligations", "cash" if self.spec.external_kind == "unit" else "external_assets")
 
     def rows(self, index) -> "BoundValuation":
         """The valuation of rows ``index`` of a stack of external assets, holding
@@ -538,7 +609,7 @@ class BoundValuation:
         every row become one ``(1, n)`` row, because numpy combines operands
         of equal rank on a faster path."""
         read = {name: self.constants[name] for name in self._map_reads}
-        return BoundValuation(self.spec, self.net, {  # parameters are floats or None
+        return BoundValuation(self.spec, self.net, {  # parameters, empty masks: floats or None
             name: value[index] if getattr(value, "ndim", 0) == 2
             else value[np.newaxis] if getattr(value, "ndim", 0) == 1 else value
             for name, value in read.items()})

@@ -402,6 +402,19 @@ def test_cli_curve_families(tmp_path):
         for equity, v in zip(grid, by_family["eisenberg_noe"])]
 
 
+def test_cli_curve_accepts_non_positive_book_equity(tmp_path):
+    # unlike obligations and external assets, book equity may be negative: such
+    # a borrower recovers nothing, so both families value its claims at 0
+    scenario = write_json(tmp_path / "curve.json", {"scenario": {
+        "kind": "curve", "equity_grid": [-1.0, 0.0, 1.0],
+        "families": [{"family": "linear_debtrank", "book_equity": -2.0},
+                     {"family": "exante_en_uniform", "book_equity": 0.0,
+                      "obligations": 1.0, "beta": 0.5}]}})
+    out = tmp_path / "curves.csv"
+    assert run_command(["curve", "--scenario", scenario, "--output", str(out)]) == 0
+    assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]] == ["0"] * 6
+
+
 @pytest.mark.parametrize("family", [
     {"family": "furfine", "recovery": 1.5},
     {"family": "rogers_veraart", "obligations": 2.0, "beta": 2},
@@ -531,6 +544,23 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
                "scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
                    {"family": "furfine", "recovery": 1.0}]}},
      ".solver"),
+    # a null block is not an absent one
+    pytest.param("solve", {**EN_SOLVE_SCENARIO, "solver": None}, "solver",
+                 id="solve-null-solver"),
+    pytest.param("mc-global", {"scenario": MC_SCENARIO, "solver": None}, "solver",
+                 id="mc-global-null-solver"),
+    # curve amounts are nonnegative, as in a network file; book equity may be negative
+    pytest.param("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "eisenberg_noe", "obligations": -1}]}},
+        "families[0].obligations", id="curve-negative-obligations"),
+    pytest.param("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "exante_en_gbm", "external_assets": 1.0, "sigma": 0.3, "maturity": 1.0,
+         "obligations": -1, "beta": 1.0}]}},
+        "families[0].obligations", id="curve-gbm-negative-obligations"),
+    pytest.param("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "exante_en_gbm", "external_assets": -0.5, "sigma": 0.3, "maturity": 1.0,
+         "obligations": 1.0, "beta": 1.0}]}},
+        "families[0].external_assets", id="curve-gbm-negative-external-assets"),
 ])
 def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     network = write_json(tmp_path / "net.json", RING_FILE)

@@ -4,9 +4,10 @@ assets: the pro-rata clearing map against its payment-space form, the
 solution lattice (a solve from any start lies between the least and the
 greatest solution), losses that grow with the shock, and the network file
 round trip, on files that repeat edges and leave banks without edges;
-result files that give back every bank id and value bit for bit; and a CLI
-that, on any perturbed scenario file, exits with 0, 1 or 2 only and leaves
-no file behind on 2."""
+result files that give back every bank id and value bit for bit, and JSON
+text that is ``json.dumps(indent=2)`` byte for byte; bound factors that are
+their public functions bit for bit; and a CLI that, on any perturbed
+scenario file, exits with 0, 1 or 2 only and leaves no file behind on 2."""
 import contextlib
 import copy
 import csv
@@ -28,8 +29,8 @@ from neva import (FinancialNetwork, SolveConfig, SolveReport, StressResult,
                   greatest_solution, least_solution, load_network,
                   monte_carlo_global_valuation, serialize_results, solve, stress_test)
 from neva.cli import run_command
-from neva.files import SCENARIO_KINDS
-from neva.valuation import en_interbank
+from neva.files import SCENARIO_KINDS, _render
+from neva.valuation import INTERBANK_FAMILIES, en_interbank
 
 from conftest import en_clearing_oracle
 
@@ -247,6 +248,77 @@ def test_result_files_round_trip_exactly(ids, data):
                         _bits(None if row["network_effect"] == empty
                               else row["network_effect"]))
                        for row in rows) == stressed
+
+
+# JSON cells: floats that print as NaN, Infinity or -0.0, labels CSV quotes
+# or that are not ASCII, and the other values a table holds
+LABELS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                   st.text('Ab "\\\',;%\n\réß中€', max_size=5))
+
+
+@st.composite
+def tables(draw):
+    """A random result table and its rows as Python values."""
+    rows = draw(st.integers(0, 5))
+    header = draw(st.lists(st.text('ab "%é\n', max_size=4), min_size=1, max_size=4,
+                           unique=True))
+    columns, cells = [], []
+    for _ in header:
+        if draw(st.booleans()):  # a float array; index len(values) is a null cell
+            values = np.array(draw(st.lists(st.floats(), max_size=4)), dtype=float)
+            options = values.tolist() + [None]
+        else:
+            options = values = draw(st.lists(LABELS, min_size=1, max_size=4))
+        index = draw(st.lists(st.integers(0, len(options) - 1), min_size=rows,
+                              max_size=rows))
+        columns.append((values, np.array(index, dtype=np.intp)))
+        cells.append([options[k] for k in index])
+    extra = draw(st.dictionaries(st.text(max_size=3).filter(lambda key: key not in
+                                                              ("kind", "rows")),
+                                 LABELS | st.lists(LABELS, max_size=3), max_size=3))
+    kind = draw(st.text(max_size=5))
+    return (kind, header, columns, extra), {
+        "kind": kind, **extra, "rows": [dict(zip(header, row)) for row in zip(*cells)]}
+
+
+@given(tables())
+def test_json_output_is_that_of_json_dumps(drawn):
+    # the cells are encoded column by column and spliced into the document;
+    # the text must be json.dumps(indent=2) of the same rows, byte for byte
+    table, document = drawn
+    assert _render(*table, "json") == json.dumps(document, indent=2) + "\n"
+
+
+@given(networks(), st.sampled_from(sorted(INTERBANK_FAMILIES)), st.integers(1, 3),
+       st.floats(0.0, 1.0, exclude_max=True), st.booleans(), st.integers(0, 2**32 - 1))
+def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, seed):
+    # bind computes each family's equity-independent constants once and its
+    # kernel the rest every sweep; the bound factor, on a stack and on a rows()
+    # view, must be the public function bit for bit on every branch: banks
+    # without obligations or external assets, equities on both sides of 0 and
+    # at -pbar and at Ae, per-bank sigma, beta < 1 and a (rows, 1) column
+    rng = np.random.default_rng(seed)
+    assets = net.external_assets * rng.uniform(0.2, 2.0, (rows, net.n))
+    assets[rng.random(assets.shape) < 0.3] = 0.0
+    family = INTERBANK_FAMILIES[kind]
+    parameters = {"beta": beta, "recovery": beta, "maturity": rng.uniform(0.01, 5.0),
+                  "sigma": tuple(rng.uniform(0.05, 1.0, net.n))}
+    spec = ValuationSpec(kind, **{name: parameters[name] for name in family.params})
+    varying = [name for name in ("maturity", "beta") if name in family.params]
+    columns = ({varying[0]: rng.uniform(0.01, 1.0, (rows, 1))} if column and varying
+               else {})
+    bound = spec.bind(net, assets, **columns)
+    pick = rng.random(assets.shape)
+    equities = np.select([pick < 0.2, pick < 0.4, pick < 0.5],
+                         [np.broadcast_to(-net.total_obligations(), assets.shape),
+                          assets, 0.0],
+                         rng.normal(0.0, 2.0, assets.shape))
+    expected = family.factor(equities, **{name: bound.constants[name]
+                                          for name in family.reads})
+    assert np.array_equal(bound.borrower_factors(equities), expected)
+    order = np.arange(rows)[::-1]
+    assert np.array_equal(bound.rows(order).borrower_factors(equities[order]),
+                          expected[order])
 
 
 # A valid document per scenario kind, with every optional field and block

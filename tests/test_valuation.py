@@ -86,6 +86,8 @@ def test_gbm_default_probability_limits():
     assert gbm_default_probability(-1e9, 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert gbm_default_probability(1.0, 1.0, 1.0, 1.0) == 0.0
     assert gbm_default_probability(2.0, 1.0, 1.0, 1.0) == 0.0
+    # exactly 0 at and above the assets even where the log move is wide
+    assert np.all(gbm_default_probability(np.array([1.0, 2.0, 1e300]), 1.0, 3.0, 10.0) == 0.0)
 
 
 def test_gbm_default_probability_degenerate_assets():
@@ -102,6 +104,7 @@ def test_gbm_default_probability_matches_quadrature_spot():
 
 def test_gbm_recovery_trivial_zeros():
     assert gbm_endogenous_recovery(1.0, 1.0, 1.0, 1.0, 2.0) == 0.0  # E >= assets
+    assert np.all(gbm_endogenous_recovery(np.array([1.0, 2.0]), 1.0, 3.0, 10.0, 2.0) == 0.0)
     assert gbm_endogenous_recovery(-1e9, 1.0, 1.0, 1.0, 2.0) == pytest.approx(0.0, abs=1e-12)
     assert gbm_endogenous_recovery(-0.5, 1.0, 1.0, 1.0, 0.0) == 0.0  # no obligations
 
