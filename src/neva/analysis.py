@@ -53,14 +53,6 @@ class StressResult:
     network_effect: Optional[float]
     factors: Optional[tuple]
 
-    @property
-    def edge_discounts(self) -> Optional[np.ndarray]:
-        """``[i, j]``: the solved discount on bank i's claim against bank j,
-        built from ``factors`` when read."""
-        if self.factors is None:
-            return None
-        return _claim_discounts(*self.factors, *np.indices((len(self.shock),) * 2))
-
 
 @dataclass(frozen=True, eq=False)
 class DiscountComparison:

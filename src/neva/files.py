@@ -171,6 +171,15 @@ def _indices(ids, index: dict) -> np.ndarray:
     return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
 
 
+def _unread(rows, fields, context, reader) -> None:
+    """``_known`` for rows that hold each of ``fields``, so that a row with
+    more keys holds an unread one: one pass over the rows, and the first
+    such row looked up only on failure."""
+    if sum(map(len, rows)) > len(fields) * len(rows):
+        k = next(k for k, row in enumerate(rows) if len(row) > len(fields))
+        _known(rows[k], fields, f"{context}[{k}]", reader)
+
+
 def _reject_edge(edge, context, index: dict) -> None:
     """Raise the error of a liability row that the column checks found
     invalid: the first of its faults in the order the fields are read."""
@@ -192,12 +201,13 @@ def load_network(path) -> FinancialNetwork:
     Bank ids are strings and ``liabilities`` (absent: no edges) is a list.
     Duplicate (debtor, creditor) edges are summed in file order with a
     warning; non-string ids, amounts that are not finite nonnegative
-    numbers, self-loans and unknown bank ids are rejected with the first
-    offending entry named.  Each field is read as one column and checked
-    with array masks: O(banks + edges), no n x n matrix.
+    numbers, self-loans, unknown bank ids and unread fields are rejected
+    with the first offending entry named.  Each field is read as one column
+    and checked with array masks: O(banks + edges), no n x n matrix.
     """
     data = _load_json(path)
     banks = _require(data, "banks", str(path), list)
+    _known(data, ("banks", "liabilities"), str(path), "a network file")
     if not banks:
         raise FileFormatError(f"{path}: banks list is empty")
     ids = _column(banks, "id", {str}, None)
@@ -213,6 +223,8 @@ def load_network(path) -> FinancialNetwork:
             if _invalid(np.float64(value)):
                 raise FileFormatError(
                     f"{context}.{key}: expected a finite nonnegative number, got {value}")
+    _unread(banks, ("id", "external_assets", "external_liabilities"), f"{path}: banks",
+            "a bank")
     index = {bank_id: k for k, bank_id in enumerate(ids)}
     if len(index) != len(ids):
         dupes = sorted({b for b in ids if ids.count(b) > 1})
@@ -226,6 +238,8 @@ def load_network(path) -> FinancialNetwork:
     if bad.any():
         k = int(np.argmax(bad))
         _reject_edge(edges[k], f"{path}: liabilities[{k}]", index)
+    _unread(edges, ("debtor", "creditor", "amount"), f"{path}: liabilities",
+            "a liability")
     repeated = np.ones(len(edges), dtype=bool)
     repeated[np.unique(debtors * len(ids) + creditors, return_index=True)[1]] = False
     for k in np.flatnonzero(repeated):

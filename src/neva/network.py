@@ -107,17 +107,18 @@ class FinancialNetwork:
         if liab.shape != (n, n):
             raise NetworkError(
                 f"interbank_liabilities must have shape ({n}, {n}), got {liab.shape}")
-        bad = _invalid(liab)
-        if bad.any():
-            i, j = np.unravel_index(int(np.argmax(bad)), liab.shape)
-            raise NetworkError(f"interbank_liabilities[{ids[i]} -> {ids[j]}] is "
-                               f"negative or not finite ({liab[i, j]})")
-        if np.any(np.diagonal(liab) != 0):
-            i = int(np.argmax(np.diagonal(liab) != 0))
+        creditors, debtors = np.nonzero(liab.T)
+        amounts = liab[debtors, creditors]
+        bad = _invalid_edges(n, debtors, creditors, amounts)
+        if bad.any():  # name the first in row order, a bad amount before a self-loan
+            invalid = _invalid(amounts)
+            k = np.lexsort((creditors, debtors, ~invalid, ~bad))[0]
+            i, j = debtors[k], creditors[k]
+            if invalid[k]:
+                raise NetworkError(f"interbank_liabilities[{ids[i]} -> {ids[j]}] is "
+                                   f"negative or not finite ({amounts[k]})")
             raise NetworkError(f"self-loan on the diagonal for bank {ids[i]}")
-        creditors, debtors = np.nonzero(liab.T > 0)
-        self._fill(ids, external_assets, external_liabilities, debtors, creditors,
-                   liab[debtors, creditors])
+        self._fill(ids, external_assets, external_liabilities, debtors, creditors, amounts)
         vars(self)["interbank_liabilities"] = _read_only(liab.copy())
 
     @classmethod

@@ -21,7 +21,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "INTERBANK_FAMILIES",
     "EXTERNAL_FAMILIES",
     "PARAMETER_CHECKS",
-    "FeasibilityViolation",
-    "FeasibilityReport",
     "en_interbank",
     "unit_external",
     "rv_external",
@@ -46,13 +44,10 @@ __all__ = [
     "debtrank_interbank",
     "gbm_default_probability",
     "gbm_endogenous_recovery",
-    "exante_interbank",
     "exante_en_gbm_interbank",
     "uniform_default_probability",
     "uniform_endogenous_recovery",
     "exante_en_uniform_interbank",
-    "probe_curve",
-    "feasibility_probe",
 ]
 
 class SpecError(ValueError):
@@ -100,15 +95,13 @@ def unit_external(equity):
 
 def rv_external(equity, alpha):
     """External-asset factor with a fire-sale haircut ``alpha`` on default."""
-    equity = np.asarray(equity, dtype=float)
-    return np.where(equity >= 0, 1.0, float(alpha))
+    return np.where(np.greater_equal(equity, 0.0), 1.0, alpha)
 
 
 def rv_lender(equity, beta):
     """Lender-side factor: a defaulted lender liquidates its interbank
     assets at a fraction ``beta`` of their clearing value."""
-    equity = np.asarray(equity, dtype=float)
-    return np.where(equity >= 0, 1.0, float(beta))
+    return np.where(np.greater_equal(equity, 0.0), 1.0, beta)
 
 
 def rv_interbank(lender_equity, borrower_equity, beta, obligations):
@@ -119,8 +112,7 @@ def rv_interbank(lender_equity, borrower_equity, beta, obligations):
 
 def furfine_interbank(equity, recovery):
     """All-or-nothing factor: ``1`` when solvent, fixed ``recovery`` when not."""
-    equity = np.asarray(equity, dtype=float)
-    return np.where(equity >= 0, 1.0, float(recovery))
+    return np.where(np.greater_equal(equity, 0.0), 1.0, recovery)
 
 
 def debtrank_interbank(equity, book_equity):
@@ -234,14 +226,8 @@ def gbm_endogenous_recovery(equity, external_assets, sigma, maturity, obligation
     return out if out.ndim else float(out)
 
 
-def exante_interbank(default_probability, recovery, beta):
-    """Before-maturity factor ``1 - p_default + beta * recovery``."""
-    return _exante(*(np.array(factor, dtype=float) for factor in
-                     np.broadcast_arrays(default_probability, recovery)), beta)[()]
-
-
 def _exante(default_probability, recovery, beta):
-    """``exante_interbank`` in the buffers of its factors, which it overwrites."""
+    """Before-maturity factor ``1 - p_default + beta * recovery``, in place."""
     if not (np.ndim(beta) == 0 and beta == 1.0):  # else beta * recovery is recovery
         recovery = np.asarray(recovery * beta)
     value = np.subtract(1.0, default_probability, out=default_probability)
@@ -372,13 +358,6 @@ class Family:
     kernel: Optional[Callable] = None
 
     @property
-    def factors(self) -> tuple:
-        """``(function, reads)`` pairs: the factor, then any lender factor."""
-        if self.lender is None:
-            return ((self.factor, self.reads),)
-        return ((self.factor, self.reads), (self.lender, self.lender_reads))
-
-    @property
     def fields(self) -> tuple:
         """Everything the factors read, in order, without repeats."""
         return tuple(dict.fromkeys(self.reads + self.lender_reads))
@@ -390,10 +369,11 @@ class Family:
 
     @cached_property
     def kernels(self) -> tuple:
-        """``factors``, the factor's kernel (reading what ``prepare`` returns) in its place."""
-        kernel = self.kernel and (self.kernel,
-                                  tuple(inspect.signature(self.kernel).parameters)[1:])
-        return (kernel or self.factors[0],) + self.factors[1:]
+        """``(function, reads)`` pairs: the factor, or its kernel (reading what
+        ``prepare`` returns) when it has one, then any lender factor."""
+        factor = ((self.kernel, tuple(inspect.signature(self.kernel).parameters)[1:])
+                  if self.kernel else (self.factor, self.reads))
+        return (factor,) + (() if self.lender is None else ((self.lender, self.lender_reads),))
 
     def prepare_values(self, values: Mapping) -> dict:
         """``values`` and what ``prepare`` computes from the ``reads`` in them."""
@@ -655,77 +635,3 @@ class BoundValuation:
                    - self.net.external_liabilities)
         inflow -= constants["obligations"]
         return inflow
-
-
-@dataclass(frozen=True)
-class FeasibilityViolation:
-    family: str
-    parameters: dict
-    kind: str  # "range" or "monotonicity"
-    equity: float
-    value: float
-    previous_equity: Optional[float] = None
-    previous_value: Optional[float] = None
-
-    def __str__(self) -> str:
-        if self.kind == "range":
-            return (f"{self.family}{self.parameters}: value {self.value} at "
-                    f"equity {self.equity} falls outside [0, 1]")
-        return (f"{self.family}{self.parameters}: value decreases from "
-                f"{self.previous_value} at equity {self.previous_equity} to "
-                f"{self.value} at equity {self.equity}")
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    passed: bool
-    checked: int
-    violation: Optional[FeasibilityViolation] = None
-
-
-def probe_curve(family: str, parameters: Mapping, grid: Sequence[float],
-                values: Sequence[float], tolerance: float = 1e-12) -> FeasibilityReport:
-    """Check one factor curve for range containment in [0, 1] and
-    nondecreasing behavior along an ascending equity grid, reporting the
-    first violation found."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    params = dict(parameters)
-    for k in range(len(grid)):
-        v = values[k]
-        if not np.isfinite(v) or v < -tolerance or v > 1.0 + tolerance:
-            return FeasibilityReport(False, k + 1, FeasibilityViolation(
-                family, params, "range", float(grid[k]), float(v)))
-        if k and v < values[k - 1] - tolerance:
-            return FeasibilityReport(False, k + 1, FeasibilityViolation(
-                family, params, "monotonicity", float(grid[k]), float(v),
-                float(grid[k - 1]), float(values[k - 1])))
-    return FeasibilityReport(True, len(grid))
-
-
-def feasibility_probe(spec: ValuationSpec, net: FinancialNetwork,
-                      points: int = 201, margin: float = 1.0,
-                      tolerance: float = 1e-12) -> FeasibilityReport:
-    """Probe every factor the spec ships against every bank of the network.
-
-    For each bank the equity grid spans the bank's lattice interval extended
-    by ``margin`` on both sides.  Factorized lender/borrower families are
-    checked one argument at a time, which implies joint monotonicity.
-    """
-    bound = spec.bind(net)
-    lower = net.equity_lower_bound()
-    upper = bound.book_equity
-    factors = spec.family.factors + spec.external_family.factors
-    checked = 0
-    for j in range(net.n):
-        grid = np.linspace(lower[j] - margin, upper[j] + margin, points)
-        for function, reads in factors:
-            params = {name: bound.constants[name] for name in reads}
-            params = {name: float(value[j]) if np.ndim(value) else value
-                      for name, value in params.items()}
-            report = probe_curve(function.__name__, {"bank": net.bank_ids[j], **params},
-                                 grid, function(grid, **params), tolerance)
-            checked += report.checked
-            if not report.passed:
-                return FeasibilityReport(False, checked, report.violation)
-    return FeasibilityReport(True, checked)

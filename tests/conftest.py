@@ -114,6 +114,32 @@ def random_dag_network(rng: np.random.Generator,
     return FinancialNetwork(ids, assets, liabilities_ext, claims.T)
 
 
+def infeasible_factors(bound, grid, tolerance: float = 1e-12) -> list:
+    """The factors of ``bound`` (borrower, lender when the family has one,
+    external) that leave ``[0, 1]`` or decrease by more than ``tolerance``
+    along ``grid``, a sequence of equities ascending entry by entry: the
+    paper's feasibility conditions on a valuation function."""
+    faults = []
+    for side in ("borrower", "lender", "external"):
+        curve = [getattr(bound, f"{side}_factors")(equities) for equities in grid]
+        if curve[0] is None:  # the family has no lender factor
+            continue
+        curve = np.array(curve)
+        if not np.all((curve >= 0.0) & (curve <= 1.0)):
+            faults.append(f"{bound.spec}: {side} factor outside [0, 1]")
+        if np.any(np.diff(curve, axis=0) < -tolerance):
+            faults.append(f"{bound.spec}: {side} factor decreases")
+    return faults
+
+
+def lattice_faults(spec, net: FinancialNetwork) -> list:
+    """``infeasible_factors`` of ``spec`` bound to ``net`` along 201 equities
+    per bank, from one below the lattice's lower bound to one above its top."""
+    bound = spec.bind(net)
+    grid = np.linspace(net.equity_lower_bound() - 1.0, bound.book_equity + 1.0, 201)
+    return infeasible_factors(bound, grid)
+
+
 def en_clearing_oracle(net: FinancialNetwork, tol: float = 1e-14,
                        max_iterations: int = 100_000) -> np.ndarray:
     """Independent clearing-payment fixed point, iterated in payment space:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from neva import (SolveConfig, ValuationSpec, en_clearing_payments,
-                  feasibility_probe, greatest_solution, least_solution,
+                  greatest_solution, least_solution,
                   merton_vs_network_discount, monte_carlo_global_valuation,
                   solve_dag, stress_test, topology)
 from neva.valuation import (gbm_default_probability, gbm_endogenous_recovery,
@@ -16,7 +16,7 @@ from neva.valuation import (gbm_default_probability, gbm_endogenous_recovery,
                             uniform_endogenous_recovery)
 
 from conftest import (closed_chain_network, gbm_default_probability_quadrature,
-                      gbm_recovery_quadrature, open_chain_network,
+                      gbm_recovery_quadrature, lattice_faults, open_chain_network,
                       random_dag_network, random_network, ring_network,
                       tree_network, uniform_default_probability_quadrature,
                       uniform_recovery_quadrature)
@@ -212,14 +212,8 @@ def test_criterion_10_feasibility_and_order_preservation():
                                               rng.uniform())
             yield ValuationSpec.exante_en_uniform(rng.uniform())
 
-    probe_ok = True
-    first_violation = ""
-    for spec in random_specs():
-        for net in nets:
-            result = feasibility_probe(spec, net)
-            if not result.passed:
-                probe_ok = False
-                first_violation = str(result.violation)
+    faults = [fault for spec in random_specs() for net in nets
+              for fault in lattice_faults(spec, net)]
 
     specs = [EN, ValuationSpec.rogers_veraart(0.3, 0.7),
              ValuationSpec.furfine(0.4), ValuationSpec.linear_debtrank(),
@@ -237,9 +231,8 @@ def test_criterion_10_feasibility_and_order_preservation():
         if np.any(bound.equity_map(low) > bound.equity_map(high) + 1e-12):
             order_ok = False
             break
-    report(10, "feasibility probes and map order preservation",
-           probe_ok and order_ok,
-           first_violation or "all probes passed; 1000 ordered pairs preserved")
+    report(10, "feasibility and map order preservation", not faults and order_ok,
+           faults[0] if faults else "all factors feasible; 1000 ordered pairs preserved")
 
 
 def test_criterion_11_monte_carlo_determinism_and_degenerate_limit():

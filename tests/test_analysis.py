@@ -56,8 +56,9 @@ def test_stress_loss_decomposition_identity(ring):
     for result in stress_test(ring, spec, [0.1, 0.3, 0.6]):
         direct = result.shock * ring.external_assets
         lhs = (result.delta_equity - direct).sum()
-        claims = ring.apply_shock(result.shock).interbank_assets
-        rhs = (claims * (1.0 - result.edge_discounts)).sum()
+        shocked = ring.apply_shock(result.shock)
+        discounts = spec.bind(shocked).edge_discounts(result.report.solution)
+        rhs = (shocked.interbank_assets * (1.0 - discounts)).sum()
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -66,7 +67,7 @@ def test_stress_unconverged_point_flagged(ring):
     result = stress_test(ring, EN, [0.3], config)[0]
     assert not result.report.converged
     assert result.network_effect is None
-    assert result.edge_discounts is None
+    assert result.factors is None
 
 
 def test_stress_accepts_per_bank_shocks(ring):
@@ -110,7 +111,7 @@ def test_stress_stack_flags_only_the_unconverged_point(ring):
     results = stress_test(ring, EN, [0.0, 0.5, 0.2, 1.0], SolveConfig(max_iterations=3))
     assert [r.report.converged for r in results] == [True, True, False, True]
     assert [r.network_effect is None for r in results] == [False, False, True, False]
-    assert results[2].edge_discounts is None
+    assert results[2].factors is None
     assert results[2].report.iterations == 3
     assert [r.report.iterations for r in results[:2]] == [1, 2]
 
@@ -145,9 +146,12 @@ def test_network_effect_matches_the_dense_formula(spec):
         total = claims.sum()
         results = stress_test(net, spec, alphas)
         bound = spec.bind(net, [(1.0 - r.shock) * net.external_assets for r in results])
-        dense_stack = bound.edge_discounts(np.array([r.report.solution for r in results]))
-        for result, dense in zip(results, dense_stack):
-            assert np.array_equal(result.edge_discounts, dense)
+        solutions = np.array([r.report.solution for r in results])
+        borrowers, lenders = bound.borrower_factors(solutions), bound.lender_factors(solutions)
+        for k, (result, dense) in enumerate(zip(results, bound.edge_discounts(solutions))):
+            borrower, lender = result.factors  # the rows the network effect is summed from
+            assert np.array_equal(borrower, borrowers[k])
+            assert lender is None if lenders is None else np.array_equal(lender, lenders[k])
             expected = (claims * (1.0 - dense)).sum() / total if total > 0 else 0.0
             assert result.network_effect == pytest.approx(expected, rel=1e-15, abs=0.0)
 
@@ -436,7 +440,8 @@ def test_stress_with_lender_dependent_family(ring):
     for result in stress_test(ring, spec, [0.0, 0.3, 0.7]):
         assert result.report.converged
         assert 0.0 <= result.network_effect <= 1.0
-        assert result.edge_discounts.shape == (3, 3)
+        borrower, lender = result.factors
+        assert borrower.shape == lender.shape == (3,)
 
 
 def test_limit_sequences_are_checked_in_one_place(ring):

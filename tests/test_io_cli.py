@@ -191,6 +191,12 @@ def faulty_ring(*settings):
     ([(("banks", 0, "external_liabilities"), -10**400)],
      "banks[0].external_liabilities: expected a number, got an integer beyond the "
      "float range"),
+    # fields the loader does not read
+    ([(("liabilities",), MISSING), (("liabilites",), RING_FILE["liabilities"])],
+     ".liabilites: does not apply to a network file"),
+    ([(("banks", 1, "equity"), 1.0)], "banks[1].equity: does not apply to a bank"),
+    ([(("liabilities", 2, "maturity"), 1.0)],
+     "liabilities[2].maturity: does not apply to a liability"),
 ], ids=["missing-amount", "edge-not-an-object", "string-amount", "bool-amount",
         "null-amount", "nan-amount", "negative-amount", "unknown-id", "self-loan",
         "first-of-two-bad-edges", "first-of-bad-id-and-missing-field",
@@ -198,7 +204,8 @@ def faulty_ring(*settings):
         "number-liabilities", "object-liabilities", "null-bank-id", "number-bank-id",
         "number-debtor", "null-creditor", "negative-external-assets",
         "infinite-external-assets", "nan-external-liabilities", "overflowing-amount",
-        "overflowing-external-assets", "overflowing-external-liabilities"])
+        "overflowing-external-assets", "overflowing-external-liabilities",
+        "misspelt-liabilities", "unread-bank-field", "unread-liability-field"])
 def test_cli_names_the_first_fault_of_a_network_file(tmp_path, capsys, settings, field):
     network = write_json(tmp_path / "net.json", faulty_ring(*settings))
     scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)

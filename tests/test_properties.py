@@ -6,7 +6,8 @@ greatest solution), losses that grow with the shock, and the network file
 round trip, on files that repeat edges and leave banks without edges;
 result files that give back every bank id and value bit for bit, and JSON
 text that is ``json.dumps(indent=2)`` byte for byte; bound factors that are
-their public functions bit for bit; and a CLI that, on any perturbed
+their public functions bit for bit; every valuation family feasible (each
+factor in [0, 1] and nondecreasing); and a CLI that, on any perturbed
 scenario file, exits with 0, 1 or 2 only and leaves no file behind on 2."""
 import contextlib
 import copy
@@ -30,9 +31,9 @@ from neva import (FinancialNetwork, SolveConfig, SolveReport, StressResult,
                   monte_carlo_global_valuation, serialize_results, solve, stress_test)
 from neva.cli import run_command
 from neva.files import SCENARIO_KINDS, _render
-from neva.valuation import INTERBANK_FAMILIES, en_interbank
+from neva.valuation import EXTERNAL_FAMILIES, INTERBANK_FAMILIES, en_interbank
 
-from conftest import en_clearing_oracle
+from conftest import en_clearing_oracle, infeasible_factors
 
 EN = ValuationSpec.eisenberg_noe()
 ULP = np.finfo(float).eps
@@ -289,6 +290,24 @@ def test_json_output_is_that_of_json_dumps(drawn):
     assert _render(*table, "json") == json.dumps(document, indent=2) + "\n"
 
 
+def _bind_drawn(net, kind, external, rows, beta, column, rng) -> tuple:
+    """``kind`` with ``external`` valuation bound to a ``(rows, n)`` stack of
+    external assets, some of them zero, and that stack. ``beta`` is the value
+    of every parameter in [0, 1], the others are drawn, and given ``column``
+    a ``(rows, 1)`` maturity or beta column stands in for the spec's value."""
+    assets = net.external_assets * rng.uniform(0.2, 2.0, (rows, net.n))
+    assets[rng.random(assets.shape) < 0.3] = 0.0
+    params = INTERBANK_FAMILIES[kind].params + EXTERNAL_FAMILIES[external].params
+    parameters = {"alpha": beta, "beta": beta, "recovery": beta,
+                  "maturity": rng.uniform(0.01, 5.0),
+                  "sigma": tuple(rng.uniform(0.05, 1.0, net.n))}
+    spec = ValuationSpec(kind, external, **{name: parameters[name] for name in params})
+    varying = [name for name in ("maturity", "beta") if name in params]
+    columns = ({varying[0]: rng.uniform(0.01, 1.0, (rows, 1))} if column and varying
+               else {})
+    return spec.bind(net, assets, **columns), assets
+
+
 @given(networks(), st.sampled_from(sorted(INTERBANK_FAMILIES)), st.integers(1, 3),
        st.floats(0.0, 1.0, exclude_max=True), st.booleans(), st.integers(0, 2**32 - 1))
 def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, seed):
@@ -298,16 +317,8 @@ def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, s
     # without obligations or external assets, equities on both sides of 0 and
     # at -pbar and at Ae, per-bank sigma, beta < 1 and a (rows, 1) column
     rng = np.random.default_rng(seed)
-    assets = net.external_assets * rng.uniform(0.2, 2.0, (rows, net.n))
-    assets[rng.random(assets.shape) < 0.3] = 0.0
+    bound, assets = _bind_drawn(net, kind, "unit", rows, beta, column, rng)
     family = INTERBANK_FAMILIES[kind]
-    parameters = {"beta": beta, "recovery": beta, "maturity": rng.uniform(0.01, 5.0),
-                  "sigma": tuple(rng.uniform(0.05, 1.0, net.n))}
-    spec = ValuationSpec(kind, **{name: parameters[name] for name in family.params})
-    varying = [name for name in ("maturity", "beta") if name in family.params]
-    columns = ({varying[0]: rng.uniform(0.01, 1.0, (rows, 1))} if column and varying
-               else {})
-    bound = spec.bind(net, assets, **columns)
     pick = rng.random(assets.shape)
     equities = np.select([pick < 0.2, pick < 0.4, pick < 0.5],
                          [np.broadcast_to(-net.total_obligations(), assets.shape),
@@ -319,6 +330,32 @@ def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, s
     order = np.arange(rows)[::-1]
     assert np.array_equal(bound.rows(order).borrower_factors(equities[order]),
                           expected[order])
+
+
+@given(networks(), st.integers(1, 3), st.floats(0.0, 1.0), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_every_family_is_feasible(net, rows, beta, column, seed):
+    # the paper's conditions for existence, uniqueness and convergence: each
+    # bound factor (borrower, lender, external) lies in [0, 1] and does not
+    # decrease in equity; checked for every pair of table keys along a grid
+    # sorted entry by entry, through the lattice and beyond it, and at the
+    # branch points 0, -pbar, Ae and Ae - pbar
+    rng = np.random.default_rng(seed)
+    obligations, lower = net.total_obligations(), net.equity_lower_bound()
+    checked = set()
+    for kind in INTERBANK_FAMILIES:
+        for external in EXTERNAL_FAMILIES:
+            bound, assets = _bind_drawn(net, kind, external, rows, beta, column, rng)
+            marks = [0.0, -obligations, assets, assets - obligations, lower,
+                     bound.book_equity]
+            grid = np.concatenate(
+                [np.broadcast_to(mark, (1, rows, net.n)) for mark in marks]
+                + [rng.uniform(lower - 1.0, bound.book_equity + 1.0, (24, rows, net.n))])
+            assert infeasible_factors(bound, np.sort(grid, axis=0)) == []
+            checked.add((bound.spec.interbank_kind, bound.spec.external_kind))
+    # a family added to either table is checked here too
+    assert checked == {(kind, external) for kind in INTERBANK_FAMILIES
+                       for external in EXTERNAL_FAMILIES}
 
 
 # A valid document per scenario kind, with every optional field and block

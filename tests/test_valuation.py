@@ -9,15 +9,14 @@ import pytest
 
 import neva
 from neva import (FinancialNetwork, SpecError, ValuationSpec, debtrank_interbank, en_interbank,
-                  exante_en_gbm_interbank, exante_en_uniform_interbank,
-                  feasibility_probe, furfine_interbank,
+                  exante_en_gbm_interbank, exante_en_uniform_interbank, furfine_interbank,
                   gbm_default_probability, gbm_endogenous_recovery, greatest_solution,
-                  probe_curve, rv_external, rv_interbank,
+                  rv_external, rv_interbank,
                   uniform_default_probability, uniform_endogenous_recovery)
 from neva.valuation import EXTERNAL_FAMILIES, INTERBANK_FAMILIES
 
-from conftest import (gbm_default_probability_quadrature,
-                      gbm_recovery_quadrature, uniform_recovery_quadrature)
+from conftest import (gbm_default_probability_quadrature, gbm_recovery_quadrature,
+                      lattice_faults, uniform_recovery_quadrature)
 
 
 # ---------------------------------------------------------------- at-maturity
@@ -292,7 +291,7 @@ def test_edge_factor_matches_closed_forms(ring):
             assert discounts[lender, borrower] == pytest.approx(expected)
 
 
-# --------------------------------------------------------- feasibility probes
+# ------------------------------------------------------------- feasibility
 
 def all_shipped_specs():
     return [
@@ -309,32 +308,12 @@ def all_shipped_specs():
 
 
 def test_feasibility_probe_passes_all_families(ring, open_chain):
-    # a family added to the table must be probed here too
+    # a family added to the table must be checked here too
     assert {s.interbank_kind for s in all_shipped_specs()} == set(INTERBANK_FAMILIES)
     assert {s.external_kind for s in all_shipped_specs()} == set(EXTERNAL_FAMILIES)
     for net in (ring, open_chain):
         for spec in all_shipped_specs():
-            report = feasibility_probe(spec, net)
-            assert report.passed, str(report.violation)
-
-
-def test_feasibility_probe_catches_corrupted_curves():
-    grid = np.linspace(-5.0, 5.0, 101)
-    good = en_interbank(grid, 2.0)
-    negated = probe_curve("corrupted", {"obligations": 2.0}, grid, -good)
-    assert not negated.passed and negated.violation.kind == "range"
-    reversed_ = probe_curve("corrupted", {}, grid, good[::-1])
-    assert not reversed_.passed and reversed_.violation.kind == "monotonicity"
-    assert "corrupted" in str(reversed_.violation)
-
-
-def test_probe_reports_offending_pair():
-    grid = np.array([0.0, 1.0, 2.0])
-    values = np.array([0.2, 0.5, 0.4])
-    report = probe_curve("demo", {"p": 1}, grid, values)
-    violation = report.violation
-    assert violation.previous_equity == 1.0 and violation.equity == 2.0
-    assert violation.previous_value == 0.5 and violation.value == pytest.approx(0.4)
+            assert lattice_faults(spec, net) == []
 
 
 def test_error_function_accuracy_against_mpmath():
@@ -367,8 +346,7 @@ def test_degenerate_external_assets_bank_stays_feasible():
     net = FinancialNetwork(["A", "B"], [0.0, 2.0], [0.1, 0.5],
                            np.array([[0.0, 0.4], [0.0, 0.0]]))
     spec = ValuationSpec.exante_en_gbm(sigma=1.0, maturity=1.0)
-    probe = feasibility_probe(spec, net)
-    assert probe.passed, str(probe.violation)
+    assert lattice_faults(spec, net) == []
 
 
 def test_scipy_special_is_imported_on_first_closed_form(ring):
