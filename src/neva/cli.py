@@ -4,12 +4,13 @@ Exit codes: 0 on success, 1 when the run completed but some solve did not
 converge (or a Monte Carlo run dropped too many samples), 2 on input errors,
 including inputs whose arrays cannot be allocated.
 Diagnostics go to standard error at the level set by the NEVA_LOG
-environment variable (error, warn, info, debug); results go to --output or
-standard output.
+environment variable (error, warn, info, debug; any other value exits 2);
+results go to --output or standard output.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import logging
 import os
@@ -28,12 +29,27 @@ LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("NEVA_LOG", "warn").lower()
-    level = LOG_LEVELS.get(level_name, logging.WARNING)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("neva: %(levelname)s: %(message)s"))
-    log.handlers[:] = [handler]
-    log.setLevel(level)
+    log.handlers[:] = [handler]  # installed first: a bad level is logged too
+    level_name = os.environ.get("NEVA_LOG", "warn")
+    if level_name.lower() not in LOG_LEVELS:
+        raise ValueError(f"NEVA_LOG: expected one of {', '.join(LOG_LEVELS)}, "
+                         f"got {level_name!r}")
+    log.setLevel(LOG_LEVELS[level_name.lower()])
+
+
+@functools.cache  # once per process
+def _pin_heap() -> None:
+    """Keep the solves' (rows, banks) temporaries on a heap that stays mapped:
+    by default glibc maps each afresh or trims it away, so its pages fault in
+    again every sweep.  The mmap threshold is glibc's own 64-bit ceiling for
+    its dynamic threshold, 32 MiB; the trim threshold is twice that, its rule."""
+    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _seed(text: str) -> int:
@@ -79,13 +95,14 @@ def _given(args, flags) -> dict:
 
 def run_command(argv=None) -> int:
     """Parse arguments, run the requested scenario, write the results."""
-    _configure_logging()
+    _pin_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        _configure_logging()
         scenario = files.load_scenario(args.scenario)
         if scenario.kind != COMMANDS[args.command]:
             raise files.FileFormatError(

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import neva
-from neva import (FileFormatError, SolveConfig, ValuationSpec, dump_network,
-                  load_network, load_scenario, serialize_results, topology)
+from neva import (FileFormatError, FinancialNetwork, SolveConfig, ValuationSpec,
+                  dump_network, load_network, load_scenario, serialize_results, topology)
+from neva import cli
 from neva.cli import build_parser, run_command
 from neva.files import network_to_dict
 from neva.valuation import INTERBANK_FAMILIES
@@ -781,16 +783,20 @@ def test_cli_epsilon_override_applies(tmp_path):
     assert status == 0
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a child that imports the same neva as this
+    process, installed or not."""
+    src = os.path.dirname(os.path.dirname(neva.__file__))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     network = write_json(tmp_path / "net.json", OPEN_CHAIN_FILE)
     scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
-    # the child imports the same neva as this process, installed or not
-    src = os.path.dirname(os.path.dirname(neva.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "neva.cli", "solve", "--network", network,
-         "--scenario", scenario], capture_output=True, text=True, env=env)
+         "--scenario", scenario], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("bank_id,")
 
@@ -804,6 +810,61 @@ def test_cli_logging_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NEVA_LOG", "debug")
     assert run_command(["solve", "--network", network, "--scenario", scenario,
                         "--output", str(tmp_path / "o2.csv")]) == 0
+    monkeypatch.setenv("NEVA_LOG", "INFO")  # the level's case does not matter
+    assert run_command(["solve", "--network", network, "--scenario", scenario,
+                        "--output", str(tmp_path / "o3.csv")]) == 0
+
+
+def test_cli_rejects_an_unknown_log_level(tmp_path, monkeypatch, capsys):
+    # exits 2 before any file is read: the scenario path does not exist
+    monkeypatch.setenv("NEVA_LOG", "verbose")
+    assert run_command(["solve", "--network", str(tmp_path / "net.json"),
+                        "--scenario", str(tmp_path / "scn.json")]) == 2
+    assert capsys.readouterr().err == ("neva: ERROR: NEVA_LOG: expected one of "
+                                       "error, warn, info, debug, got 'verbose'\n")
+
+
+# Four mc-global runs in one fresh interpreter: two grow the heap to its
+# high-water mark, and the last two count this process's minor page faults.
+FAULT_COUNTER = """
+import resource, sys
+from neva.cli import run_command
+for run in range(4):
+    if run == 2:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert run_command(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+def test_cli_monte_carlo_runs_without_page_faults(tmp_path):
+    # each sweep of a (750, 50) stack allocates and frees 300 kB temporaries;
+    # with glibc's default thresholds they are mapped afresh or trimmed away
+    # and fault back in, hundreds to thousands of pages per warm run
+    rng = np.random.default_rng(13)
+    n = 50
+    liabilities = rng.lognormal(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.2)
+    np.fill_diagonal(liabilities, 0.0)
+    assets = 3.0 * liabilities.sum(axis=0).mean() * rng.lognormal(-0.125, 0.5, n)
+    external = np.maximum(0.95 * (assets + liabilities.sum(axis=0))
+                          - liabilities.sum(axis=1), 0.0)
+    network = str(tmp_path / "net.json")
+    dump_network(FinancialNetwork([f"B{k}" for k in range(n)], assets, external,
+                                  liabilities), network)
+    scenario = write_json(tmp_path / "scn.json", {"scenario": {
+        "kind": "mc_global", "sigma": 0.2, "tau": 1.0, "samples": 750, "seed": 1}})
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_COUNTER, "mc-global", "--network", network,
+         "--scenario", scenario, "--output", str(tmp_path / "mc.csv")],
+        capture_output=True, text=True, check=True,
+        env=_child_env(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1"))
+    assert int(proc.stdout) <= 64
+
+
+def test_heap_step_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert cli._pin_heap.__wrapped__() is None
 
 
 def test_cli_limit_maturity(tmp_path):

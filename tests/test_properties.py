@@ -2,7 +2,8 @@
 obligations and banks whose external liabilities exceed their external
 assets: the pro-rata clearing map against its payment-space form, the
 solution lattice (a solve from any start lies between the least and the
-greatest solution), losses that grow with the shock, and the network file
+greatest solution), greatest solutions that clear as the payment-space
+oracle does, losses that grow with the shock, and the network file
 round trip, on files that repeat edges and leave banks without edges;
 result files that give back every bank id and value bit for bit, and JSON
 text that is ``json.dumps(indent=2)`` byte for byte; bound factors that are
@@ -148,6 +149,15 @@ def test_clearing_payments_match_the_factor_and_the_oracle(net, shift):
     solution = greatest_solution(net, EN, SolveConfig(epsilon=1e-13)).solution
     assert np.allclose(en_clearing_payments(net, solution), en_clearing_oracle(net),
                        atol=1e-8)
+
+
+@given(networks())
+def test_greatest_solution_clears_like_the_oracle(net):
+    # acceptance criterion 1 on random networks: the greatest Eisenberg-Noe
+    # solution's payments are the payment-space clearing fixed point
+    solution = greatest_solution(net, EN, SolveConfig(epsilon=1e-13)).solution
+    assert np.max(np.abs(en_clearing_payments(net, solution) - en_clearing_oracle(net))
+                  ) <= 1e-9 * _scale(net, net.external_assets)
 
 
 @st.composite
