@@ -265,8 +265,8 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     terminal_assets = net.external_assets * np.exp(sigma * np.sqrt(tau) * normals + drift)
     bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, terminal_assets)
     # one network-level tolerance and no per-sample report
-    solutions, _, residuals, _ = _iterate(lambda rows: bound.rows(rows).equity_map,
-                                          bound.book_equity, epsilon, config.max_iterations)
+    solutions, _, residuals, _ = _iterate(bound, bound.book_equity, epsilon,
+                                          config.max_iterations)
     kept = solutions[residuals <= epsilon]
     count = len(kept)
     dropped = samples - count

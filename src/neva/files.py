@@ -28,7 +28,7 @@ from .analysis import (DiscountComparison, LimitSeries, MonteCarloResult,
 from .network import FinancialNetwork, _invalid, _invalid_edges
 from .solver import FACE_VALUES, LOWER_BOUNDS, SolveConfig, SolveReport
 from .valuation import (EXTERNAL_FAMILIES, INTERBANK_FAMILIES,
-                        PARAMETER_CHECKS, SpecError, ValuationSpec)
+                        PARAMETER_CHECKS, SpecError, ValuationSpec, _check_variance)
 
 __all__ = [
     "FileFormatError",
@@ -352,6 +352,11 @@ def _parse_curve(entry, context) -> dict:
         if key in ("obligations", "external_assets") and curve[key] < 0:
             raise FileFormatError(f"{context}.{key}: expected a finite nonnegative number, "
                                   f"got {curve[key]}")
+    if "sigma" in curve:
+        try:
+            _check_variance(curve["sigma"], curve["maturity"])
+        except SpecError as exc:
+            raise FileFormatError(f"{context}.sigma: {exc}") from exc
     if lender:
         curve["lender_equity"] = _field(entry, "lender_equity", context, _finite, default=0.0)
     return curve
@@ -368,7 +373,9 @@ class ScenarioKind:
     """One scenario kind.  ``fields`` and ``solver_fields`` map the fields the
     ``scenario`` and ``solver`` blocks read to ``(reader, default)`` (None:
     required).  ``run(net, valuation, config, **fields)`` looks its function up
-    when called, so tracing wrappers see the call; exit 1 unless ``complete``."""
+    when called, so tracing wrappers see the call; exit 1 unless ``complete``.
+    ``lognormal(**fields)``, where given, builds the log-normal spec the run does,
+    so that a sigma admissible alone but not with the maturity is rejected at load."""
 
     fields: dict
     run: Callable
@@ -376,6 +383,7 @@ class ScenarioKind:
     valuation: bool = False  # reads a valuation block
     solves: bool = True  # solves on a network: needs one, reads solver controls
     solver_fields: dict = field(default_factory=dict)
+    lognormal: Optional[Callable] = None
 
 
 SCENARIO_KINDS = {
@@ -393,7 +401,9 @@ SCENARIO_KINDS = {
          "sigma": (_checked("sigma"), None), "beta": (_checked("beta"), 1.0)},
         lambda net, spec, config, tau_sequence, sigma, beta:
             analysis.maturity_limit_experiment(net, sigma, tau_sequence, beta, config),
-        lambda series: not series.partial),
+        lambda series: not series.partial,
+        lognormal=lambda tau_sequence, sigma, beta: ValuationSpec.exante_en_gbm(
+            sigma, max(tau_sequence), beta)),
     "limit_beta": ScenarioKind(
         {"beta_sequence": (_grid(_checked("beta"), descending=True), None)},
         lambda net, spec, config, beta_sequence: analysis.debtrank_limit_experiment(
@@ -409,7 +419,13 @@ SCENARIO_KINDS = {
          "sigma": (_checked("sigma"), None), "beta": (_checked("beta"), 1.0)},
         lambda net, spec, config, **fields: analysis.monte_carlo_global_valuation(
             net, config=config, **fields),
-        lambda result: result.valid),
+        lambda result: result.valid,
+        lognormal=lambda tau, sigma, beta, **_: ValuationSpec.exante_en_gbm(sigma, tau, beta)),
+    "discount": ScenarioKind(
+        {"alpha_grid": (_grid(_checked("alpha")), None)},
+        lambda net, spec, config, alpha_grid: analysis.merton_vs_network_discount(
+            net, spec, alpha_grid, config),
+        lambda points: all(point.converged for point in points), valuation=True),
 }
 
 
@@ -446,6 +462,11 @@ def load_scenario(path) -> Scenario:
                   (block, context, kind.fields),
                   (data.get("solver", {}), f"{path}: solver", kind.solver_fields))
               for key, (read, default) in fields.items()}
+    if kind.lognormal is not None:
+        try:
+            kind.lognormal(**params)
+        except SpecError as exc:
+            raise FileFormatError(f"{context}.sigma: {exc}") from exc
     return Scenario(kind=name, valuation=valuation, solver=config, params=params)
 
 

@@ -112,32 +112,30 @@ class UniquenessReport:
     least: SolveReport
 
 
-def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
+def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: int,
              direction: int = 0) -> tuple:
-    """Fixed-point iteration of every row of the ``(batch, n)`` stack ``start``.
+    """Fixed-point iteration of every row of the ``(batch, n)`` stack ``start``
+    under the equity map of ``bound``, laid out once as ``bound.stack(batch)``.
 
-    ``map_rows(rows)`` gives the map of the rows ``rows``.  A row retires once
-    its sup-norm step is at most its ``epsilon`` (scalar or per row); only then
-    is the map asked for again (never for zero rows) and the compact active
-    rows written back.
+    A row retires once its sup-norm step is at most its ``epsilon`` (scalar or
+    per row); the active rows stay compact, in order, and the stack is told
+    which it keeps, so the map is never evaluated on zero rows.
     Returns per row the last iterate, sweeps, last step and whether every step
     went in ``direction`` (-1 falling, +1 rising, 0 any).
     """
     solutions = np.array(start, dtype=float)
+    stack = bound.stack(len(solutions))
     active = np.arange(len(solutions))
     sweeps = np.full(active.shape, max_iterations)
     residuals = np.full(active.shape, np.inf)
     monotone = np.ones(active.shape, dtype=bool)
-    tolerance = np.broadcast_to(epsilon, active.shape)
-    offsets = np.arange(len(solutions)) * solutions.shape[1]  # of the rows in the flat stack
+    tolerance = np.asarray(epsilon)  # one, or one per row
+    offsets = active * solutions.shape[1]  # of the rows in the flat stack
     equities, steps, ordered = solutions, residuals, monotone
-    equity_map = None
     for sweep in range(1, max_iterations + 1):
         if not active.size:
             break
-        if equity_map is None:
-            equity_map = map_rows(active)
-        updated = equity_map(equities)
+        updated = stack.equity_map(equities)
         # the last iterate is not read again: its buffer takes the change
         change = np.subtract(updated, equities, out=equities)
         if direction:  # a step against it beyond the slack
@@ -148,16 +146,21 @@ def _iterate(map_rows, start: np.ndarray, epsilon, max_iterations: int,
                                     offsets[:len(active)])
         equities = updated
         done = steps <= tolerance
-        if done.any():
-            retired, keep = active[done], ~done
-            solutions[retired] = equities[done]
-            residuals[retired] = steps[done]
-            sweeps[retired] = sweep
-            monotone[retired] = ordered[done]
-            active, equities, steps = active[keep], equities[keep], steps[keep]
-            ordered, tolerance = ordered[keep], tolerance[keep]
-            equity_map = None  # rebuilt for the rows left, if any
-    solutions[active], residuals[active], monotone[active] = equities, steps, ordered
+        if done.any():  # the rows left move up, in order, and the stack keeps them
+            gone, kept = done.nonzero()[0], (~done).nonzero()[0]
+            retired = active[gone]
+            solutions[retired] = equities[gone]
+            residuals[retired], sweeps[retired] = steps[gone], sweep
+            active, equities, steps = active[kept], equities.take(kept, axis=0), steps[kept]
+            if direction:
+                monotone[retired], ordered = ordered[gone], ordered[kept]
+            if tolerance.ndim:
+                tolerance = tolerance[kept]
+            if kept.size:
+                stack.keep(kept)
+    solutions[active], residuals[active] = equities, steps
+    if direction:
+        monotone[active] = ordered
     return solutions, sweeps, residuals, monotone
 
 
@@ -166,7 +169,7 @@ def _solve(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: in
     """One ``SolveReport`` per row of the stack ``start``, clamped into ``[m, M]``."""
     direction = {"greatest": -1, "least": +1}.get(kind, 0)
     solutions, sweeps, residuals, monotone = _iterate(
-        lambda rows: bound.rows(rows).equity_map, start, epsilon, max_iterations, direction)
+        bound, start, epsilon, max_iterations, direction)
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
     epsilon = np.broadcast_to(epsilon, residuals.shape)
     reports = []
@@ -209,6 +212,8 @@ def solve(net: FinancialNetwork, spec: ValuationSpec, config: Optional[SolveConf
         start = np.asarray(start, dtype=float)
         if start.shape != (net.n,):
             raise ValueError(f"custom start must have shape ({net.n},), got {start.shape}")
+        if np.isnan(start).any():
+            raise ValueError("custom start must not hold NaN")
     if kind == "least" and not spec.continuous_from_below:
         warnings = (
             "spec contains a valuation function that is not continuous from "

@@ -67,8 +67,7 @@ def _en_prepare(obligations, beta=1.0) -> dict:
 def _en_kernel(equity, reciprocal, haircut):
     factor = np.asarray(equity * reciprocal)  # 0-d for scalars: the steps below work in place
     factor += 1.0
-    np.maximum(factor, 0.0, out=factor)
-    np.minimum(factor, 1.0, out=factor)
+    np.clip(factor, 0.0, 1.0, out=factor)
     if haircut is not None:
         factor *= np.where(np.less(equity, 0.0), haircut, 1.0)
     return factor
@@ -322,6 +321,16 @@ def _check_maturity(name: str, value) -> float:
     return value
 
 
+def _check_variance(sigma, maturity) -> None:
+    """Reject a (largest) ``sigma`` and a ``maturity``, each admissible, whose
+    log-normal variance ``0.5 * sigma**2 * maturity`` overflows in the order
+    the kernel computes it."""
+    sigma = float(np.max(sigma))
+    if 0.5 * sigma * sigma * maturity == np.inf:
+        raise SpecError(f"sigma {sigma:g} with time to maturity {maturity:g} overflows "
+                        "the log-normal variance 0.5 * sigma**2 * maturity")
+
+
 # Validator per valuation parameter; each returns the value normalized to
 # floats (a per-bank sigma becomes a tuple).
 PARAMETER_CHECKS = {
@@ -444,6 +453,8 @@ class ValuationSpec:
             elif value is not None:
                 raise SpecError(f"{name} does not apply to {self.interbank_kind} "
                                 f"with {self.external_kind} external valuation")
+        if self.sigma is not None:
+            _check_variance(self.sigma, self.maturity)
 
     @classmethod
     def eisenberg_noe(cls) -> "ValuationSpec":
@@ -563,7 +574,8 @@ class BoundValuation:
     spec: ValuationSpec
     net: FinancialNetwork
     constants: dict = field(repr=False)
-    book_equity: np.ndarray = field(init=False)  # None on a rows() view
+    per_row: tuple = field(default=(), repr=False)  # of a stack(): what keep() gathers
+    book_equity: np.ndarray = field(init=False)  # None on a stack()
     _borrower: Callable = field(init=False, repr=False)
     _lender: Optional[Callable] = field(init=False, repr=False)
     _external: Callable = field(init=False, repr=False)
@@ -583,16 +595,33 @@ class BoundValuation:
                      for _, reads in family.kernels for name in reads) + (
             "obligations", "cash" if self.spec.external_kind == "unit" else "external_assets")
 
-    def rows(self, index) -> "BoundValuation":
-        """The valuation of rows ``index`` of a stack of external assets, holding
-        only the constants its equity map reads.  Per-bank constants shared by
-        every row become one ``(1, n)`` row, because numpy combines operands
-        of equal rank on a faster path."""
-        read = {name: self.constants[name] for name in self._map_reads}
-        return BoundValuation(self.spec, self.net, {  # parameters, empty masks: floats or None
-            name: value[index] if getattr(value, "ndim", 0) == 2
-            else value[np.newaxis] if getattr(value, "ndim", 0) == 1 else value
-            for name, value in read.items()})
+    def stack(self, count: int) -> "BoundValuation":
+        """The solver's private valuation of a ``count``-row stack of equities:
+        the constants its equity map reads, each with the stack's shape, so
+        that every elementwise operand has it (numpy runs an operand broadcast
+        from ``(1, n)`` one row at a time).  Per-row constants (2-D) are
+        shared with this binding (copied only where not contiguous, as a
+        broadcast is) and per-bank ones shared by every row tiled; ``keep``
+        then drops rows, the one change a binding takes."""
+        constants = {name: self.constants[name] for name in self._map_reads}
+        laid_out = {name: np.ascontiguousarray(np.broadcast_to(value, (count, value.shape[-1])))
+                    for name, value in constants.items() if getattr(value, "ndim", 0)}
+        return BoundValuation(self.spec, self.net, {**constants, **laid_out}, tuple(
+            name for name in laid_out if constants[name].ndim == 2))
+
+    def keep(self, rows) -> None:
+        """Keep rows ``rows`` (ascending) of a ``stack``, in order: the per-row
+        constants are gathered to them, the tiles cut to as many rows, and the
+        bound kernels read these from then on; nothing is bound anew."""
+        constants = self.constants
+        for name, value in constants.items():
+            if name in self.per_row:
+                constants[name] = value.take(rows, axis=0)
+            elif isinstance(value, np.ndarray):
+                constants[name] = value[:len(rows)]
+        for kernel in (self._borrower, self._lender, self._external):
+            if kernel is not None:  # a partial calls with its live keywords
+                kernel.keywords.update({name: constants[name] for name in kernel.keywords})
 
     def external_factors(self, equities: np.ndarray) -> np.ndarray:
         return self._external(equities)

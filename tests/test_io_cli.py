@@ -570,6 +570,18 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
         {"family": "exante_en_gbm", "external_assets": -0.5, "sigma": 0.3, "maturity": 1.0,
          "obligations": 1.0, "beta": 1.0}]}},
         "families[0].external_assets", id="curve-gbm-negative-external-assets"),
+    # sigma and maturity each admissible, but 0.5 * sigma**2 * maturity overflows
+    pytest.param("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "sigma": 1e200}},
+                 "scenario.sigma", id="limit-maturity-variance-overflow"),
+    pytest.param("mc-global", {"scenario": {**MC_SCENARIO, "sigma": 1e200}},
+                 "scenario.sigma", id="mc-global-variance-overflow"),
+    pytest.param("solve", {"valuation": {"interbank": {**GBM_VALUATION, "sigma": 1e200}},
+                           "scenario": {"kind": "solve"}},
+                 "valuation", id="solve-gbm-variance-overflow"),
+    pytest.param("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "exante_en_gbm", "external_assets": 1.0, "sigma": 1e200, "maturity": 1.0,
+         "obligations": 1.0, "beta": 1.0}]}},
+        "families[0].sigma", id="curve-gbm-variance-overflow"),
 ])
 def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     network = write_json(tmp_path / "net.json", RING_FILE)
@@ -618,6 +630,7 @@ COMMAND_FLAGS = {
     "limit-beta": COMMON_FLAGS + SOLVER_FLAGS,
     "curve": COMMON_FLAGS,
     "mc-global": COMMON_FLAGS + SOLVER_FLAGS + ["--seed"],
+    "discount": COMMON_FLAGS + SOLVER_FLAGS,
 }
 
 
@@ -628,7 +641,7 @@ def test_each_command_has_only_the_flags_its_kind_reads():
                        if option not in ("-h", "--help")]
              for command, sub in commands.choices.items()}
     assert flags == COMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 35
+    assert sum(map(len, flags.values())) == 41
 
 
 @pytest.mark.parametrize("command, scenario, flags", [
@@ -928,6 +941,30 @@ def test_discount_comparison_serialization(ring):
     assert len(lines) == 1 + 2 * 3  # two shocks, three edges
     payload = json.loads(serialize_results(comparisons, "json", ring))
     assert all(row["difference"] >= -1e-9 for row in payload["rows"])
+
+
+def test_cli_discount_is_the_api_call(tmp_path, ring):
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    valuation = {"interbank": {**GBM_VALUATION, "sigma": 0.1, "maturity": 25.0}}
+    scenario = write_json(tmp_path / "scn.json", {
+        "valuation": valuation, "scenario": {"kind": "discount", "alpha_grid": [0.1, 0.4]}})
+    comparisons = neva.merton_vs_network_discount(
+        ring, ValuationSpec.exante_en_gbm(sigma=0.1, maturity=25.0), [0.1, 0.4])
+    out = tmp_path / "discount.out"
+    for fmt in ("csv", "json"):
+        assert run_command(["discount", "--network", network, "--scenario", scenario,
+                            "--output", str(out), "--format", fmt]) == 0
+        assert out.read_text() == serialize_results(comparisons, fmt, ring)
+    # a point that does not converge exits 1; a family at maturity is an input error
+    assert run_command(["discount", "--network", network, "--scenario", scenario,
+                        "--output", str(out), "--max-iter", "1"]) == 1
+    scenario = write_json(tmp_path / "scn.json", {
+        "valuation": EN_SOLVE_SCENARIO["valuation"],
+        "scenario": {"kind": "discount", "alpha_grid": [0.1]}})
+    out.unlink()
+    assert run_command(["discount", "--network", network, "--scenario", scenario,
+                        "--output", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_scenario_per_bank_sigma(tmp_path):

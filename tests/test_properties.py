@@ -102,8 +102,8 @@ def test_payment_space_map_is_the_factor_map(net, beta, rows, seed):
     payment_map = assets - net.external_liabilities - obligations + payments @ shares
     tolerance = 16 * ULP * _scale(net, assets)
     assert np.max(np.abs(bound.equity_map(equities) - payment_map)) <= tolerance
-    assert np.array_equal(bound.rows(np.arange(rows)).equity_map(equities),
-                          bound.equity_map(equities))
+    # the solver's stack of the binding, its shared constants tiled, maps alike
+    assert np.array_equal(bound.stack(rows).equity_map(equities), bound.equity_map(equities))
 
 
 LATTICE_SPECS = [EN, ValuationSpec.eisenberg_noe_haircut(0.5),
@@ -322,10 +322,11 @@ def _bind_drawn(net, kind, external, rows, beta, column, rng) -> tuple:
        st.floats(0.0, 1.0, exclude_max=True), st.booleans(), st.integers(0, 2**32 - 1))
 def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, seed):
     # bind computes each family's equity-independent constants once and its
-    # kernel the rest every sweep; the bound factor, on a stack and on a rows()
-    # view, must be the public function bit for bit on every branch: banks
-    # without obligations or external assets, equities on both sides of 0 and
-    # at -pbar and at Ae, per-bank sigma, beta < 1 and a (rows, 1) column
+    # kernel the rest every sweep; the bound factor, on a stack and on the
+    # solver's stack after it kept some rows, must be the public function bit
+    # for bit on every branch: banks without obligations or external assets,
+    # equities on both sides of 0 and at -pbar and at Ae, per-bank sigma,
+    # beta < 1 and a (rows, 1) column
     rng = np.random.default_rng(seed)
     bound, assets = _bind_drawn(net, kind, "unit", rows, beta, column, rng)
     family = INTERBANK_FAMILIES[kind]
@@ -337,9 +338,12 @@ def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, s
     expected = family.factor(equities, **{name: bound.constants[name]
                                           for name in family.reads})
     assert np.array_equal(bound.borrower_factors(equities), expected)
-    order = np.arange(rows)[::-1]
-    assert np.array_equal(bound.rows(order).borrower_factors(equities[order]),
-                          expected[order])
+    stack, kept = bound.stack(rows), np.arange(rows)
+    for _ in range(rows):  # drop a drawn row at a time: the rest move up, in order
+        assert np.array_equal(stack.borrower_factors(equities[kept]), expected[kept])
+        keep = np.flatnonzero(np.arange(len(kept)) != rng.integers(len(kept)))
+        kept = kept[keep]
+        stack.keep(keep)
 
 
 @given(networks(), st.integers(1, 3), st.floats(0.0, 1.0), st.booleans(),
@@ -393,6 +397,9 @@ SCENARIOS = {
     "mc_global": {"solver": {"epsilon": 1e-9},
                   "scenario": {"kind": "mc_global", "sigma": 0.5, "tau": 1.0, "beta": 0.5,
                                "samples": 10, "seed": 3}},
+    "discount": {"valuation": {"interbank": {"kind": "exante_en_gbm", "sigma": 0.5,
+                                             "maturity": 1.0, "beta": 0.5}},
+                 "scenario": {"kind": "discount", "alpha_grid": [0.0, 0.5]}},
 }
 NETWORK = {"banks": [{"id": bank, "external_assets": assets, "external_liabilities": 0.5}
                      for bank, assets in (("A", 1.0), ("B", 0.5), ("C", 2.0))],

@@ -5,7 +5,7 @@ from neva import (FinancialNetwork, SolveConfig, ValuationSpec,
                   en_clearing_payments, greatest_solution, least_solution,
                   solve, solve_dag, topology, uniqueness_check)
 
-from neva.solver import _iterate
+from neva.solver import _greatest, _iterate
 
 from conftest import en_clearing_oracle, random_dag_network, random_network
 
@@ -105,27 +105,68 @@ def test_solve_config_validation(ring):
     assert SolveConfig(epsilon=1).epsilon == 1
 
 
+class _Contractions:
+    """A stack of contractions ``E -> rate * E + cash`` as ``_iterate`` sees a
+    binding: ``cash`` holds a row per problem and ``rate`` is a ``(rows, 1)``
+    column, both gathered by ``keep``.  The map is elementwise, so each row
+    rounds exactly as its own solve; it records the rows it is evaluated on."""
+
+    def __init__(self, cash, rate):
+        self.cash, self.rate, self.sizes = cash, rate, []
+
+    def stack(self, count):
+        assert count == len(self.cash)
+        return self
+
+    def keep(self, rows):
+        self.cash, self.rate = self.cash[rows], self.rate[rows]
+
+    def equity_map(self, equities):
+        self.sizes.append(len(equities))
+        return self.rate * equities + self.cash
+
+
 def test_iterate_never_builds_a_map_for_zero_rows():
-    # an elementwise contraction per row (no mat-vec), so each row of the
-    # stack rounds exactly as its own solve; rows retire at different sweeps
+    # rows retire at different sweeps: the stack shrinks 3 -> 2 -> 1 and is
+    # never evaluated on zero rows, also when it starts empty
     targets = np.array([[1.0, -2.0], [5.0, 0.5], [-40.0, 3.0]])
-    sizes = []
+    stack = _Contractions(0.5 * targets, np.full((3, 1), 0.5))
+    _iterate(stack, np.zeros((3, 2)), 1e-9, 1000)
+    assert list(dict.fromkeys(stack.sizes)) == [3, 2, 1]
+    empty = _Contractions(np.zeros((0, 2)), np.zeros((0, 1)))
+    solutions = _iterate(empty, np.zeros((0, 2)), 1e-9, 1000)[0]
+    assert empty.sizes == [] and solutions.shape == (0, 2)
 
-    def map_rows(rows):
-        sizes.append(len(rows))
-        return lambda equities: 0.5 * (equities + targets[rows])
 
-    start = np.zeros((3, 2))
-    stacked = _iterate(map_rows, start, 1e-9, 1000)
-    assert sizes == [3, 2, 1]
-    for k in range(3):
-        alone = _iterate(lambda rows: lambda equities: 0.5 * (equities + targets[k]),
-                         start[k:k + 1], 1e-9, 1000)
+def test_compaction_keeps_each_row_with_its_constants():
+    # rows retire out of order, row 0 last, so every compaction moves rows
+    # up past retired ones; each row must still be solved with its own cash
+    # and (rows, 1) column: exactly for an elementwise map, and within its
+    # epsilon through a binding's stack (whose mat-vec may round by stack size)
+    cash = np.array([[3.0, -1.0, 2.0], [0.5, 0.25, -0.5], [-8.0, 4.0, 1.0], [1.0, 2.0, 3.0]])
+    rate = np.array([[0.9], [0.2], [0.6], [0.4]])
+    start = np.zeros(cash.shape)
+    stacked = _iterate(_Contractions(cash, rate), start, 1e-12, 1000)
+    assert list(np.argsort(stacked[1])) == [1, 3, 2, 0]
+    for k in range(len(cash)):
+        alone = _iterate(_Contractions(cash[k:k + 1], rate[k:k + 1]), start[k:k + 1],
+                         1e-12, 1000)
         for got, want in zip(stacked, alone):
             np.testing.assert_array_equal(got[k], want[0])
-    sizes.clear()
-    empty = _iterate(map_rows, np.zeros((0, 2)), 1e-9, 1000)
-    assert sizes == [] and empty[0].shape == (0, 2)
+
+    net = random_network(np.random.default_rng(7), max_banks=8)
+    alphas, maturities = [0.6, 0.0, 0.3, 0.1], [2.0, 0.05, 0.5, 0.2]
+    assets = np.array([net.apply_shock(alpha).external_assets for alpha in alphas])
+    bound = ValuationSpec.exante_en_gbm(0.4, 1.0).bind(
+        net, assets, maturity=np.array(maturities)[:, np.newaxis])
+    reports = _greatest(bound, None)
+    assert list(np.argsort([report.iterations for report in reports])) == [1, 3, 2, 0]
+    for alpha, maturity, report in zip(alphas, maturities, reports):
+        alone = greatest_solution(net.apply_shock(alpha),
+                                  ValuationSpec.exante_en_gbm(0.4, maturity))
+        assert report.converged and alone.converged
+        assert report.epsilon == alone.epsilon
+        assert np.max(np.abs(report.solution - alone.solution)) <= alone.epsilon
 
 
 def test_non_convergence_is_reported_not_raised(closed_chain):
@@ -294,6 +335,13 @@ def test_en_clearing_correspondence_negative_cashflow():
 def test_custom_start_shape_validation(ring):
     with pytest.raises(ValueError):
         solve(ring, EN, start=np.zeros(5))
+
+
+def test_custom_start_with_nan_is_rejected(ring):
+    # a NaN entry would never meet the stop rule: rejected, as a wrong shape is
+    with pytest.raises(ValueError, match="NaN"):
+        solve(ring, EN, start=[0.0, np.nan, 0.0])
+    assert solve(ring, EN, start=[0.0, np.inf, -np.inf]).converged  # clamped into [m, M]
 
 
 def test_equity_boundary_evaluations_are_quiet(ring):
