@@ -146,6 +146,13 @@ def stress_test(net: FinancialNetwork, spec: ValuationSpec,
     return results
 
 
+def _before_maturity(spec: ValuationSpec) -> None:
+    """Reject a spec whose interbank family is not a before-maturity one."""
+    if not spec.is_exante:
+        raise SpecError(f"merton_vs_network_discount requires an exante family, "
+                        f"got {spec.interbank_kind!r}")
+
+
 def merton_vs_network_discount(net: FinancialNetwork, spec: ValuationSpec,
                                alphas: Sequence,
                                config: Optional[SolveConfig] = None) -> list:
@@ -156,8 +163,7 @@ def merton_vs_network_discount(net: FinancialNetwork, spec: ValuationSpec,
     discount carries no uncertainty information).  All points are solved
     as one stack.
     """
-    if not spec.is_exante:
-        raise SpecError("merton_vs_network_discount requires an exante family")
+    _before_maturity(spec)
     shocks, uniform, bound, reports, solutions = _shocked(net, spec, alphas, config)
     lenders, borrowers = net.creditors, net.debtors
     edges = tuple(zip(lenders, borrowers))
@@ -265,8 +271,8 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     terminal_assets = net.external_assets * np.exp(sigma * np.sqrt(tau) * normals + drift)
     bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, terminal_assets)
     # one network-level tolerance and no per-sample report
-    solutions, _, residuals, _ = _iterate(bound, bound.book_equity, epsilon,
-                                          config.max_iterations)
+    solutions, _, residuals = _iterate(bound, bound.book_equity, epsilon,
+                                       config.max_iterations)
     kept = solutions[residuals <= epsilon]
     count = len(kept)
     dropped = samples - count

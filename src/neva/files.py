@@ -119,6 +119,13 @@ def _whole(value, where) -> int:
     return value
 
 
+def _count(value, where) -> int:
+    """``value`` as a whole number of at least 1."""
+    if (count := _whole(value, where)) < 1:
+        raise FileFormatError(f"{where}: must be at least 1")
+    return count
+
+
 def _numbers(value, where):
     """A number, or a list of numbers as a tuple."""
     if isinstance(value, list):
@@ -318,7 +325,8 @@ def _parse_solver(block, context, reader, keys) -> SolveConfig:
 
 def _grid(read, descending=False):
     """A ``_field`` reader of a grid: a non-empty list or a min/max/points
-    object (from max down to min when ``descending``), entries read by ``read``."""
+    object, entries read by ``read``; when ``descending``, the object runs
+    from max down to min and a list must be strictly decreasing."""
     def grid(value, where) -> list:
         if isinstance(value, dict):
             _known(value, ("min", "max", "points"), where, "a min/max/points grid")
@@ -331,7 +339,10 @@ def _grid(read, descending=False):
             value = list(np.linspace(*((hi, lo) if descending else (lo, hi)), points))
         elif not isinstance(value, list) or not value:
             raise FileFormatError(f"{where}: expected a non-empty list or min/max/points")
-        return [read(v, f"{where}[{k}]") for k, v in enumerate(value)]
+        values = [read(v, f"{where}[{k}]") for k, v in enumerate(value)]
+        if descending and any(b >= a for a, b in zip(values, values[1:])):
+            raise FileFormatError(f"{where}: must be strictly decreasing")
+        return values
     return grid
 
 
@@ -374,8 +385,10 @@ class ScenarioKind:
     ``scenario`` and ``solver`` blocks read to ``(reader, default)`` (None:
     required).  ``run(net, valuation, config, **fields)`` looks its function up
     when called, so tracing wrappers see the call; exit 1 unless ``complete``.
-    ``lognormal(**fields)``, where given, builds the log-normal spec the run does,
-    so that a sigma admissible alone but not with the maturity is rejected at load."""
+    ``check = (where, test)``, where given, rejects at load, at the path
+    ``where``, what ``test(valuation, **fields)`` raises ``SpecError`` for: a
+    sigma admissible alone but not with the maturity, or a valuation the run
+    does not take."""
 
     fields: dict
     run: Callable
@@ -383,7 +396,7 @@ class ScenarioKind:
     valuation: bool = False  # reads a valuation block
     solves: bool = True  # solves on a network: needs one, reads solver controls
     solver_fields: dict = field(default_factory=dict)
-    lognormal: Optional[Callable] = None
+    check: Optional[tuple] = None
 
 
 SCENARIO_KINDS = {
@@ -402,8 +415,8 @@ SCENARIO_KINDS = {
         lambda net, spec, config, tau_sequence, sigma, beta:
             analysis.maturity_limit_experiment(net, sigma, tau_sequence, beta, config),
         lambda series: not series.partial,
-        lognormal=lambda tau_sequence, sigma, beta: ValuationSpec.exante_en_gbm(
-            sigma, max(tau_sequence), beta)),
+        check=("scenario.sigma", lambda spec, tau_sequence, sigma, beta:
+               ValuationSpec.exante_en_gbm(sigma, max(tau_sequence), beta))),
     "limit_beta": ScenarioKind(
         {"beta_sequence": (_grid(_checked("beta"), descending=True), None)},
         lambda net, spec, config, beta_sequence: analysis.debtrank_limit_experiment(
@@ -415,17 +428,19 @@ SCENARIO_KINDS = {
             families, equity_grid),
         lambda table: True, solves=False),
     "mc_global": ScenarioKind(
-        {"tau": (_checked("maturity"), None), "samples": (_whole, None), "seed": (_whole, 0),
+        {"tau": (_checked("maturity"), None), "samples": (_count, None), "seed": (_whole, 0),
          "sigma": (_checked("sigma"), None), "beta": (_checked("beta"), 1.0)},
         lambda net, spec, config, **fields: analysis.monte_carlo_global_valuation(
             net, config=config, **fields),
         lambda result: result.valid,
-        lognormal=lambda tau, sigma, beta, **_: ValuationSpec.exante_en_gbm(sigma, tau, beta)),
+        check=("scenario.sigma", lambda spec, tau, sigma, beta, **_:
+               ValuationSpec.exante_en_gbm(sigma, tau, beta))),
     "discount": ScenarioKind(
         {"alpha_grid": (_grid(_checked("alpha")), None)},
         lambda net, spec, config, alpha_grid: analysis.merton_vs_network_discount(
             net, spec, alpha_grid, config),
-        lambda points: all(point.converged for point in points), valuation=True),
+        lambda points: all(point.converged for point in points), valuation=True,
+        check=("valuation.interbank.kind", lambda spec, **_: analysis._before_maturity(spec))),
 }
 
 
@@ -462,11 +477,12 @@ def load_scenario(path) -> Scenario:
                   (block, context, kind.fields),
                   (data.get("solver", {}), f"{path}: solver", kind.solver_fields))
               for key, (read, default) in fields.items()}
-    if kind.lognormal is not None:
+    if kind.check is not None:
+        where, test = kind.check
         try:
-            kind.lognormal(**params)
+            test(valuation, **params)
         except SpecError as exc:
-            raise FileFormatError(f"{context}.sigma: {exc}") from exc
+            raise FileFormatError(f"{path}: {where}: {exc}") from exc
     return Scenario(kind=name, valuation=valuation, solver=config, params=params)
 
 

@@ -97,6 +97,14 @@ def random_network(rng: np.random.Generator, max_banks: int = 10,
     return FinancialNetwork(ids, assets, liabilities_ext, liabilities)
 
 
+def rescaled(net: FinancialNetwork, unit: float) -> FinancialNetwork:
+    """``net`` with every amount times ``unit``: a change of unit when
+    ``unit`` is a power of two."""
+    return FinancialNetwork(net.bank_ids, unit * net.external_assets,
+                            unit * net.external_liabilities,
+                            unit * net.interbank_liabilities)
+
+
 def random_dag_network(rng: np.random.Generator,
                        max_banks: int = 10) -> FinancialNetwork:
     """Random acyclic claim graph: claims only flow towards earlier banks in

@@ -18,7 +18,7 @@ from neva.cli import build_parser, run_command
 from neva.files import network_to_dict
 from neva.valuation import INTERBANK_FAMILIES
 
-from conftest import closed_chain_network, ring_network
+from conftest import closed_chain_network, random_network, rescaled, ring_network
 
 RING_FILE = {
     "banks": [
@@ -368,6 +368,24 @@ def test_cli_solve_to_stdout(tmp_path, capsys):
     assert captured.out.startswith("bank_id,book_equity,equity,defaulted,iterations")
 
 
+def test_cli_solve_of_a_rescaled_network_warns_of_nothing(tmp_path):
+    # the same network in a unit 4096 times smaller, its sheets above 4000:
+    # the equities scale exactly, and a sweep that rises by an ulp is rounding
+    net = random_network(np.random.default_rng(8))
+    scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    payloads = []
+    for unit in (1.0, 4096.0):
+        dump_network(rescaled(net, unit), tmp_path / "net.json")
+        out = tmp_path / "out.json"
+        assert run_command(["solve", "--network", str(tmp_path / "net.json"), "--scenario",
+                            scenario, "--output", str(out), "--format", "json"]) == 0
+        payloads.append(json.loads(out.read_text()))
+    plain, scaled = payloads
+    assert scaled["warnings"] == plain["warnings"] == []
+    assert ([4096.0 * row["equity"] for row in plain["rows"]]
+            == [row["equity"] for row in scaled["rows"]])
+
+
 def test_cli_curve_families(tmp_path):
     scenario = write_json(tmp_path / "curve.json", {
         "scenario": {
@@ -582,6 +600,18 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
         {"family": "exante_en_gbm", "external_assets": 1.0, "sigma": 1e200, "maturity": 1.0,
          "obligations": 1.0, "beta": 1.0}]}},
         "families[0].sigma", id="curve-gbm-variance-overflow"),
+    # each rejected at load, before the network is read
+    pytest.param("mc-global", {"scenario": {**MC_SCENARIO, "samples": 0}},
+                 "scenario.samples", id="mc-global-no-samples"),
+    pytest.param("limit-maturity",
+                 {"scenario": {**LIMIT_SCENARIO, "tau_sequence": [0.1, 1.0]}},
+                 "scenario.tau_sequence", id="limit-maturity-rising-taus"),
+    pytest.param("limit-beta",
+                 {"scenario": {"kind": "limit_beta", "beta_sequence": [0.5, 0.5]}},
+                 "scenario.beta_sequence", id="limit-beta-repeated-beta"),
+    pytest.param("discount", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                              "scenario": {"kind": "discount", "alpha_grid": [0.1]}},
+                 "valuation.interbank.kind", id="discount-at-maturity"),
 ])
 def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     network = write_json(tmp_path / "net.json", RING_FILE)

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from neva import (FinancialNetwork, SolveConfig, SolveReport, StressResult,
                   ValuationSpec, default_epsilon, dump_network, en_clearing_payments,
@@ -34,7 +34,7 @@ from neva.cli import run_command
 from neva.files import SCENARIO_KINDS, _render
 from neva.valuation import EXTERNAL_FAMILIES, INTERBANK_FAMILIES, en_interbank
 
-from conftest import en_clearing_oracle, infeasible_factors
+from conftest import en_clearing_oracle, infeasible_factors, random_network, rescaled
 
 EN = ValuationSpec.eisenberg_noe()
 ULP = np.finfo(float).eps
@@ -236,7 +236,7 @@ def test_result_files_round_trip_exactly(ids, data):
     solution = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)))
 
     def report(converged):
-        return SolveReport(solution, 3, converged, 1.0, None, "custom", 1e-10)
+        return SolveReport(solution, 3, converged, 1.0, "custom", 1e-10)
 
     # an unconverged point has no network effect: an empty cell, null in JSON
     points = data.draw(st.lists(st.tuples(
@@ -300,19 +300,25 @@ def test_json_output_is_that_of_json_dumps(drawn):
     assert _render(*table, "json") == json.dumps(document, indent=2) + "\n"
 
 
-def _bind_drawn(net, kind, external, rows, beta, column, rng) -> tuple:
-    """``kind`` with ``external`` valuation bound to a ``(rows, n)`` stack of
-    external assets, some of them zero, and that stack. ``beta`` is the value
-    of every parameter in [0, 1], the others are drawn, and given ``column``
-    a ``(rows, 1)`` maturity or beta column stands in for the spec's value."""
-    assets = net.external_assets * rng.uniform(0.2, 2.0, (rows, net.n))
-    assets[rng.random(assets.shape) < 0.3] = 0.0
-    params = INTERBANK_FAMILIES[kind].params + EXTERNAL_FAMILIES[external].params
+def _drawn_spec(n, kind, external, beta, rng) -> ValuationSpec:
+    """``kind`` with ``external`` valuation for ``n`` banks: ``beta`` is the
+    value of every parameter in [0, 1], the others are drawn."""
     parameters = {"alpha": beta, "beta": beta, "recovery": beta,
                   "maturity": rng.uniform(0.01, 5.0),
-                  "sigma": tuple(rng.uniform(0.05, 1.0, net.n))}
-    spec = ValuationSpec(kind, external, **{name: parameters[name] for name in params})
-    varying = [name for name in ("maturity", "beta") if name in params]
+                  "sigma": tuple(rng.uniform(0.05, 1.0, n))}
+    params = INTERBANK_FAMILIES[kind].params + EXTERNAL_FAMILIES[external].params
+    return ValuationSpec(kind, external, **{name: parameters[name] for name in params})
+
+
+def _bind_drawn(net, kind, external, rows, beta, column, rng) -> tuple:
+    """``_drawn_spec`` bound to a ``(rows, n)`` stack of external assets, some
+    of them zero, and that stack; given ``column`` a ``(rows, 1)`` maturity
+    or beta column stands in for the spec's value."""
+    assets = net.external_assets * rng.uniform(0.2, 2.0, (rows, net.n))
+    assets[rng.random(assets.shape) < 0.3] = 0.0
+    spec = _drawn_spec(net.n, kind, external, beta, rng)
+    varying = [name for name in ("maturity", "beta")
+               if name in INTERBANK_FAMILIES[kind].params + EXTERNAL_FAMILIES[external].params]
     columns = ({varying[0]: rng.uniform(0.01, 1.0, (rows, 1))} if column and varying
                else {})
     return spec.bind(net, assets, **columns), assets
@@ -370,6 +376,53 @@ def test_every_family_is_feasible(net, rows, beta, column, seed):
     # a family added to either table is checked here too
     assert checked == {(kind, external) for kind in INTERBANK_FAMILIES
                        for external in EXTERNAL_FAMILIES}
+
+
+@given(networks(), st.integers(1, 3), st.floats(0.0, 1.0), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_iterates_fall_from_face_values_and_rise_from_the_lower_bounds(
+        net, rows, beta, column, seed):
+    # what the bracket solves rest on: under every pair of table keys the
+    # equity map is monotone and maps [m, M] into itself, so its iterates
+    # fall from M and rise from m, each sweep up to the rounding of the
+    # largest term a map value is summed from, also once they have settled
+    rng = np.random.default_rng(seed)
+    for kind in INTERBANK_FAMILIES:
+        for external in EXTERNAL_FAMILIES:
+            bound, assets = _bind_drawn(net, kind, external, rows, beta, column, rng)
+            tolerance = 16 * ULP * _scale(net, assets)
+            for sign, equities in ((1.0, bound.book_equity),
+                                   (-1.0, np.tile(net.equity_lower_bound(), (rows, 1)))):
+                for _ in range(20):
+                    image = bound.equity_map(equities)
+                    assert np.all(sign * (image - equities) <= tolerance)
+                    equities = image
+
+
+@given(networks(max_banks=10), st.integers(-3, 20), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+# the first sweep of this network sums a bank's claims in another order than
+# its book equity and rises by an ulp, more than 1e-12 once sheets top 4000
+@example(random_network(np.random.default_rng(8)), 20, 0.5, 0)
+def test_a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed):
+    # every amount times 2**k is an exact change of unit: each map value, so
+    # each iterate, and the tolerance scale by 2**k bit for bit, and the
+    # greatest and the least solve under every pair of table keys agree with
+    # the unscaled ones in all but the unit, warnings included
+    unit = 2.0 ** k
+    scaled = rescaled(net, unit)
+    config = SolveConfig(epsilon=default_epsilon(net))
+    scaled_config = SolveConfig(epsilon=unit * config.epsilon)
+    rng = np.random.default_rng(seed)
+    for kind in INTERBANK_FAMILIES:
+        for external in EXTERNAL_FAMILIES:
+            spec = _drawn_spec(net.n, kind, external, beta, rng)
+            for start in ("face_values", "lower_bounds"):
+                plain = solve(net, spec, config, start)
+                other = solve(scaled, spec, scaled_config, start)
+                assert np.array_equal(other.solution, unit * plain.solution)
+                assert ((other.iterations, other.converged, other.warnings)
+                        == (plain.iterations, plain.converged, plain.warnings))
 
 
 # A valid document per scenario kind, with every optional field and block

@@ -37,7 +37,6 @@ def test_greatest_solution_open_chain(open_chain):
     assert report.iterations <= 3
     assert report.residual <= report.epsilon
     assert np.allclose(report.solution, [2.2, 0.8, -0.2])
-    assert report.monotone is True
     assert list(report.defaulted) == [False, False, True]
 
 
@@ -56,7 +55,6 @@ def test_least_solution_matches_on_dag(open_chain):
     report = least_solution(open_chain, EN)
     assert report.converged and report.kind == "least"
     assert np.allclose(report.solution, [2.2, 0.8, -0.2])
-    assert report.monotone is True
 
 
 def test_least_solution_constant_map():
@@ -243,7 +241,6 @@ def test_custom_start_is_clamped_and_bracketed(closed_chain):
     start = np.array([100.0, -100.0, 0.0])  # far outside the lattice
     report = solve(closed_chain, EN, start=start)
     assert report.kind == "custom" and report.converged
-    assert report.monotone is None
     greatest = greatest_solution(closed_chain, EN)
     least = least_solution(closed_chain, EN)
     eps = report.epsilon
@@ -288,7 +285,6 @@ def test_bracketing_on_random_networks():
             greatest = greatest_solution(net, spec)
             least = least_solution(net, spec)
             assert greatest.converged and least.converged
-            assert greatest.monotone is True and least.monotone is True
             eps = greatest.epsilon
             assert np.all(least.solution <= greatest.solution + 2.0 * eps)
 
@@ -388,6 +384,6 @@ def test_bracketing_includes_exante_families():
 def test_per_bank_volatility_solve(ring):
     spec = ValuationSpec.exante_en_gbm(sigma=(0.05, 0.5, 1.5), maturity=1.0)
     report = greatest_solution(ring, spec)
-    assert report.converged and report.monotone is True
+    assert report.converged
     lower, upper = ring.equity_lower_bound(), ring.book_equity()
     assert np.all(report.solution >= lower) and np.all(report.solution <= upper)
