@@ -8,7 +8,9 @@ round trip, on files that repeat edges and leave banks without edges;
 result files that give back every bank id and value bit for bit, and JSON
 text that is ``json.dumps(indent=2)`` byte for byte; bound factors that are
 their public functions bit for bit; every valuation family feasible (each
-factor in [0, 1] and nondecreasing); and a CLI that, on any perturbed
+factor in [0, 1] and nondecreasing), with iterates that fall from the face
+values and rise from the lower bounds; solves that a change of unit by a
+power of two changes in nothing but the unit; and a CLI that, on any perturbed
 scenario file, exits with 0, 1 or 2 only and leaves no file behind on 2."""
 import contextlib
 import copy
