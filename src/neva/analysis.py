@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import FinancialNetwork
 from .solver import (SolveConfig, SolveReport, _greatest, _is_number, _iterate,
-                     greatest_solution)
+                     default_epsilon, greatest_solution)
 from .valuation import SpecError, ValuationSpec, _claim_discounts
 
 __all__ = [
@@ -264,7 +264,7 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     n = net.n
     sigma, tau, beta = local.sigma_vector(n), local.maturity, local.beta
     config = config or SolveConfig()
-    epsilon = config.resolve_epsilon(net)
+    epsilon = config.epsilon or default_epsilon(net)
 
     normals = np.random.default_rng(seed).standard_normal((samples, n))
     drift = -0.5 * sigma * sigma * tau

@@ -3,14 +3,14 @@
 A :class:`FinancialNetwork` holds, for each bank, external assets and
 liabilities plus the interbank liabilities as edge arrays (debtor,
 creditor, amount).  Everything else the solver needs (book equities,
-equity lower bounds, obligation vector, claim topology, the dense
-liability matrix of the claim mat-vec) is derived from these fields.
+equity lower bounds, obligation and claim vectors, the dense liability
+matrix of the claim mat-vec) is derived from these fields.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -18,8 +18,6 @@ __all__ = [
     "EquityVector",
     "NetworkError",
     "FinancialNetwork",
-    "TopologyInfo",
-    "topology",
 ]
 
 # Per-bank equity values are plain float vectors, shape (n,).
@@ -56,19 +54,6 @@ def _as_amount_vector(values, n: int, name: str) -> np.ndarray:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class TopologyInfo:
-    """Cycle structure of the interbank claim graph.
-
-    ``dag_depth`` is the maximum distance of any bank from the set of source
-    banks (banks holding no interbank claims), defined only when the claim
-    graph is acyclic.
-    """
-
-    is_dag: bool
-    dag_depth: Optional[int] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +141,12 @@ class FinancialNetwork:
             "_claims": np.bincount(creditors, amounts, n)}
         vars(self).update(  # frozen: fill the fields directly
             {name: _read_only(arr) for name, arr in arrays.items()}, bank_ids=ids)
+        # claims or obligations that overflow to inf leave a bound non-finite too
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~(np.isfinite(self.book_equity()) & np.isfinite(self.equity_lower_bound()))
+        if bad.any():
+            raise NetworkError(f"bank {ids[np.argmax(bad)]}: claims, obligations or "
+                               "equity bounds overflow the float range")
 
     @property
     def n(self) -> int:
@@ -230,36 +221,3 @@ class FinancialNetwork:
     def __repr__(self) -> str:  # keep reprs short for n of realistic size
         return f"FinancialNetwork(n={self.n}, edges={len(self.amounts)})"
 
-
-def topology(net: FinancialNetwork) -> TopologyInfo:
-    """Classify the claim graph (edge i -> j when bank i holds a claim on j).
-
-    When acyclic, ``dag_depth`` is the longest chain of claims hanging off
-    any bank, computed by dynamic programming over a topological order of
-    the claim graph; source banks (no claims held) have depth zero.
-    O(banks + edges).
-    """
-    n = net.n
-    # edges are lender-major: the claims of each bank are one run of borrowers
-    bounds = np.searchsorted(net.creditors, np.arange(n + 1)).tolist()
-    borrowers = net.debtors.tolist()
-    out_lists = [borrowers[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    # Kahn's algorithm on claim edges i -> j.
-    indegree = np.bincount(net.debtors, minlength=n).tolist()
-    queue = [i for i in range(n) if indegree[i] == 0]
-    order = []
-    while queue:
-        i = queue.pop()
-        order.append(i)
-        for j in out_lists[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                queue.append(j)
-    if len(order) != n:
-        return TopologyInfo(is_dag=False, dag_depth=None)
-    depth = [0] * n
-    # Reverse topological order: every claim target is settled before its holder.
-    for i in reversed(order):
-        if out_lists[i]:
-            depth[i] = 1 + max(depth[j] for j in out_lists[i])
-    return TopologyInfo(is_dag=True, dag_depth=max(depth))

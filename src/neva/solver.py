@@ -6,9 +6,11 @@ lattice.  Plain fixed-point iteration started from the face values ``M``
 decreases monotonically to the greatest solution; started from the lower
 bounds ``m`` it increases towards the least solution provided the valuation
 functions are continuous from below.  Comparing the two brackets decides
-uniqueness up to the solve tolerance, and on acyclic claim graphs the
-iteration terminates exactly after a number of sweeps bounded by the claim
-depth.
+uniqueness up to the solve tolerance.  On an acyclic claim graph, with
+unit external valuation and borrower-only interbank factors, the iteration
+from the face values settles exactly within claim depth + 1 sweeps: sources
+are exact at once and each sweep settles the next depth layer.  The tests
+check that bound, with an exact stop (``SolveConfig(epsilon=5e-324)``).
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .network import FinancialNetwork, topology
-from .valuation import BoundValuation, ValuationSpec, en_interbank, unit_external
+from .network import FinancialNetwork
+from .valuation import BoundValuation, ValuationSpec, en_interbank
 
 __all__ = [
     "SolveConfig",
@@ -30,7 +32,6 @@ __all__ = [
     "greatest_solution",
     "least_solution",
     "uniqueness_check",
-    "solve_dag",
     "en_clearing_payments",
 ]
 
@@ -68,9 +69,6 @@ class SolveConfig:
         if not (_is_number(self.max_iterations, Integral) and self.max_iterations >= 1):
             raise ValueError(f"max_iterations must be at least 1 and whole, "
                              f"got {self.max_iterations!r}")
-
-    def resolve_epsilon(self, net: FinancialNetwork) -> float:
-        return self.epsilon if self.epsilon is not None else default_epsilon(net)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +145,12 @@ def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
     return solutions, sweeps, residuals
 
 
-def _solve(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: int,
+def _solve(bound: BoundValuation, start: np.ndarray, config: SolveConfig,
            kind: str, warnings: tuple = ()) -> list:
-    """One ``SolveReport`` per row of the stack ``start``, clamped into ``[m, M]``."""
-    solutions, sweeps, residuals = _iterate(bound, start, epsilon, max_iterations)
+    """One ``SolveReport`` per row of the stack ``start``, clamped into ``[m, M]``;
+    without a configured epsilon each row's tolerance scales with its book equity."""
+    epsilon = config.epsilon or _scaled_epsilon(bound.book_equity)
+    solutions, sweeps, residuals = _iterate(bound, start, epsilon, config.max_iterations)
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
     epsilon = np.broadcast_to(epsilon, residuals.shape)
     return [SolveReport(solution=solution, iterations=int(sweeps[k]),
@@ -162,9 +162,7 @@ def _solve(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: in
 
 def _greatest(bound: BoundValuation, config: Optional[SolveConfig]) -> list:
     """Greatest solves of the rows of a stacked binding, from their book equities."""
-    config = config or SolveConfig()
-    epsilon = config.epsilon or _scaled_epsilon(bound.book_equity)  # per row
-    return _solve(bound, bound.book_equity, epsilon, config.max_iterations, "greatest")
+    return _solve(bound, bound.book_equity, config or SolveConfig(), "greatest")
 
 
 def solve(net: FinancialNetwork, spec: ValuationSpec, config: Optional[SolveConfig] = None,
@@ -196,8 +194,7 @@ def solve(net: FinancialNetwork, spec: ValuationSpec, config: Optional[SolveConf
             "below; the limit from the lower bounds may overshoot the least "
             "solution",)
     start = np.clip(start, net.equity_lower_bound(), bound.book_equity)
-    return _solve(bound, start[np.newaxis], config.resolve_epsilon(net),
-                  config.max_iterations, kind, warnings)[0]
+    return _solve(bound, start[np.newaxis], config, kind, warnings)[0]
 
 
 def greatest_solution(net: FinancialNetwork, spec: ValuationSpec,
@@ -232,33 +229,6 @@ def uniqueness_check(net: FinancialNetwork, spec: ValuationSpec,
         return UniquenessReport(unique=None, gap=gap, greatest=greatest, least=least)
     return UniquenessReport(unique=gap <= 2.0 * greatest.epsilon, gap=gap,
                             greatest=greatest, least=least)
-
-
-def solve_dag(net: FinancialNetwork, spec: ValuationSpec) -> SolveReport:
-    """Exact solve on an acyclic claim graph.
-
-    With unit external valuation and borrower-only interbank factors, banks
-    settle in order of their claim depth: sources are exact immediately and
-    each sweep finalizes the next depth layer, so the iteration reaches a
-    bitwise fixed point within ``depth + 1`` sweeps and the unique solution
-    is returned with zero residual.  This is the generic iteration with a
-    budget of ``depth + 1`` sweeps and an exact stop, which the report
-    records as ``epsilon=0.0``.
-    """
-    info = topology(net)
-    if not info.is_dag:
-        raise ValueError("solve_dag requires an acyclic claim graph")
-    if spec.external_family.factor is not unit_external:
-        raise ValueError("solve_dag requires unit external valuation")
-    if spec.depends_on_lender:
-        raise ValueError(
-            "solve_dag requires borrower-only interbank valuation functions")
-    bound = spec.bind(net)
-    (report,) = _solve(bound, bound.book_equity[np.newaxis], 0.0, info.dag_depth + 1,
-                       "greatest")
-    if not report.converged:
-        raise RuntimeError("acyclic iteration failed to settle within depth+1 sweeps")
-    return report
 
 
 def en_clearing_payments(net: FinancialNetwork, equities: np.ndarray) -> np.ndarray:

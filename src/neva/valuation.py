@@ -499,10 +499,6 @@ class ValuationSpec:
         return self.family.exante
 
     @property
-    def depends_on_lender(self) -> bool:
-        return self.family.lender is not None
-
-    @property
     def continuous_from_below(self) -> bool:
         """Whether every factor in the spec is continuous from below.
 

@@ -122,6 +122,19 @@ def random_dag_network(rng: np.random.Generator,
     return FinancialNetwork(ids, assets, liabilities_ext, claims.T)
 
 
+def claim_depth(net: FinancialNetwork):
+    """Longest chain of claims in ``net``, or None when its claims form a
+    cycle: the last power of the claim matrix that still holds an edge (a
+    chain has at most n - 1 edges, so a cycle keeps the n-th power nonzero)."""
+    claims = (net.interbank_assets > 0).astype(int)
+    power, depth = claims, 0
+    while power.any():
+        depth += 1
+        if depth >= net.n:
+            return None
+        power = (power @ claims > 0).astype(int)
+    return depth
+
 def infeasible_factors(bound, grid, tolerance: float = 1e-12) -> list:
     """The factors of ``bound`` (borrower, lender when the family has one,
     external) that leave ``[0, 1]`` or decrease by more than ``tolerance``

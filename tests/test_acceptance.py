@@ -10,13 +10,14 @@ import numpy as np
 from neva import (SolveConfig, ValuationSpec, en_clearing_payments,
                   greatest_solution, least_solution,
                   merton_vs_network_discount, monte_carlo_global_valuation,
-                  solve_dag, stress_test, topology)
+                  stress_test)
 from neva.valuation import (gbm_default_probability, gbm_endogenous_recovery,
                             uniform_default_probability,
                             uniform_endogenous_recovery)
 
-from conftest import (closed_chain_network, gbm_default_probability_quadrature,
-                      gbm_recovery_quadrature, lattice_faults, open_chain_network,
+from conftest import (claim_depth, closed_chain_network,
+                      gbm_default_probability_quadrature, gbm_recovery_quadrature,
+                      lattice_faults, open_chain_network,
                       random_dag_network, random_network, ring_network,
                       tree_network, uniform_default_probability_quadrature,
                       uniform_recovery_quadrature)
@@ -86,21 +87,23 @@ def test_criterion_02_lattice_bracketing():
 
 
 def test_criterion_03_dag_termination_bound():
+    # with an exact stop, the greatest solve settles within claim depth + 1
+    # sweeps, at the solution of a solve with the default tolerance
     rng = np.random.default_rng(303)
-    config = SolveConfig(epsilon=1e-13)
     ok = True
     detail = ""
     for _ in range(100):
         net = random_dag_network(rng, max_banks=10)
-        depth = topology(net).dag_depth
-        fast = solve_dag(net, EN)
-        generic = greatest_solution(net, EN, config)
-        gap = float(np.max(np.abs(fast.solution - generic.solution)))
-        if not (fast.residual == 0.0 and fast.iterations <= depth + 1
-                and gap <= config.epsilon):
+        depth = claim_depth(net)
+        exact = greatest_solution(net, EN, SolveConfig(epsilon=5e-324,
+                                                       max_iterations=depth + 1))
+        generic = greatest_solution(net, EN)
+        gap = float(np.max(np.abs(exact.solution - generic.solution)))
+        if not (exact.residual == 0.0 and exact.iterations <= depth + 1
+                and gap <= 1e-13):
             ok = False
-            detail = (f"depth {depth}: iterations {fast.iterations}, "
-                      f"residual {fast.residual}, gap {gap:.3g}")
+            detail = (f"depth {depth}: iterations {exact.iterations}, "
+                      f"residual {exact.residual}, gap {gap:.3g}")
             break
     report(3, "acyclic termination bound", ok, detail or "100 random DAGs exact")
 

@@ -12,7 +12,7 @@ import pytest
 
 import neva
 from neva import (FileFormatError, FinancialNetwork, SolveConfig, ValuationSpec,
-                  dump_network, load_network, load_scenario, serialize_results, topology)
+                  dump_network, load_network, load_scenario, serialize_results)
 from neva import cli
 from neva.cli import build_parser, run_command
 from neva.files import network_to_dict
@@ -221,6 +221,23 @@ def test_cli_names_the_first_fault_of_a_network_file(tmp_path, capsys, settings,
     assert not out.exists()
 
 
+def test_cli_rejects_a_network_whose_sums_overflow(tmp_path, capsys):
+    # every amount is finite, A's book equity is not: rejected at load, before
+    # any sweep on NaN could write NaN or Infinity into the output
+    network = write_json(tmp_path / "net.json", {
+        "banks": [{"id": "A", "external_assets": 1.5e308, "external_liabilities": 0.0},
+                  {"id": "B", "external_assets": 1.0, "external_liabilities": 0.0}],
+        "liabilities": [{"debtor": "B", "creditor": "A", "amount": 1e308}]})
+    scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    out = tmp_path / "out.json"
+    assert run_command(["solve", "--network", network, "--scenario", scenario,
+                        "--format", "json", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bank A: " in err and "overflow" in err
+    assert "Traceback" not in err and err.count("\n") == 1  # one error line
+    assert not out.exists()
+
+
 def test_large_ring_file_loads_without_a_dense_matrix(tmp_path):
     # the dense claim matrix of 20 000 banks would take 3.2 GB
     n = 20_000
@@ -236,7 +253,9 @@ def test_large_ring_file_loads_without_a_dense_matrix(tmp_path):
     try:
         net = load_network(str(path))
         assert np.all(net.book_equity() == 1.0)
-        assert not topology(net).is_dag
+        # cyclic, in O(edges): every bank owes one bank and is owed by one
+        assert np.all(np.bincount(net.debtors, minlength=n) == 1)
+        assert np.all(np.bincount(net.creditors, minlength=n) == 1)
         assert len(network_to_dict(net)["liabilities"]) == n
         _, peak = tracemalloc.get_traced_memory()
     finally:

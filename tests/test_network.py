@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from neva import FinancialNetwork, NetworkError, topology
+from neva import FinancialNetwork, NetworkError
 
-from conftest import random_network
+from conftest import claim_depth, random_dag_network, random_network
 
 
 def test_book_equity_ring(ring):
@@ -78,36 +78,21 @@ def test_apply_shock_composition_and_monotonicity(ring):
                       <= ring.apply_shock(a).external_assets)
 
 
-def test_topology_open_chain(open_chain):
-    info = topology(open_chain)
-    assert info.is_dag and info.dag_depth == 2
-
-
-def test_topology_closed_chain(closed_chain):
-    info = topology(closed_chain)
-    assert not info.is_dag and info.dag_depth is None
-
-
-def test_topology_tree(tree):
-    info = topology(tree)
-    assert info.is_dag and info.dag_depth == 1
-
-
-def test_topology_single_bank():
-    net = FinancialNetwork(["X"], [1.0], [0.0], np.zeros((1, 1)))
-    info = topology(net)
-    assert info.is_dag and info.dag_depth == 0
+def test_claim_depth_reference_on_fixtures(open_chain, closed_chain, tree):
+    # the depth reference the acyclic termination tests bound sweeps with
+    single = FinancialNetwork(["X"], [1.0], [0.0], np.zeros((1, 1)))
+    assert [claim_depth(net) for net in (open_chain, closed_chain, tree, single)] == [
+        2, None, 1, 0]
 
 
 def test_transpose_preserves_acyclicity():
     rng = np.random.default_rng(11)
-    from conftest import random_dag_network
     for _ in range(25):
         net = random_dag_network(rng)
-        assert topology(net).is_dag
+        assert claim_depth(net) is not None
         flipped = net.transpose()
         assert tuple(flipped.bank_ids) == tuple(net.bank_ids)
-        assert topology(flipped).is_dag
+        assert claim_depth(flipped) is not None
 
 
 def test_bounds_identity_on_random_networks():
@@ -157,6 +142,24 @@ def test_construction_rejects_bad_data():
         FinancialNetwork(["A", "B"], [1, 1], [0, 0], -np.ones((2, 2)) + np.eye(2))
     with pytest.raises(NetworkError):
         FinancialNetwork(["A", "B"], [1, 1], [0, 0], np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("assets, liabilities, owed, bank", [
+    ([1.5e308, 0.0, 0.0], [0.0] * 3, {(1, 0): 1e308}, "A"),  # book equity
+    ([1.0] * 3, [0.0] * 3, {(1, 0): 1e308, (2, 0): 1e308}, "A"),  # claims
+    ([1.0] * 3, [0.0] * 3, {(1, 0): 1e308, (1, 2): 1e308}, "B"),  # obligations
+    ([1.0, 1.0, 1e308], [0.0, 0.0, 1e308], {(2, 0): 1e308}, "C"),  # lower bound
+])
+def test_construction_rejects_sums_that_overflow(assets, liabilities, owed, bank):
+    # every amount is finite, but a bank's sum of them is not: the first such
+    # bank is named, and no overflow warning escapes
+    dense = np.zeros((3, 3))
+    for (debtor, creditor), amount in owed.items():
+        dense[debtor, creditor] = amount
+    with pytest.raises(NetworkError, match=f"^bank {bank}: "):
+        FinancialNetwork(["A", "B", "C"], assets, liabilities, dense)
+    with pytest.raises(NetworkError, match=f"^bank {bank}: "):
+        FinancialNetwork(["A", "B", "C"], assets, liabilities, dense.T).transpose()
 
 
 def test_arrays_are_read_only(ring):

@@ -9,9 +9,11 @@ result files that give back every bank id and value bit for bit, and JSON
 text that is ``json.dumps(indent=2)`` byte for byte; bound factors that are
 their public functions bit for bit; every valuation family feasible (each
 factor in [0, 1] and nondecreasing), with iterates that fall from the face
-values and rise from the lower bounds; solves that a change of unit by a
-power of two changes in nothing but the unit; and a CLI that, on any perturbed
-scenario file, exits with 0, 1 or 2 only and leaves no file behind on 2."""
+values and rise from the lower bounds; greatest solves of acyclic networks
+under every borrower-only family that stop exactly within claim depth + 1
+sweeps; solves that a change of unit by a power of two changes in nothing
+but the unit; and a CLI that, on any perturbed scenario file, exits with 0,
+1 or 2 only and leaves no file behind on 2."""
 import contextlib
 import copy
 import csv
@@ -36,7 +38,8 @@ from neva.cli import run_command
 from neva.files import SCENARIO_KINDS, _render
 from neva.valuation import EXTERNAL_FAMILIES, INTERBANK_FAMILIES, en_interbank
 
-from conftest import en_clearing_oracle, infeasible_factors, random_network, rescaled
+from conftest import (claim_depth, en_clearing_oracle, infeasible_factors,
+                      random_network, rescaled)
 
 EN = ValuationSpec.eisenberg_noe()
 ULP = np.finfo(float).eps
@@ -399,6 +402,38 @@ def test_iterates_fall_from_face_values_and_rise_from_the_lower_bounds(
                     image = bound.equity_map(equities)
                     assert np.all(sign * (image - equities) <= tolerance)
                     equities = image
+
+
+@st.composite
+def acyclic_networks(draw, max_banks=8):
+    """A random network whose banks owe only banks later in a drawn order, so
+    its claims form no cycle, with operating cash flow of either sign."""
+    n = draw(st.integers(1, max_banks))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    liabilities = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+    order = rng.permutation(n)
+    return FinancialNetwork([f"B{k}" for k in range(n)], rng.uniform(0.5, 3.0, n),
+                            rng.uniform(0.0, 4.0, n), liabilities[np.ix_(order, order)])
+
+
+@given(acyclic_networks(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed):
+    # with unit external valuation and borrower-only factors a bank's value
+    # reads only the equities of deeper banks: the sources are exact at the
+    # face values and each sweep settles the next layer of claim depth, so an
+    # exact stop ends within depth + 1 sweeps at a fixed point, bit for bit
+    depth = claim_depth(net)
+    config = SolveConfig(epsilon=5e-324, max_iterations=depth + 1)
+    rng = np.random.default_rng(seed)
+    borrower_only = [kind for kind, family in INTERBANK_FAMILIES.items()
+                     if family.lender is None]
+    assert "eisenberg_noe" in borrower_only and "rogers_veraart" not in borrower_only
+    for kind in borrower_only:
+        spec = _drawn_spec(net.n, kind, "unit", beta, rng)
+        report = greatest_solution(net, spec, config)
+        assert report.converged and report.residual == 0.0
+        assert report.iterations <= depth + 1
+        assert np.array_equal(spec.bind(net).equity_map(report.solution), report.solution)
 
 
 @given(networks(max_banks=10), st.integers(-3, 20), st.floats(0.0, 1.0),

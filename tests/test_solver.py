@@ -3,11 +3,11 @@ import pytest
 
 from neva import (FinancialNetwork, SolveConfig, ValuationSpec,
                   en_clearing_payments, greatest_solution, least_solution,
-                  solve, solve_dag, topology, uniqueness_check)
+                  solve, uniqueness_check)
 
 from neva.solver import _greatest, _iterate
 
-from conftest import en_clearing_oracle, random_dag_network, random_network
+from conftest import claim_depth, en_clearing_oracle, random_dag_network, random_network
 
 EN = ValuationSpec.eisenberg_noe()
 
@@ -207,34 +207,17 @@ def test_rogers_veraart_bistability_on_closed_chain(closed_chain):
     assert check.gap > 2.0 * check.greatest.epsilon
 
 
-def test_solve_dag_fixtures(open_chain, tree):
-    report = solve_dag(open_chain, EN)
-    assert report.residual == 0.0 and report.converged
-    assert report.iterations <= topology(open_chain).dag_depth + 1
-    assert np.allclose(report.solution, [2.2, 0.8, -0.2])
-
-    report = solve_dag(tree, EN)
-    assert report.residual == 0.0
-    assert report.iterations <= topology(tree).dag_depth + 1
-    assert np.allclose(report.solution, [2.1, -0.9, 0.0])
-
-
-def test_solve_dag_single_bank():
-    net = FinancialNetwork(["X"], [1.0], [0.3], np.zeros((1, 1)))
-    report = solve_dag(net, EN)
-    assert report.iterations == 1 and report.residual == 0.0
-    assert np.allclose(report.solution, [0.7])
-
-
-def test_solve_dag_preconditions(open_chain, closed_chain):
-    with pytest.raises(ValueError):
-        solve_dag(closed_chain, EN)  # cycle
-    with pytest.raises(ValueError):
-        solve_dag(open_chain, ValuationSpec.rogers_veraart(0.5, 0.5))
-    with pytest.raises(ValueError):
-        solve_dag(open_chain, ValuationSpec(
-            interbank_kind="eisenberg_noe", external_kind="rogers_veraart",
-            alpha=0.5))
+def test_exact_stop_settles_acyclic_fixtures_within_depth_plus_one(open_chain, tree):
+    # each sweep from the face values settles the next layer of claim depth
+    single = FinancialNetwork(["X"], [1.0], [0.3], np.zeros((1, 1)))
+    for net, expected in ((open_chain, [2.2, 0.8, -0.2]), (tree, [2.1, -0.9, 0.0]),
+                          (single, [0.7])):
+        depth = claim_depth(net)
+        report = greatest_solution(net, EN, SolveConfig(epsilon=5e-324,
+                                                        max_iterations=depth + 1))
+        assert report.converged and report.residual == 0.0
+        assert report.iterations <= depth + 1
+        assert np.allclose(report.solution, expected)
 
 
 def test_custom_start_is_clamped_and_bracketed(closed_chain):
