@@ -78,11 +78,25 @@ def test_apply_shock_composition_and_monotonicity(ring):
                       <= ring.apply_shock(a).external_assets)
 
 
-def test_claim_depth_reference_on_fixtures(open_chain, closed_chain, tree):
-    # the depth reference the acyclic termination tests bound sweeps with
-    single = FinancialNetwork(["X"], [1.0], [0.0], np.zeros((1, 1)))
-    assert [claim_depth(net) for net in (open_chain, closed_chain, tree, single)] == [
-        2, None, 1, 0]
+# claim_depth is the depth reference the acyclic termination tests bound
+# sweeps with; these pin it on the fixtures
+
+
+def test_topology_open_chain(open_chain):
+    assert claim_depth(open_chain) == 2
+
+
+def test_topology_closed_chain(closed_chain):
+    assert claim_depth(closed_chain) is None
+
+
+def test_topology_tree(tree):
+    assert claim_depth(tree) == 1
+
+
+def test_topology_single_bank():
+    net = FinancialNetwork(["X"], [1.0], [0.0], np.zeros((1, 1)))
+    assert claim_depth(net) == 0
 
 
 def test_transpose_preserves_acyclicity():

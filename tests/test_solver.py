@@ -207,17 +207,25 @@ def test_rogers_veraart_bistability_on_closed_chain(closed_chain):
     assert check.gap > 2.0 * check.greatest.epsilon
 
 
-def test_exact_stop_settles_acyclic_fixtures_within_depth_plus_one(open_chain, tree):
+def _exact_stop(net):
     # each sweep from the face values settles the next layer of claim depth
-    single = FinancialNetwork(["X"], [1.0], [0.3], np.zeros((1, 1)))
-    for net, expected in ((open_chain, [2.2, 0.8, -0.2]), (tree, [2.1, -0.9, 0.0]),
-                          (single, [0.7])):
-        depth = claim_depth(net)
-        report = greatest_solution(net, EN, SolveConfig(epsilon=5e-324,
-                                                        max_iterations=depth + 1))
-        assert report.converged and report.residual == 0.0
-        assert report.iterations <= depth + 1
-        assert np.allclose(report.solution, expected)
+    depth = claim_depth(net)
+    report = greatest_solution(net, EN, SolveConfig(epsilon=5e-324,
+                                                    max_iterations=depth + 1))
+    assert report.converged and report.residual == 0.0
+    assert report.iterations <= depth + 1
+    return report
+
+
+def test_solve_dag_fixtures(open_chain, tree):
+    assert np.allclose(_exact_stop(open_chain).solution, [2.2, 0.8, -0.2])
+    assert np.allclose(_exact_stop(tree).solution, [2.1, -0.9, 0.0])
+
+
+def test_solve_dag_single_bank():
+    report = _exact_stop(FinancialNetwork(["X"], [1.0], [0.3], np.zeros((1, 1))))
+    assert report.iterations == 1
+    assert np.allclose(report.solution, [0.7])
 
 
 def test_custom_start_is_clamped_and_bracketed(closed_chain):
