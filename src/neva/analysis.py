@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .network import FinancialNetwork
-from .solver import (SolveConfig, SolveReport, _greatest, _is_number, _iterate,
-                     default_epsilon, greatest_solution)
+from .solver import (SolveConfig, SolveReport, _is_number, _reports, _solve,
+                     greatest_solution)
 from .valuation import SpecError, ValuationSpec, _claim_discounts
 
 __all__ = [
@@ -109,12 +109,12 @@ def _shocked(net: FinancialNetwork, spec: ValuationSpec, alphas: Sequence,
     shocks = shocks.reshape(len(alphas), net.n)
     uniform = [float(alpha) if np.ndim(alpha) == 0 else None for alpha in alphas]
     bound = spec.bind(net, (1.0 - shocks) * net.external_assets)
-    reports = _greatest(bound, config)
+    solved = _solve(bound, bound.book_equity, config)
+    reports = _reports(solved)
     for alpha, report in zip(alphas, reports):
         if not report.converged:
             log.warning("shock %s did not converge; its metrics are omitted", alpha)
-    solutions = np.array([report.solution for report in reports]).reshape(shocks.shape)
-    return shocks, uniform, bound, reports, solutions
+    return shocks, uniform, bound, reports, solved[0]
 
 
 def stress_test(net: FinancialNetwork, spec: ValuationSpec,
@@ -193,16 +193,16 @@ def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parame
     # one stack: a row per spec, the varying parameter a column of the binding
     bound = specs[0].bind(net, np.broadcast_to(net.external_assets, (len(specs), net.n)),
                           **{parameter_name: np.array(parameters, dtype=float)[:, np.newaxis]})
-    reports = _greatest(bound, config)
+    solutions, _, residuals, epsilon = _solve(bound, bound.book_equity, config)
+    converged = residuals <= epsilon
     return LimitSeries(
         parameter_name=parameter_name,
         parameters=tuple(float(p) for p in parameters),
-        equities=tuple(report.solution for report in reports),
+        equities=tuple(solutions),
         reference=reference.solution,
-        deviations=tuple(float(np.max(np.abs(report.solution - reference.solution)))
-                         for report in reports),
-        converged=tuple(report.converged for report in reports),
-        partial=not (reference.converged and all(report.converged for report in reports)),
+        deviations=tuple(np.max(np.abs(solutions - reference.solution), axis=1).tolist()),
+        converged=tuple(converged.tolist()),
+        partial=not (reference.converged and converged.all()),
         notes=notes,
     )
 
@@ -250,7 +250,9 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     log-normal law over horizon ``tau``; each draw is cleared with the
     pro-rata factors (haircut ``beta``) from face values, all draws as one
     stack, and the sample mean and standard error of each bank's equity are
-    returned.  Sample ``s`` is row ``s`` of
+    returned.  Each sample stops at its own tolerance (the configured epsilon,
+    else the default of its own book equities), as its drawn network's solve
+    does.  Sample ``s`` is row ``s`` of
     ``np.random.default_rng(seed).standard_normal((samples, n))``, so more
     samples extend a run and never change the earlier ones; the final
     reduction runs in ascending sample order.
@@ -263,16 +265,13 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     local = ValuationSpec.exante_en_gbm(sigma, tau, beta)
     n = net.n
     sigma, tau, beta = local.sigma_vector(n), local.maturity, local.beta
-    config = config or SolveConfig()
-    epsilon = config.epsilon or default_epsilon(net)
 
     normals = np.random.default_rng(seed).standard_normal((samples, n))
     drift = -0.5 * sigma * sigma * tau
     terminal_assets = net.external_assets * np.exp(sigma * np.sqrt(tau) * normals + drift)
     bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, terminal_assets)
-    # one network-level tolerance and no per-sample report
-    solutions, _, residuals = _iterate(bound, bound.book_equity, epsilon,
-                                       config.max_iterations)
+    # the rows are read as arrays: no per-sample report
+    solutions, _, residuals, epsilon = _solve(bound, bound.book_equity, config)
     kept = solutions[residuals <= epsilon]
     count = len(kept)
     dropped = samples - count

@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, solver
 from .analysis import (DiscountComparison, LimitSeries, MonteCarloResult,
                        StressResult)
-from .network import FinancialNetwork, _invalid, _invalid_edges
+from .network import FinancialNetwork, NetworkError, _invalid, _invalid_edges
 from .solver import FACE_VALUES, LOWER_BOUNDS, SolveConfig, SolveReport
 from .valuation import (EXTERNAL_FAMILIES, INTERBANK_FAMILIES,
                         PARAMETER_CHECKS, SpecError, ValuationSpec, _check_variance)
@@ -252,8 +252,11 @@ def load_network(path) -> FinancialNetwork:
     for k in np.flatnonzero(repeated):
         log.warning("%s: duplicate edge %s -> %s; amounts summed",
                     path, ids[debtors[k]], ids[creditors[k]])
-    return FinancialNetwork._from_edges(ids, assets, liabilities,
-                                        debtors, creditors, amounts)
+    try:  # the per-bank sums may still overflow
+        return FinancialNetwork._from_edges(ids, assets, liabilities,
+                                            debtors, creditors, amounts)
+    except NetworkError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def network_to_dict(net: FinancialNetwork) -> dict:
@@ -679,13 +682,15 @@ def write_output(text: str, path=None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".neva-", suffix=".tmp")
+    directory, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".neva-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the requested file, not the temporary one
+            exc.filename, exc.filename2 = os.fspath(path), None
         raise

@@ -27,7 +27,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "UniquenessReport",
-    "default_epsilon",
     "solve",
     "greatest_solution",
     "least_solution",
@@ -37,11 +36,6 @@ __all__ = [
 
 FACE_VALUES = "face_values"
 LOWER_BOUNDS = "lower_bounds"
-
-
-def default_epsilon(net: FinancialNetwork) -> float:
-    """Solve tolerance scaled to the network's largest book equity."""
-    return float(_scaled_epsilon(net.book_equity()))
 
 
 def _scaled_epsilon(book_equity: np.ndarray):
@@ -145,24 +139,25 @@ def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
     return solutions, sweeps, residuals
 
 
-def _solve(bound: BoundValuation, start: np.ndarray, config: SolveConfig,
-           kind: str, warnings: tuple = ()) -> list:
-    """One ``SolveReport`` per row of the stack ``start``, clamped into ``[m, M]``;
-    without a configured epsilon each row's tolerance scales with its book equity."""
+def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfig]) -> tuple:
+    """The one fixed-point solve of the stack ``start``: per row the solution
+    clamped into ``[m, M]``, sweeps, last step and tolerance, which without a
+    configured epsilon scales with the row's own book equity."""
+    config = config or SolveConfig()
     epsilon = config.epsilon or _scaled_epsilon(bound.book_equity)
     solutions, sweeps, residuals = _iterate(bound, start, epsilon, config.max_iterations)
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
-    epsilon = np.broadcast_to(epsilon, residuals.shape)
+    return solutions, sweeps, residuals, np.broadcast_to(epsilon, residuals.shape)
+
+
+def _reports(solved: tuple, kind: str = "greatest", warnings: tuple = ()) -> list:
+    """One ``SolveReport`` per row of what ``_solve`` returns."""
+    solutions, sweeps, residuals, epsilon = solved
     return [SolveReport(solution=solution, iterations=int(sweeps[k]),
                         converged=bool(residuals[k] <= epsilon[k]),
                         residual=float(residuals[k]), kind=kind,
                         epsilon=float(epsilon[k]), warnings=warnings)
             for k, solution in enumerate(solutions)]
-
-
-def _greatest(bound: BoundValuation, config: Optional[SolveConfig]) -> list:
-    """Greatest solves of the rows of a stacked binding, from their book equities."""
-    return _solve(bound, bound.book_equity, config or SolveConfig(), "greatest")
 
 
 def solve(net: FinancialNetwork, spec: ValuationSpec, config: Optional[SolveConfig] = None,
@@ -174,7 +169,6 @@ def solve(net: FinancialNetwork, spec: ValuationSpec, config: Optional[SolveConf
     as a custom solve, whose limit (when it converges) lies between the two
     bracket solutions.
     """
-    config = config or SolveConfig()
     bound = spec.bind(net)
     kind, warnings = "custom", ()
     if isinstance(start, str):
@@ -194,7 +188,7 @@ def solve(net: FinancialNetwork, spec: ValuationSpec, config: Optional[SolveConf
             "below; the limit from the lower bounds may overshoot the least "
             "solution",)
     start = np.clip(start, net.equity_lower_bound(), bound.book_equity)
-    return _solve(bound, start[np.newaxis], config, kind, warnings)[0]
+    return _reports(_solve(bound, start[np.newaxis], config), kind, warnings)[0]
 
 
 def greatest_solution(net: FinancialNetwork, spec: ValuationSpec,

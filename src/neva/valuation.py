@@ -84,23 +84,23 @@ def en_interbank(equity, obligations, beta=1.0):
     stay feasible).  Works rowwise on a batch of equity vectors; the
     obligations are inverted once, so a batch costs one multiply per entry.
     """
-    return _en_kernel(equity, **_en_prepare(obligations, beta))
+    return _en_kernel(equity, **_en_prepare(obligations, beta))[()]
 
 
 def unit_external(equity):
     """External-asset factor without fire sales: always ``1``."""
-    return np.ones(np.shape(equity))
+    return np.ones(np.shape(equity))[()]
 
 
 def rv_external(equity, alpha):
     """External-asset factor with a fire-sale haircut ``alpha`` on default."""
-    return np.where(np.greater_equal(equity, 0.0), 1.0, alpha)
+    return np.where(np.greater_equal(equity, 0.0), 1.0, alpha)[()]
 
 
 def rv_lender(equity, beta):
     """Lender-side factor: a defaulted lender liquidates its interbank
     assets at a fraction ``beta`` of their clearing value."""
-    return np.where(np.greater_equal(equity, 0.0), 1.0, beta)
+    return np.where(np.greater_equal(equity, 0.0), 1.0, beta)[()]
 
 
 def rv_interbank(lender_equity, borrower_equity, beta, obligations):
@@ -111,7 +111,7 @@ def rv_interbank(lender_equity, borrower_equity, beta, obligations):
 
 def furfine_interbank(equity, recovery):
     """All-or-nothing factor: ``1`` when solvent, fixed ``recovery`` when not."""
-    return np.where(np.greater_equal(equity, 0.0), 1.0, recovery)
+    return np.where(np.greater_equal(equity, 0.0), 1.0, recovery)[()]
 
 
 def debtrank_interbank(equity, book_equity):
@@ -122,7 +122,7 @@ def debtrank_interbank(equity, book_equity):
     nothing (factor ``0``), which keeps the factor within ``[0, 1]`` and
     nondecreasing on all inputs.
     """
-    return _debtrank_kernel(equity, **_debtrank_prepare(book_equity))
+    return _debtrank_kernel(equity, **_debtrank_prepare(book_equity))[()]
 
 
 def _debtrank_prepare(book_equity) -> dict:
@@ -168,9 +168,8 @@ def gbm_default_probability(equity, external_assets, sigma, maturity):
     there.  With zero external assets the move is identically zero and the
     probability degenerates to the solvency indicator.
     """
-    out = _gbm_kernel(np.asarray(equity, dtype=float),
-                      **_gbm_prepare(external_assets, sigma, maturity))[0]
-    return out if out.ndim else float(out)
+    return _gbm_kernel(np.asarray(equity, dtype=float),
+                       **_gbm_prepare(external_assets, sigma, maturity))[0][()]
 
 
 def _gbm_kernel(equity, external_assets, obligations, negated_assets, half_variance, spread,
@@ -220,9 +219,8 @@ def gbm_endogenous_recovery(equity, external_assets, sigma, maturity, obligation
     scale.  Zero obligations leave nothing to recover against; zero
     external assets reduce to the at-maturity pro-rata fraction.
     """
-    out = _gbm_kernel(np.asarray(equity, dtype=float),
-                      **_gbm_prepare(external_assets, sigma, maturity, obligations))[1]
-    return out if out.ndim else float(out)
+    return _gbm_kernel(np.asarray(equity, dtype=float),
+                       **_gbm_prepare(external_assets, sigma, maturity, obligations))[1][()]
 
 
 def _exante(default_probability, recovery, beta):
@@ -246,8 +244,7 @@ def uniform_default_probability(equity, book_equity):
     clamped to ``[0, 1]``; that is, one minus the linear distress factor.
     Non-positive book equity means certain default.
     """
-    out = 1.0 - debtrank_interbank(equity, book_equity)
-    return out if np.ndim(out) else float(out)
+    return (1.0 - debtrank_interbank(equity, book_equity))[()]
 
 
 def _uniform_prepare(book_equity, obligations, beta=None) -> dict:
@@ -287,9 +284,8 @@ def uniform_endogenous_recovery(equity, book_equity, obligations):
     moves in ``[-book_equity, 0]`` that leave the borrower in default with
     residual assets; the integral is elementary and evaluated exactly.
     """
-    out = _uniform_kernel(np.asarray(equity, dtype=float),
-                          **_uniform_prepare(book_equity, obligations))
-    return out if out.ndim else float(out)
+    return _uniform_kernel(np.asarray(equity, dtype=float),
+                           **_uniform_prepare(book_equity, obligations))[()]
 
 
 def exante_en_uniform_interbank(equity, book_equity, obligations, beta=1.0):

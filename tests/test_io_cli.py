@@ -233,7 +233,8 @@ def test_cli_rejects_a_network_whose_sums_overflow(tmp_path, capsys):
     assert run_command(["solve", "--network", network, "--scenario", scenario,
                         "--format", "json", "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "bank A: " in err and "overflow" in err
+    # named like every other fault of a network file: the path first
+    assert err.startswith(f"neva: ERROR: {network}: bank A: ") and "overflow" in err
     assert "Traceback" not in err and err.count("\n") == 1  # one error line
     assert not out.exists()
 
@@ -804,6 +805,21 @@ def test_cli_no_output_file_on_error(tmp_path):
     assert status == 2
     assert not out.exists()
     assert not list(tmp_path.glob(".neva-*"))  # no stray temp files either
+
+
+def test_cli_write_errors_name_the_requested_path(tmp_path, capsys, monkeypatch):
+    # a missing directory and an existing directory: the error names the
+    # path as given, not the temporary file written beside it, which is gone
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    (tmp_path / "cli").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for given in (os.path.join("nodir", "out.csv"), "cli"):
+        assert run_command(["solve", "--network", network, "--scenario", scenario,
+                            "--output", given]) == 2
+        err = capsys.readouterr().err
+        assert f"'{given}'" in err and ".neva-" not in err
+    assert not list(tmp_path.rglob(".neva-*.tmp"))
 
 
 def test_cli_mc_global_reproducible(tmp_path):

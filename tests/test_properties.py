@@ -31,7 +31,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st
 
 from neva import (FinancialNetwork, SolveConfig, SolveReport, StressResult,
-                  ValuationSpec, default_epsilon, dump_network, en_clearing_payments,
+                  ValuationSpec, dump_network, en_clearing_payments,
                   greatest_solution, least_solution, load_network,
                   monte_carlo_global_valuation, serialize_results, solve, stress_test)
 from neva.cli import run_command
@@ -71,19 +71,20 @@ def _scale(net, assets) -> float:
 @given(networks(), st.floats(0.05, 1.0), st.floats(0.1, 2.0),
        st.integers(0, 2**32 - 1))
 def test_monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed):
-    # one sample at beta = 1 is the greatest Eisenberg-Noe solution of the
-    # network holding that sample's terminal external assets
-    config = SolveConfig(epsilon=default_epsilon(net))
-    result = monte_carlo_global_valuation(net, sigma, tau, 1.0, 1, seed, config)
+    # one sample at beta = 1 is, bit for bit, the greatest Eisenberg-Noe solve
+    # of the network holding that sample's terminal external assets: under the
+    # default tolerance, that of the drawn book equities, and under a given one
     normals = np.random.default_rng(seed).standard_normal((1, net.n))
     sigmas = np.full(net.n, sigma)
     terminal = net.external_assets * np.exp(sigmas * np.sqrt(tau) * normals
                                             - 0.5 * sigmas * sigmas * tau)
     drawn = FinancialNetwork(net.bank_ids, terminal[0], net.external_liabilities,
                              net.interbank_liabilities)
-    reference = greatest_solution(drawn, EN, config)
-    assert result.dropped == 0 and reference.converged
-    assert np.max(np.abs(result.mean - reference.solution)) <= 10 * config.epsilon
+    for config in (None, SolveConfig(epsilon=greatest_solution(net, EN).epsilon)):
+        result = monte_carlo_global_valuation(net, sigma, tau, 1.0, 1, seed, config)
+        reference = greatest_solution(drawn, EN, config)
+        assert result.dropped == 0 and reference.converged
+        assert np.array_equal(result.mean, reference.solution)
 
 
 @given(networks(), st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 4),
@@ -123,7 +124,8 @@ def test_a_solve_from_any_start_lies_between_the_brackets(net, spec, seed):
     # between fixed points), stays inside them too
     lower, upper = net.equity_lower_bound(), net.book_equity()
     start = lower + np.random.default_rng(seed).random(net.n) * (upper - lower)
-    config = SolveConfig(epsilon=default_epsilon(net), max_iterations=10_000)
+    config = SolveConfig(epsilon=greatest_solution(net, EN).epsilon,
+                         max_iterations=10_000)
     greatest = greatest_solution(net, spec, config)
     least = least_solution(net, spec, config)
     custom = solve(net, spec, config, start)
@@ -448,7 +450,7 @@ def test_a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed):
     # the unscaled ones in all but the unit, warnings included
     unit = 2.0 ** k
     scaled = rescaled(net, unit)
-    config = SolveConfig(epsilon=default_epsilon(net))
+    config = SolveConfig(epsilon=greatest_solution(net, EN).epsilon)
     scaled_config = SolveConfig(epsilon=unit * config.epsilon)
     rng = np.random.default_rng(seed)
     for kind in INTERBANK_FAMILIES:

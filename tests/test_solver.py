@@ -5,7 +5,7 @@ from neva import (FinancialNetwork, SolveConfig, ValuationSpec,
                   en_clearing_payments, greatest_solution, least_solution,
                   solve, uniqueness_check)
 
-from neva.solver import _greatest, _iterate
+from neva.solver import _iterate, _reports, _solve
 
 from conftest import claim_depth, en_clearing_oracle, random_dag_network, random_network
 
@@ -157,7 +157,7 @@ def test_compaction_keeps_each_row_with_its_constants():
     assets = np.array([net.apply_shock(alpha).external_assets for alpha in alphas])
     bound = ValuationSpec.exante_en_gbm(0.4, 1.0).bind(
         net, assets, maturity=np.array(maturities)[:, np.newaxis])
-    reports = _greatest(bound, None)
+    reports = _reports(_solve(bound, bound.book_equity, None))
     assert list(np.argsort([report.iterations for report in reports])) == [1, 3, 2, 0]
     for alpha, maturity, report in zip(alphas, maturities, reports):
         alone = greatest_solution(net.apply_shock(alpha),

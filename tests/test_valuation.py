@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -211,6 +212,30 @@ def test_solvency_boundary_counts_as_solvent():
     assert en_interbank(0.0, 2.0) == 1.0
     assert furfine_interbank(0.0, 0.0) == 1.0
     assert rv_external(0.0, 0.0) == 1.0
+
+
+# the arguments after the equity of each public factor function
+FACTOR_ARGUMENTS = {
+    "en_interbank": (2.0, 0.5), "unit_external": (), "rv_external": (0.5,),
+    "rv_lender": (0.5,), "rv_interbank": (-0.5, 0.5, 2.0), "furfine_interbank": (0.3,),
+    "debtrank_interbank": (2.0,), "gbm_default_probability": (3.0, 0.4, 1.0),
+    "gbm_endogenous_recovery": (3.0, 0.4, 1.0, 2.0),
+    "exante_en_gbm_interbank": (3.0, 0.4, 1.0, 2.0, 0.5),
+    "uniform_default_probability": (2.0,), "uniform_endogenous_recovery": (2.0, 2.0),
+    "exante_en_uniform_interbank": (2.0, 2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", FACTOR_ARGUMENTS)
+def test_factor_functions_return_a_float64_for_a_scalar(name):
+    # every public factor function, and no other: numpy's scalar for a
+    # scalar equity, an array of the equity's shape for an array
+    assert set(FACTOR_ARGUMENTS) == {
+        key for key in neva.valuation.__all__ if inspect.isfunction(getattr(neva, key))}
+    function, arguments = getattr(neva, name), FACTOR_ARGUMENTS[name]
+    assert type(function(-0.5, *arguments)) is np.float64
+    out = function(np.linspace(-3.0, 3.0, 6).reshape(2, 3), *arguments)
+    assert type(out) is np.ndarray and out.shape == (2, 3)
 
 
 # ------------------------------------------------------------------- the spec
