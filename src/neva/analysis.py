@@ -18,7 +18,7 @@ import numpy as np
 from .network import FinancialNetwork
 from .solver import (SolveConfig, SolveReport, _is_number, _reports, _solve,
                      greatest_solution)
-from .valuation import SpecError, ValuationSpec, _claim_discounts
+from .valuation import SpecError, ValuationSpec
 
 __all__ = [
     "StressResult",
@@ -41,9 +41,7 @@ class StressResult:
 
     ``delta_equity`` measures losses against the unshocked book values;
     ``network_effect`` is the asset-weighted average claim write-off,
-    normalized to ``[0, 1]``.  ``factors`` holds the borrower and lender
-    (None when the family has none) factor rows at the solution.  The
-    metrics and ``factors`` are ``None`` when the solve did not converge.
+    normalized to ``[0, 1]``, and ``None`` when the solve did not converge.
     """
 
     alpha: Optional[float]
@@ -51,7 +49,6 @@ class StressResult:
     report: SolveReport
     delta_equity: np.ndarray
     network_effect: Optional[float]
-    factors: Optional[tuple]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,21 +125,18 @@ def stress_test(net: FinancialNetwork, spec: ValuationSpec,
     exist: O(points x edges).
     """
     shocks, uniform, bound, reports, solutions = _shocked(net, spec, alphas, config)
-    borrower = bound.borrower_factors(solutions)
-    lender = bound.lender_factors(solutions)
-    lenders, borrowers, claims = net.creditors, net.debtors, net.amounts
+    claims = net.amounts
     total = claims.sum()
-    write_offs = (claims * (1.0 - _claim_discounts(borrower, lender, lenders, borrowers))
+    write_offs = (claims * (1.0 - bound.edge_factor(net.creditors, net.debtors, solutions))
                   ).sum(axis=-1)
     base_book = net.book_equity()
     results = []
     for k, report in enumerate(reports):
-        effect = factors = None
+        effect = None
         if report.converged:
-            factors = (borrower[k], None if lender is None else lender[k])
             effect = float(write_offs[k] / total) if total > 0 else 0.0
         results.append(StressResult(uniform[k], shocks[k], report,
-                                    base_book - report.solution, effect, factors))
+                                    base_book - report.solution, effect))
     return results
 
 

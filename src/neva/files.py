@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
@@ -234,7 +234,7 @@ def load_network(path) -> FinancialNetwork:
             "a bank")
     index = {bank_id: k for k, bank_id in enumerate(ids)}
     if len(index) != len(ids):
-        dupes = sorted({b for b in ids if ids.count(b) > 1})
+        dupes = sorted(b for b, count in Counter(ids).items() if count > 1)
         raise FileFormatError(f"{path}: duplicate bank ids {dupes}")
     edges = (_require(data, "liabilities", str(path), list)
              if "liabilities" in data else [])
@@ -501,18 +501,19 @@ def evaluate_curves(families: list, grid) -> CurveTable:
 
     Each family entry carries its own balance-sheet constants, so curves can
     be drawn without a network (e.g. to compare valuation rules directly).
+    Entries are checked as a curve scenario's ``families`` are, and a bad one
+    raises ``FileFormatError`` naming it (``families[k]``).
     """
     grid = np.asarray(grid, dtype=float)
     rows = []
-    for curve in families:
+    for k, entry in enumerate(families):
+        curve = _parse_curve(entry, f"families[{k}]")
         name = curve["family"]
-        if name not in INTERBANK_FAMILIES:
-            raise SpecError(f"unknown curve family {name!r}")
         family = INTERBANK_FAMILIES[name]
         factor, *lender = family.bind(family.prepare_values(curve))
         values = factor(grid)
         if lender:
-            values = lender[0](curve.get("lender_equity", 0.0)) * values
+            values = lender[0](curve["lender_equity"]) * values
         values = np.broadcast_to(np.asarray(values, dtype=float), grid.shape)
         rows.extend((name, float(e), float(v)) for e, v in zip(grid, values))
     return CurveTable(rows=tuple(rows))
@@ -678,13 +679,16 @@ def _render(kind: str, header, columns, extra: dict, fmt: str) -> str:
 
 def write_output(text: str, path=None) -> None:
     """Write to stdout, or atomically to a file (write-then-rename) so a
-    failed run never leaves a partial file behind."""
+    failed run never leaves a partial file behind.  The file gets the mode
+    ``open(path, "w")`` would give a new file: 0o666 less the umask."""
     if path is None:
         sys.stdout.write(text)
         return
     directory, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".neva-", suffix=".tmp")
+        name = os.path.join(directory, f".neva-{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # set once created: a name that was taken is not ours to remove
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)

@@ -538,17 +538,6 @@ class ValuationSpec:
         return BoundValuation(self, net, self.family.prepare_values(constants))
 
 
-def _claim_discounts(borrower_factors, lender_factors, lenders, borrowers):
-    """Discounts on the claims of ``lenders`` on ``borrowers`` (index arrays)
-    from per-bank factor rows: the borrower factor, times the lender factor
-    when the family has one (``lender_factors`` is None otherwise).  Stacked
-    factor rows give one set of discounts per row."""
-    discounts = np.take(borrower_factors, borrowers, axis=-1)
-    if lender_factors is None:
-        return discounts
-    return np.take(lender_factors, lenders, axis=-1) * discounts
-
-
 @dataclass(frozen=True, eq=False)
 class BoundValuation:
     """A valuation spec attached to one network's balance-sheet constants.
@@ -632,12 +621,16 @@ class BoundValuation:
         return self.edge_factor(*np.indices((self.net.n,) * 2), equities)
 
     def edge_factor(self, lender, borrower, equities: np.ndarray):
-        """Discount on bank ``lender``'s claim on bank ``borrower``; index
-        arrays give one discount per (broadcast) pair, and a stack of
+        """Discount on bank ``lender``'s claim on bank ``borrower``: the
+        borrower factor, times the lender factor when the family has one.
+        Index arrays give one discount per (broadcast) pair, and a stack of
         equities one set per row."""
         equities = np.asarray(equities, dtype=float)
-        return _claim_discounts(self.borrower_factors(equities),
-                                self.lender_factors(equities), lender, borrower)
+        discounts = np.take(self.borrower_factors(equities), borrower, axis=-1)
+        lender_factors = self.lender_factors(equities)
+        if lender_factors is None:
+            return discounts
+        return np.take(lender_factors, lender, axis=-1) * discounts
 
     def equity_map(self, equities: np.ndarray) -> np.ndarray:
         """One application of the self-consistent balance-sheet valuation:

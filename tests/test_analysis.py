@@ -67,7 +67,6 @@ def test_stress_unconverged_point_flagged(ring):
     result = stress_test(ring, EN, [0.3], config)[0]
     assert not result.report.converged
     assert result.network_effect is None
-    assert result.factors is None
 
 
 def test_stress_accepts_per_bank_shocks(ring):
@@ -111,7 +110,6 @@ def test_stress_stack_flags_only_the_unconverged_point(ring):
     results = stress_test(ring, EN, [0.0, 0.5, 0.2, 1.0], SolveConfig(max_iterations=3))
     assert [r.report.converged for r in results] == [True, True, False, True]
     assert [r.network_effect is None for r in results] == [False, False, True, False]
-    assert results[2].factors is None
     assert results[2].report.iterations == 3
     assert [r.report.iterations for r in results[:2]] == [1, 2]
 
@@ -147,11 +145,10 @@ def test_network_effect_matches_the_dense_formula(spec):
         results = stress_test(net, spec, alphas)
         bound = spec.bind(net, [(1.0 - r.shock) * net.external_assets for r in results])
         solutions = np.array([r.report.solution for r in results])
-        borrowers, lenders = bound.borrower_factors(solutions), bound.lender_factors(solutions)
+        # the discounts the network effect is summed from, one row per point
+        discounts = bound.edge_factor(net.creditors, net.debtors, solutions)
         for k, (result, dense) in enumerate(zip(results, bound.edge_discounts(solutions))):
-            borrower, lender = result.factors  # the rows the network effect is summed from
-            assert np.array_equal(borrower, borrowers[k])
-            assert lender is None if lenders is None else np.array_equal(lender, lenders[k])
+            assert np.array_equal(discounts[k], dense[net.creditors, net.debtors])
             expected = (claims * (1.0 - dense)).sum() / total if total > 0 else 0.0
             assert result.network_effect == pytest.approx(expected, rel=1e-15, abs=0.0)
 
@@ -440,7 +437,9 @@ def test_stress_with_lender_dependent_family(ring):
     for result in stress_test(ring, spec, [0.0, 0.3, 0.7]):
         assert result.report.converged
         assert 0.0 <= result.network_effect <= 1.0
-        borrower, lender = result.factors
+        bound = spec.bind(ring, (1.0 - result.shock) * ring.external_assets)
+        borrower = bound.borrower_factors(result.report.solution)
+        lender = bound.lender_factors(result.report.solution)
         assert borrower.shape == lender.shape == (3,)
 
 

@@ -3,8 +3,10 @@ import importlib.util
 import json
 import os
 import platform
+import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 
 import neva
 from neva import (FileFormatError, FinancialNetwork, SolveConfig, ValuationSpec,
-                  dump_network, load_network, load_scenario, serialize_results)
+                  dump_network, evaluate_curves, load_network, load_scenario,
+                  serialize_results)
 from neva import cli
 from neva.cli import build_parser, run_command
 from neva.files import network_to_dict
@@ -264,6 +267,21 @@ def test_large_ring_file_loads_without_a_dense_matrix(tmp_path):
     assert peak < 64 * 2**20
 
 
+def test_duplicate_ids_of_a_large_file_are_named_in_one_pass(tmp_path):
+    # a count per id by a scan of the id list is quadratic: about a minute here
+    n = 40_000
+    ids = [f"b{k:05d}" for k in range(n)]
+    ids[-2], ids[-1] = ids[7], ids[3]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"banks": [
+        {"id": bank, "external_assets": 2.0, "external_liabilities": 1.0} for bank in ids]}),
+        encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(FileFormatError, match=r": duplicate bank ids \['b00003', 'b00007'\]$"):
+        load_network(str(path))
+    assert time.perf_counter() - start < 5.0
+
+
 # ------------------------------------------------------------- scenario files
 
 def test_load_scenario_solve(tmp_path):
@@ -476,6 +494,19 @@ def test_cli_curve_rejects_parameters_a_spec_rejects(tmp_path, capsys, family):
     assert run_command(["curve", "--scenario", scenario]) == 2
     parameter = "recovery" if "recovery" in family else "beta"
     assert f"families[0].{parameter}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("families, message", [
+    ([{"family": "furfine", "recovery": 2.0}],
+     "families[0].recovery: recovery must lie in [0, 1], got 2.0"),
+    ([{"family": "eisenberg_noe", "obligations": 1.0}, {"family": "furfine"}],
+     "families[1]: missing field 'recovery'"),
+    ([{"family": "merton"}], "families[0]: unknown family 'merton'"),
+], ids=["recovery-out-of-range", "recovery-missing", "unknown-family"])
+def test_evaluate_curves_checks_entries_as_a_curve_scenario_does(families, message):
+    with pytest.raises(FileFormatError) as err:
+        evaluate_curves(families, [-1.0, 1.0])
+    assert str(err.value) == message
 
 
 MC_SCENARIO = {"kind": "mc_global", "sigma": 0.5, "tau": 1.0, "samples": 10}
@@ -822,6 +853,22 @@ def test_cli_write_errors_name_the_requested_path(tmp_path, capsys, monkeypatch)
     assert not list(tmp_path.rglob(".neva-*.tmp"))
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_cli_output_file_mode_follows_the_umask(tmp_path, umask, mode):
+    # the mode open(path, "w") gives a new file: 0o666 less the umask
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    out = tmp_path / "out.csv"
+    previous = os.umask(umask)
+    try:
+        assert run_command(["solve", "--network", network, "--scenario", scenario,
+                            "--output", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
 def test_cli_mc_global_reproducible(tmp_path):
     closed = closed_chain_network()
     network = tmp_path / "net.json"
@@ -877,6 +924,13 @@ def test_cli_entry_point_subprocess(tmp_path):
          "--scenario", scenario], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("bank_id,")
+
+
+def test_package_entry_point_lists_every_command():
+    proc = subprocess.run([sys.executable, "-m", "neva", "--help"], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0
+    assert "{solve,stress,limit-maturity,limit-beta,curve,mc-global,discount}" in proc.stdout
 
 
 def test_cli_logging_env(tmp_path, monkeypatch, capsys):

@@ -250,7 +250,7 @@ def test_result_files_round_trip_exactly(ids, data):
         FLOATS, st.lists(FLOATS, min_size=n, max_size=n), st.none() | FLOATS),
         min_size=1, max_size=3))
     stress = [StressResult(alpha, np.full(n, alpha), report(effect is not None),
-                           np.array(delta), effect, None)
+                           np.array(delta), effect)
               for alpha, delta, effect in points]
     solved = Counter((bank, _bits(book), _bits(equity)) for bank, book, equity
                      in zip(ids, net.book_equity(), solution))
