@@ -15,10 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .network import FinancialNetwork
-from .solver import (SolveConfig, SolveReport, _is_number, _reports, _solve,
-                     greatest_solution)
-from .valuation import SpecError, ValuationSpec
+from .network import FinancialNetwork, _is_number
+from .solver import SolveConfig, SolveReport, _reports, _solve, greatest_solution
+from .valuation import SpecError, ValuationSpec, _number
 
 __all__ = [
     "StressResult",
@@ -209,7 +208,7 @@ def maturity_limit_experiment(net: FinancialNetwork, sigma,
     limit at maturity: pro-rata clearing with haircut ``beta`` on what
     defaulted borrowers pay, the eisenberg_noe_haircut family (eisenberg_noe
     when ``beta`` is 1)."""
-    taus = [float(t) for t in taus]
+    taus = [_number("tau", t) for t in taus]
     if any(t <= 0 for t in taus):
         raise SpecError("tau sequence must be positive")
     return _run_limit(net, "tau", "maturity", taus,
@@ -222,7 +221,7 @@ def debtrank_limit_experiment(net: FinancialNetwork, betas: Sequence[float],
     """Greatest solutions of the uniform-shock family along a decreasing
     sequence of exogenous recovery fractions, referenced against the linear
     distress-propagation solution (their common limit at zero recovery)."""
-    betas = [float(b) for b in betas]
+    betas = [_number("beta", b) for b in betas]
     if any(b < 0 or b > 1 for b in betas):
         raise SpecError("beta sequence must lie in [0, 1]")
     notes = ()

@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import os
+import stat
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -510,10 +511,10 @@ def evaluate_curves(families: list, grid) -> CurveTable:
         curve = _parse_curve(entry, f"families[{k}]")
         name = curve["family"]
         family = INTERBANK_FAMILIES[name]
-        factor, *lender = family.bind(family.prepare_values(curve))
+        factor, lender = family.bind(curve)
         values = factor(grid)
-        if lender:
-            values = lender[0](curve["lender_equity"]) * values
+        if lender is not None:
+            values = lender(curve["lender_equity"]) * values
         values = np.broadcast_to(np.asarray(values, dtype=float), grid.shape)
         rows.extend((name, float(e), float(v)) for e, v in zip(grid, values))
     return CurveTable(rows=tuple(rows))
@@ -679,19 +680,22 @@ def _render(kind: str, header, columns, extra: dict, fmt: str) -> str:
 
 def write_output(text: str, path=None) -> None:
     """Write to stdout, or atomically to a file (write-then-rename) so a
-    failed run never leaves a partial file behind.  The file gets the mode
-    ``open(path, "w")`` would give a new file: 0o666 less the umask."""
+    failed run never leaves a partial file behind.  As with ``open(path,
+    "w")``, a symlink's target is written, an existing file keeps its mode
+    and a new one gets 0o666 less the umask."""
     if path is None:
         sys.stdout.write(text)
         return
-    directory, tmp = os.path.dirname(os.path.abspath(path)), None
+    target, tmp = os.path.realpath(path), None
     try:
-        name = os.path.join(directory, f".neva-{os.urandom(8).hex()}.tmp")
+        name = os.path.join(os.path.dirname(target), f".neva-{os.urandom(8).hex()}.tmp")
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name  # set once created: a name that was taken is not ours to remove
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            if os.path.exists(target):
+                os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp and os.path.exists(tmp):
             os.unlink(tmp)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Sequence, Union
 
 import numpy as np
@@ -26,6 +27,12 @@ EquityVector = np.ndarray
 
 class NetworkError(ValueError):
     """Raised when balance-sheet data violates a structural invariant."""
+
+
+def _is_number(value, kind) -> bool:
+    """Whether ``value`` is a ``kind`` (``numbers.Real`` or ``Integral``,
+    numpy scalars included) and not a boolean (numpy's are no ``Real``)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _invalid(amounts: np.ndarray) -> np.ndarray:
@@ -190,7 +197,10 @@ class FinancialNetwork:
 
     def shock_vector(self, relative_shock: Union[float, Sequence[float]]) -> np.ndarray:
         """Per-bank fractions in [0, 1] of a uniform or per-bank relative shock."""
-        shock = np.asarray(relative_shock, dtype=float)
+        shock = np.asarray(relative_shock, dtype=object)
+        if not all(_is_number(value, Real) for value in shock.flat):
+            raise NetworkError(f"shock fractions must be numbers, got {relative_shock!r}")
+        shock = shock.astype(float)
         if shock.ndim == 0:
             shock = np.full(self.n, float(shock))
         if shock.shape != (self.n,):

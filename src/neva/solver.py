@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .network import FinancialNetwork
+from .network import FinancialNetwork, _is_number
 from .valuation import BoundValuation, ValuationSpec, en_interbank
 
 __all__ = [
@@ -41,12 +41,6 @@ LOWER_BOUNDS = "lower_bounds"
 def _scaled_epsilon(book_equity: np.ndarray):
     """``1e-10 * max(1, |book equity|)``, one per row of a stack."""
     return 1e-10 * np.maximum(1.0, np.max(np.abs(book_equity), axis=-1))
-
-
-def _is_number(value, kind) -> bool:
-    """Whether ``value`` is a ``kind`` (``numbers.Real`` or ``Integral``,
-    numpy scalars included) and not a boolean."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
     active = np.arange(len(solutions))
     sweeps = np.full(active.shape, max_iterations)
     residuals = np.full(active.shape, np.inf)
-    tolerance = np.asarray(epsilon)  # one, or one per row
+    tolerance = np.broadcast_to(epsilon, active.shape)  # one per row
     offsets = active * solutions.shape[1]  # of the rows in the flat stack
     equities, steps = solutions, residuals
     for sweep in range(1, max_iterations + 1):
@@ -131,8 +125,7 @@ def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
             solutions[retired] = equities[gone]
             residuals[retired], sweeps[retired] = steps[gone], sweep
             active, equities, steps = active[kept], equities.take(kept, axis=0), steps[kept]
-            if tolerance.ndim:
-                tolerance = tolerance[kept]
+            tolerance = tolerance[kept]
             if kept.size:
                 stack.keep(kept)
     solutions[active], residuals[active] = equities, steps

@@ -18,14 +18,14 @@ recovered from a defaulted borrower.
 """
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
+from numbers import Real
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .network import FinancialNetwork, NetworkError
+from .network import FinancialNetwork, NetworkError, _is_number
 
 __all__ = [
     "SpecError",
@@ -294,22 +294,29 @@ def exante_en_uniform_interbank(equity, book_equity, obligations, beta=1.0):
                            **_uniform_prepare(book_equity, obligations, beta))[()]
 
 
+def _number(name: str, value) -> float:
+    if not _is_number(value, Real):
+        raise SpecError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_unit_interval(name: str, value) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not np.isfinite(value) or value < 0.0 or value > 1.0:
         raise SpecError(f"{name} must lie in [0, 1], got {value}")
     return value
 
 
 def _check_sigma(name: str, value):
-    value = float(value) if np.ndim(value) == 0 else tuple(float(s) for s in value)
+    value = (_number(name, value) if np.ndim(value) == 0
+             else tuple(_number(name, s) for s in value))
     if not all(np.isfinite(s) and s > 0 for s in np.atleast_1d(value)):
         raise SpecError(f"{name} must be positive and finite")
     return value
 
 
 def _check_maturity(name: str, value) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not np.isfinite(value) or value <= 0:
         raise SpecError(f"time to {name} must be positive; valuation at maturity "
                         "is the eisenberg_noe_haircut family (eisenberg_noe "
@@ -372,24 +379,15 @@ class Family:
         """The spec parameters the family needs."""
         return tuple(name for name in self.fields if name in PARAMETER_CHECKS)
 
-    @cached_property
-    def kernels(self) -> tuple:
-        """``(function, reads)`` pairs: the factor, or its kernel (reading what
-        ``prepare`` returns) when it has one, then any lender factor."""
-        factor = ((self.kernel, tuple(inspect.signature(self.kernel).parameters)[1:])
-                  if self.kernel else (self.factor, self.reads))
-        return (factor,) + (() if self.lender is None else ((self.lender, self.lender_reads),))
-
-    def prepare_values(self, values: Mapping) -> dict:
-        """``values`` and what ``prepare`` computes from the ``reads`` in them."""
-        return {**values, **(self.prepare(**{name: values[name] for name in self.reads})
-                             if self.prepare else {})}
-
     def bind(self, values: Mapping) -> tuple:
-        """The functions of ``kernels`` with every argument but the equity
-        taken from ``values``, which hold what ``prepare_values`` adds."""
-        return tuple(partial(function, **{name: values[name] for name in reads})
-                     for function, reads in self.kernels)
+        """``(factor, lender)``: the factor with every argument but the equity
+        taken from ``values`` (its kernel with what ``prepare`` computes from
+        them, when it has one) and the lender factor likewise, None without one."""
+        reads = {name: values[name] for name in self.reads}
+        factor = (partial(self.kernel, **self.prepare(**reads)) if self.kernel
+                  else partial(self.factor, **reads))
+        return factor, None if self.lender is None else partial(
+            self.lender, **{name: values[name] for name in self.lender_reads})
 
 
 _EN = {"prepare": _en_prepare, "kernel": _en_kernel}
@@ -535,60 +533,55 @@ class ValuationSpec:
             parameters, obligations=obligations, external_assets=assets, cash=cash,
             sigma=None if self.sigma is None else self.sigma_vector(net.n),
             book_equity=cash + net.total_claims() - obligations)
-        return BoundValuation(self, net, self.family.prepare_values(constants))
+        return BoundValuation(self, net, constants, self.family.bind(constants)
+                              + self.external_family.bind(constants)[:1])
 
 
 @dataclass(frozen=True, eq=False)
 class BoundValuation:
     """A valuation spec attached to one network's balance-sheet constants.
 
-    ``constants`` maps every name a factor or the equity map can read to its
-    value: the per-bank obligations, book equities, external assets, cash
-    (external assets less external liabilities) and (for the log-normal
-    family) volatilities, the spec parameters, and what the family's
-    ``prepare`` computes from them.  The family's kernels are bound to them
-    once, so factor vectors and the equity map can be evaluated repeatedly at
-    different equities, row by row when bound to a ``(batch, n)`` stack of
-    external assets.
+    ``constants`` maps the per-bank obligations, book equities, external
+    assets, cash (external assets less external liabilities) and (for the
+    log-normal family) volatilities, and the spec parameters, to their
+    values.  ``factors`` holds the borrower, lender (None when the family has
+    none) and external factors, bound to them once (a kernel to what its
+    family's ``prepare`` computes, held in its keywords), so factor vectors
+    and the equity map can be evaluated repeatedly at different equities,
+    row by row when bound to a ``(batch, n)`` stack of external assets.
     """
 
     spec: ValuationSpec
     net: FinancialNetwork
     constants: dict = field(repr=False)
+    factors: tuple = field(repr=False)  # borrower, lender or None, external
     per_row: tuple = field(default=(), repr=False)  # of a stack(): what keep() gathers
-    book_equity: np.ndarray = field(init=False)  # None on a stack()
-    _borrower: Callable = field(init=False, repr=False)
-    _lender: Optional[Callable] = field(init=False, repr=False)
-    _external: Callable = field(init=False, repr=False)
 
-    def __post_init__(self):
-        constants = self.constants
-        borrower, *lender = self.spec.family.bind(constants)
-        (external,) = self.spec.external_family.bind(constants)
-        vars(self).update(  # frozen: fill the init=False fields directly
-            book_equity=constants.get("book_equity"), _borrower=borrower,
-            _lender=lender[0] if lender else None, _external=external)
-
-    @cached_property
-    def _map_reads(self) -> tuple:
-        """The constants the equity map reads."""
-        return tuple(name for family in (self.spec.family, self.spec.external_family)
-                     for _, reads in family.kernels for name in reads) + (
-            "obligations", "cash" if self.spec.external_kind == "unit" else "external_assets")
+    @property
+    def book_equity(self) -> Optional[np.ndarray]:
+        """Per-bank (or per-row) book equities; None on a ``stack()``."""
+        return self.constants.get("book_equity")
 
     def stack(self, count: int) -> "BoundValuation":
         """The solver's private valuation of a ``count``-row stack of equities:
-        the constants its equity map reads, each with the stack's shape, so
-        that every elementwise operand has it (numpy runs an operand broadcast
-        from ``(1, n)`` one row at a time).  Per-row constants (2-D) are
-        shared with this binding (copied only where not contiguous, as a
-        broadcast is) and per-bank ones shared by every row tiled; ``keep``
-        then drops rows, the one change a binding takes."""
-        constants = {name: self.constants[name] for name in self._map_reads}
+        what its equity map and bound factors read, each with the stack's shape,
+        so that every elementwise operand has it (numpy runs an operand broadcast
+        from ``(1, n)`` one row at a time).  Per-row values (2-D) are shared
+        with this binding (copied only where not contiguous, as a broadcast
+        is) and per-bank ones shared by every row tiled; ``keep`` then drops
+        rows, the one change a binding takes."""
+        external = "cash" if self.spec.external_kind == "unit" else "external_assets"
+        constants = {name: self.constants[name] for name in ("obligations", external)}
+        for factor in filter(None, self.factors):
+            constants.update(factor.keywords)
         laid_out = {name: np.ascontiguousarray(np.broadcast_to(value, (count, value.shape[-1])))
                     for name, value in constants.items() if getattr(value, "ndim", 0)}
-        return BoundValuation(self.spec, self.net, {**constants, **laid_out}, tuple(
-            name for name in laid_out if constants[name].ndim == 2))
+        per_row = tuple(name for name in laid_out if constants[name].ndim == 2)
+        constants.update(laid_out)
+        return BoundValuation(self.spec, self.net, constants, tuple(
+            None if factor is None else partial(
+                factor.func, **{name: constants[name] for name in factor.keywords})
+            for factor in self.factors), per_row)
 
     def keep(self, rows) -> None:
         """Keep rows ``rows`` (ascending) of a ``stack``, in order: the per-row
@@ -600,19 +593,19 @@ class BoundValuation:
                 constants[name] = value.take(rows, axis=0)
             elif isinstance(value, np.ndarray):
                 constants[name] = value[:len(rows)]
-        for kernel in (self._borrower, self._lender, self._external):
-            if kernel is not None:  # a partial calls with its live keywords
-                kernel.keywords.update({name: constants[name] for name in kernel.keywords})
+        for factor in filter(None, self.factors):  # a partial calls with its live keywords
+            factor.keywords.update({name: constants[name] for name in factor.keywords})
 
     def external_factors(self, equities: np.ndarray) -> np.ndarray:
-        return self._external(equities)
+        return self.factors[2](equities)
 
     def lender_factors(self, equities: np.ndarray) -> Optional[np.ndarray]:
         """Per-lender multiplier, or None when the family ignores the lender."""
-        return None if self._lender is None else self._lender(equities)
+        lender = self.factors[1]
+        return None if lender is None else lender(equities)
 
     def borrower_factors(self, equities: np.ndarray) -> np.ndarray:
-        return self._borrower(equities)
+        return self.factors[0](equities)
 
     def edge_discounts(self, equities: np.ndarray) -> np.ndarray:
         """Matrix of claim discount factors; entry ``[i, j]`` values bank i's

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from neva import (FinancialNetwork, SolveConfig, SpecError, ValuationSpec,
+from neva import (FinancialNetwork, NetworkError, SolveConfig, SpecError, ValuationSpec,
                   debtrank_limit_experiment, greatest_solution,
                   maturity_limit_experiment, merton_vs_network_discount,
                   monte_carlo_global_valuation, stress_test)
@@ -457,3 +457,50 @@ def test_limit_sequences_are_checked_in_one_place(ring):
         maturity_limit_experiment(ring, 1.0, [1.0, 0.0])
     with pytest.raises(SpecError, match=r"^beta sequence must lie in \[0, 1\]$"):
         debtrank_limit_experiment(ring, [1.5, 0.5])
+
+
+GBM = ValuationSpec.exante_en_gbm(0.5, 1.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda net: ValuationSpec.furfine(True), "recovery"),
+    (lambda net: ValuationSpec.furfine("0.5"), "recovery"),
+    (lambda net: ValuationSpec.furfine(np.True_), "recovery"),
+    (lambda net: ValuationSpec.exante_en_gbm((0.2, True, 0.3), 1.0), "sigma"),
+    (lambda net: stress_test(net, EN, [True]), "shock"),
+    (lambda net: stress_test(net, EN, ["0.1"]), "shock"),
+    (lambda net: stress_test(net, EN, [[0.1, True, 0.0]]), "shock"),
+    (lambda net: stress_test(net, EN, [np.array([False, True, False])]), "shock"),
+    (lambda net: merton_vs_network_discount(net, GBM, ["0.2"]), "shock"),
+    (lambda net: maturity_limit_experiment(net, 0.2, [2.0, True]), "tau"),
+    (lambda net: debtrank_limit_experiment(net, [1.0, False]), "beta"),
+    (lambda net: monte_carlo_global_valuation(net, 0.2, "1", 1.0, 10), "maturity"),
+], ids=["bool-recovery", "string-recovery", "numpy-bool-recovery", "bool-sigma-entry",
+        "bool-shock", "string-shock", "bool-per-bank-shock", "numpy-bool-shocks",
+        "string-discount-shock", "bool-tau", "bool-beta", "string-tau"])
+def test_api_rejects_booleans_and_strings(ring, call, name):
+    # inputs are rejected, not coerced: a boolean is not a number, a string
+    # holding one neither, in the Python API as in the files
+    with pytest.raises((SpecError, NetworkError),
+                       match=f"^{name}.* must be (a number|numbers), got"):
+        call(ring)
+
+
+def test_api_accepts_numpy_numbers(ring):
+    assert ValuationSpec.furfine(np.float32(0.5)).recovery == 0.5
+    spec = ValuationSpec.exante_en_gbm(np.array([0.2, 0.3, 0.4]), np.int64(1))
+    assert spec.sigma == (0.2, 0.3, 0.4) and spec.maturity == 1.0
+    shocks = [np.float64(0.1), np.array([0.1, 0.2, 0.0]), 0]
+    assert [r.alpha for r in stress_test(ring, EN, shocks)] == [0.1, None, 0.0]
+    assert maturity_limit_experiment(ring, 0.2, np.array([2.0, 1.0])).parameters == (2.0, 1.0)
+
+
+def test_limit_notes_an_unconverged_reference():
+    # the ring A -> B -> C -> A, in which A's external liabilities exceed
+    # what it is owed, takes more than two sweeps at maturity
+    liabilities = np.zeros((3, 3))
+    liabilities[0, 1] = liabilities[1, 2] = liabilities[2, 0] = 1.0
+    net = FinancialNetwork(["A", "B", "C"], [0.0, 0.1, 0.1], [0.5, 0.0, 0.0], liabilities)
+    series = maturity_limit_experiment(net, 0.2, [1.0, 0.5],
+                                       config=SolveConfig(max_iterations=2))
+    assert series.notes == ("reference solve did not converge",) and series.partial

@@ -202,6 +202,7 @@ def faulty_ring(*settings):
     ([(("banks", 1, "equity"), 1.0)], "banks[1].equity: does not apply to a bank"),
     ([(("liabilities", 2, "maturity"), 1.0)],
      "liabilities[2].maturity: does not apply to a liability"),
+    ([(("banks",), []), (("liabilities",), [])], "banks list is empty"),
 ], ids=["missing-amount", "edge-not-an-object", "string-amount", "bool-amount",
         "null-amount", "nan-amount", "negative-amount", "unknown-id", "self-loan",
         "first-of-two-bad-edges", "first-of-bad-id-and-missing-field",
@@ -210,7 +211,8 @@ def faulty_ring(*settings):
         "number-debtor", "null-creditor", "negative-external-assets",
         "infinite-external-assets", "nan-external-liabilities", "overflowing-amount",
         "overflowing-external-assets", "overflowing-external-liabilities",
-        "misspelt-liabilities", "unread-bank-field", "unread-liability-field"])
+        "misspelt-liabilities", "unread-bank-field", "unread-liability-field",
+        "no-banks"])
 def test_cli_names_the_first_fault_of_a_network_file(tmp_path, capsys, settings, field):
     network = write_json(tmp_path / "net.json", faulty_ring(*settings))
     scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
@@ -663,6 +665,13 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
     pytest.param("discount", {"valuation": EN_SOLVE_SCENARIO["valuation"],
                               "scenario": {"kind": "discount", "alpha_grid": [0.1]}},
                  "valuation.interbank.kind", id="discount-at-maturity"),
+    pytest.param("solve", {"valuation": {"interbank": {"kind": "nope"}},
+                           "scenario": {"kind": "solve"}},
+                 "valuation.interbank", id="unknown-interbank-kind"),
+    pytest.param("solve", {"valuation": {"interbank": {"kind": "eisenberg_noe"},
+                                         "external": {"kind": "nope"}},
+                           "scenario": {"kind": "solve"}},
+                 "valuation.external", id="unknown-external-kind"),
 ])
 def test_cli_rejects_coerced_values(tmp_path, capsys, command, document, field):
     network = write_json(tmp_path / "net.json", RING_FILE)
@@ -867,6 +876,39 @@ def test_cli_output_file_mode_follows_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+def test_cli_output_over_an_existing_file_keeps_its_mode(tmp_path):
+    # as open(path, "w") does: the replacement gets the old file's mode
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    previous = os.umask(0o022)
+    try:
+        assert run_command(["solve", "--network", network, "--scenario", scenario,
+                            "--output", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert out.read_text().startswith("bank_id,")
+
+
+def test_cli_output_through_a_symlink_writes_its_target(tmp_path):
+    # as open(path, "w") does: the link stays a link and its target, in
+    # another directory, takes the new text; no temporary file is left
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    (tmp_path / "data").mkdir()
+    target, link = tmp_path / "data" / "out.csv", tmp_path / "out.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run_command(["solve", "--network", network, "--scenario", scenario,
+                        "--output", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text().startswith("bank_id,")
+    assert not list(tmp_path.rglob(".neva-*.tmp"))
 
 
 def test_cli_mc_global_reproducible(tmp_path):

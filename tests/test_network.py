@@ -158,6 +158,19 @@ def test_construction_rejects_bad_data():
         FinancialNetwork(["A", "B"], [1, 1], [0, 0], np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: FinancialNetwork(["A", "B"], [1.0, 1.0, 1.0], [0, 0], np.zeros((2, 2))),
+     r"^external_assets must have shape \(2,\), got \(3,\)$"),
+    (lambda: FinancialNetwork(["A", "B"], [1, 1], [[0, 0]], np.zeros((2, 2))),
+     r"^external_liabilities must have shape \(2,\), got \(1, 2\)$"),
+    (lambda: FinancialNetwork(["A", "B"], [1, 1], [0, 0], np.zeros((2, 2))).shock_vector(
+        [0.1, 0.2, 0.3]), r"^shock must be a scalar or have shape \(2,\), got \(3,\)$"),
+], ids=["external-assets", "external-liabilities", "shock"])
+def test_per_bank_vectors_of_the_wrong_shape_are_rejected(make, message):
+    with pytest.raises(NetworkError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("assets, liabilities, owed, bank", [
     ([1.5e308, 0.0, 0.0], [0.0] * 3, {(1, 0): 1e308}, "A"),  # book equity
     ([1.0] * 3, [0.0] * 3, {(1, 0): 1e308, (2, 0): 1e308}, "A"),  # claims

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import neva
-from neva import (FinancialNetwork, SpecError, ValuationSpec, debtrank_interbank, en_interbank,
-                  exante_en_gbm_interbank, exante_en_uniform_interbank, furfine_interbank,
+from neva import (FinancialNetwork, NetworkError, SpecError, ValuationSpec, debtrank_interbank,
+                  en_interbank, exante_en_gbm_interbank, exante_en_uniform_interbank,
+                  furfine_interbank,
                   gbm_default_probability, gbm_endogenous_recovery, greatest_solution,
                   rv_external, rv_interbank,
                   uniform_default_probability, uniform_endogenous_recovery)
@@ -267,6 +268,17 @@ def test_spec_validation():
     assert np.allclose(spec.sigma_vector(3), [0.1, 0.2, 0.3])
     with pytest.raises(SpecError):
         spec.sigma_vector(4)
+
+
+def test_bind_and_sigma_vector_reject_what_the_spec_does_not_read(ring):
+    with pytest.raises(SpecError, match=r"^eisenberg_noe does not read all of \['beta'\]$"):
+        ValuationSpec.eisenberg_noe().bind(ring, beta=np.ones((2, 1)))
+    with pytest.raises(NetworkError, match=r"^external assets of shape \(2,\) for 3 banks$"):
+        ValuationSpec.eisenberg_noe().bind(ring, [1.0, 2.0])
+    with pytest.raises(NetworkError, match=r"^external assets of shape \(1, 1, 3\)"):
+        ValuationSpec.eisenberg_noe().bind(ring, np.ones((1, 1, 3)))
+    with pytest.raises(SpecError, match="^furfine has no volatility parameter$"):
+        ValuationSpec.furfine(0.5).sigma_vector(3)
 
 
 def test_continuity_metadata():
