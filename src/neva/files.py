@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import os
+import re
 import stat
 import sys
 from collections import Counter
@@ -552,9 +553,15 @@ def _labels(values) -> tuple:
     return list(position), np.array([position[value] for value in values], dtype=np.intp)
 
 
+# Text that csv.writer never quotes (not the empty string, which it may).
+_PLAIN = re.compile(r"[A-Za-z0-9_.:-]+")
+
+
 def _quoted(text: str) -> str:
     """``text`` as one CSV field, quoted where ``csv.writer`` quotes it; with a
     CRLF terminator it quotes a carriage return as well as a newline."""
+    if _PLAIN.fullmatch(text):
+        return text
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\r\n").writerow((text, ""))
     return buffer.getvalue()[:-3]  # drop the empty second field's ",\r\n"

@@ -38,9 +38,13 @@ FACE_VALUES = "face_values"
 LOWER_BOUNDS = "lower_bounds"
 
 
-def _scaled_epsilon(book_equity: np.ndarray):
-    """``1e-10 * max(1, |book equity|)``, one per row of a stack."""
-    return 1e-10 * np.maximum(1.0, np.max(np.abs(book_equity), axis=-1))
+def _scaled_epsilon(book_equity: np.ndarray, obligations: np.ndarray):
+    """``1e-10 * max|book equity|``, one per row of a stack; where that is 0,
+    ``1e-10 * max(obligations)``, and where that is 0 too, 5e-324.  No
+    absolute floor, so a change of unit by ``2**k`` scales it exactly."""
+    scale = np.max(np.abs(book_equity), axis=-1)
+    scale = np.where(scale > 0, scale, np.max(obligations))
+    return np.maximum(1e-10 * scale, 5e-324)
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,8 @@ def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfi
     clamped into ``[m, M]``, sweeps, last step and tolerance, which without a
     configured epsilon scales with the row's own book equity."""
     config = config or SolveConfig()
-    epsilon = config.epsilon or _scaled_epsilon(bound.book_equity)
+    epsilon = config.epsilon or _scaled_epsilon(bound.book_equity,
+                                                bound.net.total_obligations())
     solutions, sweeps, residuals = _iterate(bound, start, epsilon, config.max_iterations)
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
     return solutions, sweeps, residuals, np.broadcast_to(epsilon, residuals.shape)

@@ -630,7 +630,7 @@ class BoundValuation:
         external assets at their external factor, claims at their discount
         factors, liabilities at face value; row by row on a stack, whose shape
         ``equities`` must have, as the sums run in place."""
-        inflow = self.borrower_factors(equities) @ self.net.interbank_liabilities
+        inflow = self.net.claim_sums(self.borrower_factors(equities))
         lender = self.lender_factors(equities)
         if lender is not None:
             inflow *= lender

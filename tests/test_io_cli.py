@@ -14,8 +14,8 @@ import pytest
 
 import neva
 from neva import (FileFormatError, FinancialNetwork, SolveConfig, ValuationSpec,
-                  dump_network, evaluate_curves, load_network, load_scenario,
-                  serialize_results)
+                  dump_network, evaluate_curves, greatest_solution, load_network,
+                  load_scenario, serialize_results, stress_test)
 from neva import cli
 from neva.cli import build_parser, run_command
 from neva.files import network_to_dict
@@ -244,17 +244,22 @@ def test_cli_rejects_a_network_whose_sums_overflow(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_large_ring_file_loads_without_a_dense_matrix(tmp_path):
-    # the dense claim matrix of 20 000 banks would take 3.2 GB
-    n = 20_000
+def _large_ring_file(path, n=20_000) -> str:
+    """A ring of ``n`` banks, each owing the next 0.5, with book equity 1."""
     ids = [f"b{k:05d}" for k in range(n)]
-    path = tmp_path / "ring.json"
     path.write_text(json.dumps({
         "banks": [{"id": bank, "external_assets": 2.0, "external_liabilities": 1.0}
                   for bank in ids],
         "liabilities": [{"debtor": ids[k], "creditor": ids[(k + 1) % n], "amount": 0.5}
                         for k in range(n)],
     }), encoding="utf-8")
+    return str(path)
+
+
+def test_large_ring_file_loads_without_a_dense_matrix(tmp_path):
+    # the dense claim matrix of 20 000 banks would take 3.2 GB
+    n = 20_000
+    path = _large_ring_file(tmp_path / "ring.json", n)
     tracemalloc.start()
     try:
         net = load_network(str(path))
@@ -267,6 +272,30 @@ def test_large_ring_file_loads_without_a_dense_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_large_ring_solves_and_stresses_without_a_dense_matrix(tmp_path):
+    # a sweep sums each bank's claims over the edges: O(edges + rows x edges)
+    # memory, where the dense claim matrix of 20 000 banks would take 3.2 GB
+    path = _large_ring_file(tmp_path / "ring.json")
+    alphas = np.linspace(0.0, 1.0, 11)
+    tracemalloc.start()
+    try:
+        net = load_network(path)
+        report = greatest_solution(net, ValuationSpec.eisenberg_noe())
+        results = stress_test(net, ValuationSpec.eisenberg_noe(), alphas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert "interbank_liabilities" not in vars(net)
+    assert report.converged and np.all(report.solution == 1.0)
+    # every bank alike: equity 1 - 2 alpha while solvent (alpha <= 0.5), and
+    # beyond that no payment at all, so 0.5 - 2 alpha
+    for alpha, result in zip(alphas, results):
+        assert result.report.converged
+        expected = 1.0 - 2.0 * alpha - (0.5 if alpha > 0.5 else 0.0)
+        assert np.allclose(result.report.solution, expected, rtol=0.0, atol=1e-9)
 
 
 def test_duplicate_ids_of_a_large_file_are_named_in_one_pass(tmp_path):

@@ -141,6 +141,37 @@ def test_edges_are_the_positive_claims_in_lender_major_order():
         assert repr(flipped) == f"FinancialNetwork(n={net.n}, edges={len(lenders)})"
 
 
+def test_claim_sums_over_the_edges_on_each_branch(ring, tree):
+    # every bank holds a claim (the ring), some hold none (the tree) or none
+    # does: per row the dense product, and exactly 0 for a bank without claims
+    rng = np.random.default_rng(9)
+    empty = FinancialNetwork(["A", "B"], [1.0, 1.0], [0.0, 0.0], np.zeros((2, 2)))
+    for net in (ring, tree, empty):
+        for weights in (rng.random(net.n), rng.random((4, net.n))):
+            sums = net._edge_claim_sums(weights)
+            dense = weights @ net.interbank_liabilities
+            assert sums.shape == dense.shape
+            assert np.all(np.abs(sums - dense) <= 4 * np.finfo(float).eps * dense)
+            assert np.all(sums[..., net.total_claims() == 0] == 0.0)
+
+
+def test_claim_sums_take_the_edges_up_to_a_mean_degree_of_n_over_40():
+    # a 40-bank ring has mean degree 1 = n/40: its sums run over the edges and
+    # never build the dense view; one claim more and they are the BLAS product
+    n = 40
+    ring = np.roll(np.eye(n), 1, axis=1)
+    denser = ring.copy()
+    denser[0, 2] = 1.0
+    weights = np.random.default_rng(4).random((3, n))
+    for liabilities, sparse in ((ring, True), (denser, False)):
+        # through transpose: a network built from edges, without the view
+        net = FinancialNetwork([f"B{k}" for k in range(n)], np.ones(n), np.zeros(n),
+                               liabilities.T).transpose()
+        sums = net.claim_sums(weights)
+        assert ("interbank_liabilities" in vars(net)) is not sparse
+        assert np.array_equal(sums, weights @ liabilities)
+
+
 def test_construction_rejects_bad_data():
     with pytest.raises(NetworkError):
         FinancialNetwork([], [], [], np.zeros((0, 0)))

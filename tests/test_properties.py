@@ -12,8 +12,10 @@ factor in [0, 1] and nondecreasing), with iterates that fall from the face
 values and rise from the lower bounds; greatest solves of acyclic networks
 under every borrower-only family that stop exactly within claim depth + 1
 sweeps; solves that a change of unit by a power of two changes in nothing
-but the unit; and a CLI that, on any perturbed scenario file, exits with 0,
-1 or 2 only and leaves no file behind on 2."""
+but the unit; claim sums over the edges that are the dense product; the
+Monte Carlo, depth + 1 and unit properties again on sparse networks, whose
+sweeps sum over the edges; and a CLI that, on any perturbed scenario file,
+exits with 0, 1 or 2 only and leaves no file behind on 2."""
 import contextlib
 import copy
 import csv
@@ -35,7 +37,7 @@ from neva import (FinancialNetwork, SolveConfig, SolveReport, StressResult,
                   greatest_solution, least_solution, load_network,
                   monte_carlo_global_valuation, serialize_results, solve, stress_test)
 from neva.cli import run_command
-from neva.files import SCENARIO_KINDS, _render
+from neva.files import SCENARIO_KINDS, _quoted, _render
 from neva.valuation import EXTERNAL_FAMILIES, INTERBANK_FAMILIES, en_interbank
 
 from conftest import (claim_depth, en_clearing_oracle, infeasible_factors,
@@ -61,6 +63,28 @@ def networks(draw, max_banks=6):
                             external_liabilities, liabilities)
 
 
+@st.composite
+def sparse_networks(draw, acyclic=False):
+    """A random network of 80 to 160 banks with a mean degree of at most
+    n/40, whose claim sums therefore run over its edges; banks may owe
+    nothing or hold no claim, and cash flow has either sign.  Given
+    ``acyclic``, banks owe only banks later in a drawn order."""
+    n = draw(st.integers(80, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(0, n * n // 40))
+    debtors = rng.integers(0, n, count)
+    creditors = (debtors + rng.integers(1, n, count)) % n
+    if acyclic:
+        rank = rng.permutation(n)
+        later = rank[debtors] < rank[creditors]
+        debtors, creditors = (np.where(later, debtors, creditors),
+                              np.where(later, creditors, debtors))
+    liabilities = np.zeros((n, n))
+    np.add.at(liabilities, (debtors, creditors), rng.uniform(0.1, 2.0, count))
+    return FinancialNetwork([f"B{k}" for k in range(n)], rng.uniform(0.5, 3.0, n),
+                            rng.uniform(0.0, 4.0, n), liabilities)
+
+
 def _scale(net, assets) -> float:
     """Largest magnitude a map value is summed from."""
     terms = (np.abs(assets) + net.external_liabilities + net.total_obligations()
@@ -71,6 +95,18 @@ def _scale(net, assets) -> float:
 @given(networks(), st.floats(0.05, 1.0), st.floats(0.1, 2.0),
        st.integers(0, 2**32 - 1))
 def test_monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed):
+    _monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed)
+
+
+@given(sparse_networks(), st.floats(0.05, 1.0), st.floats(0.1, 2.0),
+       st.integers(0, 2**32 - 1))
+def test_monte_carlo_sample_is_the_clearing_solution_on_sparse_networks(
+        net, sigma, tau, seed):
+    assert net._sparse
+    _monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed)
+
+
+def _monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed):
     # one sample at beta = 1 is, bit for bit, the greatest Eisenberg-Noe solve
     # of the network holding that sample's terminal external assets: under the
     # default tolerance, that of the drawn book equities, and under a given one
@@ -110,6 +146,26 @@ def test_payment_space_map_is_the_factor_map(net, beta, rows, seed):
     assert np.max(np.abs(bound.equity_map(equities) - payment_map)) <= tolerance
     # the solver's stack of the binding, its shared constants tiled, maps alike
     assert np.array_equal(bound.stack(rows).equity_map(equities), bound.equity_map(equities))
+
+
+@given(networks() | sparse_networks(), st.integers(1, 4), st.floats(0.0, 1.0),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_claim_sums_over_the_edges_are_the_dense_product(net, rows, beta, column, seed):
+    # under every pair of table keys, the borrower factors a sweep weighs the
+    # claims by, summed over each creditor's edges, are the dense product up
+    # to the rounding of the summed magnitude; a bank without claims gets 0
+    rng = np.random.default_rng(seed)
+    liabilities, holds_none = net.interbank_liabilities, net.total_claims() == 0
+    for kind in INTERBANK_FAMILIES:
+        for external in EXTERNAL_FAMILIES:
+            bound, assets = _bind_drawn(net, kind, external, rows, beta, column, rng)
+            lower = net.equity_lower_bound()
+            equities = rng.uniform(lower - 1.0, bound.book_equity + 1.0, assets.shape)
+            weights = bound.borrower_factors(equities)
+            sums = net._edge_claim_sums(weights)
+            magnitude = np.abs(weights) @ liabilities
+            assert np.all(np.abs(sums - weights @ liabilities) <= 4 * ULP * magnitude)
+            assert np.all(sums[:, holds_none] == 0.0)
 
 
 LATTICE_SPECS = [EN, ValuationSpec.eisenberg_noe_haircut(0.5),
@@ -233,6 +289,14 @@ def _csv_rows(text) -> list:
 
 def _json_rows(text) -> list:
     return json.loads(text)["rows"]
+
+
+@given(st.text('Az09_.:- "\',;\t\n\r\u00e9') | st.text())
+def test_labels_are_quoted_as_csv_writer_quotes_them(text):
+    # labels that match the plain pattern skip the writer, byte for byte
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow((text, ""))
+    assert _quoted(text) == buffer.getvalue()[:-3]
 
 
 @given(BANK_IDS, st.data())
@@ -420,6 +484,17 @@ def acyclic_networks(draw, max_banks=8):
 
 @given(acyclic_networks(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 def test_acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed):
+    _acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed)
+
+
+@given(sparse_networks(acyclic=True), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_acyclic_greatest_solves_settle_within_depth_plus_one_on_sparse_networks(
+        net, beta, seed):
+    assert net._sparse
+    _acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed)
+
+
+def _acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed):
     # with unit external valuation and borrower-only factors a bank's value
     # reads only the equities of deeper banks: the sources are exact at the
     # face values and each sweep settles the next layer of claim depth, so an
@@ -444,21 +519,32 @@ def test_acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed):
 # its book equity and rises by an ulp, more than 1e-12 once sheets top 4000
 @example(random_network(np.random.default_rng(8)), 20, 0.5, 0)
 def test_a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed):
+    _a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed)
+
+
+@given(sparse_networks(), st.integers(-3, 20), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_a_power_of_two_unit_changes_nothing_but_the_unit_on_sparse_networks(
+        net, k, beta, seed):
+    assert net._sparse
+    _a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed)
+
+
+def _a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed):
     # every amount times 2**k is an exact change of unit: each map value, so
-    # each iterate, and the tolerance scale by 2**k bit for bit, and the
-    # greatest and the least solve under every pair of table keys agree with
-    # the unscaled ones in all but the unit, warnings included
+    # each iterate, and the default tolerance scale by 2**k bit for bit, and
+    # the greatest and the least solve under every pair of table keys agree
+    # with the unscaled ones in all but the unit, warnings included
     unit = 2.0 ** k
     scaled = rescaled(net, unit)
-    config = SolveConfig(epsilon=greatest_solution(net, EN).epsilon)
-    scaled_config = SolveConfig(epsilon=unit * config.epsilon)
     rng = np.random.default_rng(seed)
     for kind in INTERBANK_FAMILIES:
         for external in EXTERNAL_FAMILIES:
             spec = _drawn_spec(net.n, kind, external, beta, rng)
             for start in ("face_values", "lower_bounds"):
-                plain = solve(net, spec, config, start)
-                other = solve(scaled, spec, scaled_config, start)
+                plain = solve(net, spec, start=start)
+                other = solve(scaled, spec, start=start)
+                assert other.epsilon == unit * plain.epsilon
                 assert np.array_equal(other.solution, unit * plain.solution)
                 assert ((other.iterations, other.converged, other.warnings)
                         == (plain.iterations, plain.converged, plain.warnings))

@@ -7,7 +7,8 @@ from neva import (FinancialNetwork, SolveConfig, ValuationSpec,
 
 from neva.solver import _iterate, _reports, _solve
 
-from conftest import claim_depth, en_clearing_oracle, random_dag_network, random_network
+from conftest import (claim_depth, en_clearing_oracle, random_dag_network, random_network,
+                      rescaled)
 
 EN = ValuationSpec.eisenberg_noe()
 
@@ -165,6 +166,32 @@ def test_compaction_keeps_each_row_with_its_constants():
         assert report.converged and alone.converged
         assert report.epsilon == alone.epsilon
         assert np.max(np.abs(report.solution - alone.solution)) <= alone.epsilon
+
+
+def test_default_tolerance_scales_with_the_unit():
+    # with an absolute floor of 1 on its scale, the default stop loosened as
+    # the unit shrank: relative error 2e-6 at 2**-20 and 43% at 2**-34, each
+    # reported as converged
+    net = random_network(np.random.default_rng(3), nonnegative_cashflow=False)
+    reference = greatest_solution(net, EN, SolveConfig(epsilon=1e-14)).solution
+    size = np.max(np.abs(reference))
+    for k in range(-34, 21):
+        unit = 2.0 ** k
+        report = greatest_solution(rescaled(net, unit), EN)
+        assert report.converged
+        assert np.max(np.abs(report.solution / unit - reference)) <= 1e-9 * size
+
+
+def test_default_tolerance_of_balance_sheets_without_book_equity():
+    # all book equities 0: the scale is the largest obligation; without
+    # obligations too, only a zero step stops
+    owing = FinancialNetwork(["A", "B"], [1.0, 0.0], [0.0, 1.0], [[0.0, 1.0], [0.0, 0.0]])
+    assert np.all(owing.book_equity() == 0.0)
+    assert greatest_solution(owing, EN).epsilon == 1e-10
+    empty = FinancialNetwork(["A", "B"], [0.0, 0.0], [0.0, 0.0], np.zeros((2, 2)))
+    report = greatest_solution(empty, EN)
+    assert report.epsilon == 5e-324 and report.converged
+    assert np.all(report.solution == 0.0)
 
 
 def test_non_convergence_is_reported_not_raised(closed_chain):
