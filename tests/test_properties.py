@@ -12,10 +12,10 @@ factor in [0, 1] and nondecreasing), with iterates that fall from the face
 values and rise from the lower bounds; greatest solves of acyclic networks
 under every borrower-only family that stop exactly within claim depth + 1
 sweeps; solves that a change of unit by a power of two changes in nothing
-but the unit; claim sums over the edges that are the dense product; the
-Monte Carlo, depth + 1 and unit properties again on sparse networks, whose
-sweeps sum over the edges; and a CLI that, on any perturbed scenario file,
-exits with 0, 1 or 2 only and leaves no file behind on 2."""
+but the unit; the Monte Carlo, depth + 1 and unit properties draw sparse
+networks too, whose sweeps sum over the edges; claim sums over the edges
+that are the dense product; and a CLI that, on any perturbed scenario
+file, exits with 0, 1 or 2 only and leaves no file behind on 2."""
 import contextlib
 import copy
 import csv
@@ -92,21 +92,9 @@ def _scale(net, assets) -> float:
     return float(max(1.0, np.max(terms)))
 
 
-@given(networks(), st.floats(0.05, 1.0), st.floats(0.1, 2.0),
+@given(networks() | sparse_networks(), st.floats(0.05, 1.0), st.floats(0.1, 2.0),
        st.integers(0, 2**32 - 1))
 def test_monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed):
-    _monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed)
-
-
-@given(sparse_networks(), st.floats(0.05, 1.0), st.floats(0.1, 2.0),
-       st.integers(0, 2**32 - 1))
-def test_monte_carlo_sample_is_the_clearing_solution_on_sparse_networks(
-        net, sigma, tau, seed):
-    assert net._sparse
-    _monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed)
-
-
-def _monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed):
     # one sample at beta = 1 is, bit for bit, the greatest Eisenberg-Noe solve
     # of the network holding that sample's terminal external assets: under the
     # default tolerance, that of the drawn book equities, and under a given one
@@ -482,19 +470,9 @@ def acyclic_networks(draw, max_banks=8):
                             rng.uniform(0.0, 4.0, n), liabilities[np.ix_(order, order)])
 
 
-@given(acyclic_networks(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@given(acyclic_networks() | sparse_networks(acyclic=True), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
 def test_acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed):
-    _acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed)
-
-
-@given(sparse_networks(acyclic=True), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_acyclic_greatest_solves_settle_within_depth_plus_one_on_sparse_networks(
-        net, beta, seed):
-    assert net._sparse
-    _acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed)
-
-
-def _acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed):
     # with unit external valuation and borrower-only factors a bank's value
     # reads only the equities of deeper banks: the sources are exact at the
     # face values and each sweep settles the next layer of claim depth, so an
@@ -513,24 +491,12 @@ def _acyclic_greatest_solves_settle_within_depth_plus_one(net, beta, seed):
         assert np.array_equal(spec.bind(net).equity_map(report.solution), report.solution)
 
 
-@given(networks(max_banks=10), st.integers(-3, 20), st.floats(0.0, 1.0),
-       st.integers(0, 2**32 - 1))
+@given(networks(max_banks=10) | sparse_networks(), st.integers(-3, 20),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 # the first sweep of this network sums a bank's claims in another order than
 # its book equity and rises by an ulp, more than 1e-12 once sheets top 4000
 @example(random_network(np.random.default_rng(8)), 20, 0.5, 0)
 def test_a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed):
-    _a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed)
-
-
-@given(sparse_networks(), st.integers(-3, 20), st.floats(0.0, 1.0),
-       st.integers(0, 2**32 - 1))
-def test_a_power_of_two_unit_changes_nothing_but_the_unit_on_sparse_networks(
-        net, k, beta, seed):
-    assert net._sparse
-    _a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed)
-
-
-def _a_power_of_two_unit_changes_nothing_but_the_unit(net, k, beta, seed):
     # every amount times 2**k is an exact change of unit: each map value, so
     # each iterate, and the default tolerance scale by 2**k bit for bit, and
     # the greatest and the least solve under every pair of table keys agree
