@@ -186,8 +186,7 @@ def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parame
     # one stack: a row per spec, the varying parameter a column of the binding
     bound = specs[0].bind(net, np.broadcast_to(net.external_assets, (len(specs), net.n)),
                           **{parameter_name: np.array(parameters, dtype=float)[:, np.newaxis]})
-    solutions, _, residuals, epsilon = _solve(bound, bound.book_equity, config)
-    converged = residuals <= epsilon
+    solutions, *_, converged = _solve(bound, bound.book_equity, config)
     return LimitSeries(
         parameter_name=parameter_name,
         parameters=tuple(float(p) for p in parameters),
@@ -264,8 +263,8 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     terminal_assets = net.external_assets * np.exp(sigma * np.sqrt(tau) * normals + drift)
     bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, terminal_assets)
     # the rows are read as arrays: no per-sample report
-    solutions, _, residuals, epsilon = _solve(bound, bound.book_equity, config)
-    kept = solutions[residuals <= epsilon]
+    solutions, *_, converged = _solve(bound, bound.book_equity, config)
+    kept = solutions[converged]
     count = len(kept)
     dropped = samples - count
     if dropped:

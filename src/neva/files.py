@@ -2,8 +2,8 @@
 
 JSON is the canonical input format for networks and scenarios; results are
 emitted as CSV (fixed, documented columns) or JSON rows mirroring the same
-fields.  Liability edges are oriented debtor -> creditor; the loader builds
-the claim matrix as the transpose, so a file edge ``{"debtor": "B",
+fields.  Liability edges are oriented debtor -> creditor, and the loader
+passes them to the network as edges, so a file edge ``{"debtor": "B",
 "creditor": "A"}`` makes bank A the lender.
 """
 from __future__ import annotations

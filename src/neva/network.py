@@ -78,11 +78,11 @@ class FinancialNetwork:
         Nonnegative obligations owed outside the interbank system.
     interbank_liabilities : array_like, shape (n, n)
         Entry ``[i, j]`` is the amount bank ``i`` owes bank ``j``.  The
-        diagonal must be zero; interbank assets are the transpose.
+        diagonal must be zero.
 
-    The positive liabilities are kept as edges: bank ``debtors[k]`` owes bank
-    ``creditors[k]`` the amount ``amounts[k]``, ordered by creditor, then
-    debtor (as ``np.nonzero(interbank_assets > 0)``).
+    The positive liabilities are kept as edges, and the matrix itself is not:
+    bank ``debtors[k]`` owes bank ``creditors[k]`` the amount ``amounts[k]``,
+    ordered by creditor, then debtor (as ``np.nonzero(interbank_liabilities.T)``).
     """
 
     bank_ids: tuple
@@ -100,46 +100,47 @@ class FinancialNetwork:
         if liab.shape != (n, n):
             raise NetworkError(
                 f"interbank_liabilities must have shape ({n}, {n}), got {liab.shape}")
-        creditors, debtors = np.nonzero(liab.T)
-        amounts = liab[debtors, creditors]
-        bad = _invalid_edges(n, debtors, creditors, amounts)
-        if bad.any():  # name the first in row order, a bad amount before a self-loan
-            invalid = _invalid(amounts)
-            k = np.lexsort((creditors, debtors, ~invalid, ~bad))[0]
-            i, j = debtors[k], creditors[k]
-            if invalid[k]:
-                raise NetworkError(f"interbank_liabilities[{ids[i]} -> {ids[j]}] is "
-                                   f"negative or not finite ({amounts[k]})")
-            raise NetworkError(f"self-loan on the diagonal for bank {ids[i]}")
-        self._fill(ids, external_assets, external_liabilities, debtors, creditors, amounts)
-        vars(self)["interbank_liabilities"] = _read_only(liab.copy())
+        debtors, creditors = np.nonzero(liab)
+        self._fill(ids, external_assets, external_liabilities, debtors, creditors,
+                   liab[debtors, creditors])
 
     @classmethod
     def _from_edges(cls, bank_ids, external_assets, external_liabilities,
                     debtors, creditors, amounts) -> "FinancialNetwork":
-        """Network of edges that ``_invalid_edges`` accepts, as bank index
-        arrays; a repeated pair's amounts are summed in the given order, and
-        zero sums dropped.  O(edges)."""
-        n = len(bank_ids)
-        pairs, position = np.unique(np.asarray(creditors, dtype=np.intp) * n + debtors,
-                                    return_inverse=True)
-        sums = np.bincount(position, amounts, len(pairs))
-        held = sums > 0
-        creditors, debtors = np.divmod(pairs[held], n)
+        """Network of the liability edges ``debtors[k] -> creditors[k]``, given
+        as bank indices in ``[0, n)``, as ``_fill`` builds it."""
         net = cls.__new__(cls)
         net._fill(bank_ids, external_assets, external_liabilities, debtors, creditors,
-                  sums[held])
+                  amounts)
         return net
 
     def _fill(self, bank_ids, external_assets, external_liabilities, debtors, creditors,
               amounts) -> None:
-        """Check the banks and set the fields from valid lender-major edges."""
+        """Check the banks and edges and set the fields.  The first invalid
+        edge in the order given is named, a bad amount before a self-loan.
+        A repeated pair's amounts are summed in the given order, zero sums
+        dropped, and the edges stored lender-major."""
         ids = tuple(str(b) for b in bank_ids)
+        invalid = _invalid(amounts)
+        bad = invalid | (debtors == creditors)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j = ids[debtors[k]], ids[creditors[k]]
+            if invalid[k]:
+                raise NetworkError(f"interbank_liabilities[{i} -> {j}] is "
+                                   f"negative or not finite ({amounts[k]})")
+            raise NetworkError(f"self-loan on the diagonal for bank {i}")
         if not ids:
             raise NetworkError("network needs at least one bank")
         if len(set(ids)) != len(ids):
             raise NetworkError("bank ids are not unique")
         n = len(ids)
+        pairs, position = np.unique(np.asarray(creditors, dtype=np.intp) * n + debtors,
+                                    return_inverse=True)
+        sums = np.bincount(position, amounts, len(pairs))
+        held = sums > 0
+        creditors, debtors = np.divmod(pairs[held], n)
+        amounts = sums[held]
         arrays = {
             "external_assets": _as_amount_vector(external_assets, n, "external_assets"),
             "external_liabilities": _as_amount_vector(external_liabilities, n,
@@ -205,11 +206,6 @@ class FinancialNetwork:
     @cached_property
     def _claim_runs(self) -> tuple:  # the banks holding claims, the first edge of each
         return np.unique(self.creditors, return_index=True)
-
-    @property
-    def interbank_assets(self) -> np.ndarray:
-        """Claim matrix: entry ``[i, j]`` is bank i's claim on bank j."""
-        return self.interbank_liabilities.T
 
     def index_of(self, bank_id: str) -> int:
         try:

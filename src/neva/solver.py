@@ -138,21 +138,23 @@ def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
 
 def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfig]) -> tuple:
     """The one fixed-point solve of the stack ``start``: per row the solution
-    clamped into ``[m, M]``, sweeps, last step and tolerance, which without a
-    configured epsilon scales with the row's own book equity."""
+    clamped into ``[m, M]``, sweeps, last step, tolerance (without a configured
+    epsilon, scaled with the row's own book equity) and whether it converged:
+    the one verdict every caller reads."""
     config = config or SolveConfig()
     epsilon = config.epsilon or _scaled_epsilon(bound.book_equity,
                                                 bound.net.total_obligations())
     solutions, sweeps, residuals = _iterate(bound, start, epsilon, config.max_iterations)
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
-    return solutions, sweeps, residuals, np.broadcast_to(epsilon, residuals.shape)
+    epsilon = np.broadcast_to(epsilon, residuals.shape)
+    return solutions, sweeps, residuals, epsilon, residuals <= epsilon
 
 
 def _reports(solved: tuple, kind: str = "greatest", warnings: tuple = ()) -> list:
     """One ``SolveReport`` per row of what ``_solve`` returns."""
-    solutions, sweeps, residuals, epsilon = solved
+    solutions, sweeps, residuals, epsilon, converged = solved
     return [SolveReport(solution=solution, iterations=int(sweeps[k]),
-                        converged=bool(residuals[k] <= epsilon[k]),
+                        converged=bool(converged[k]),
                         residual=float(residuals[k]), kind=kind,
                         epsilon=float(epsilon[k]), warnings=warnings)
             for k, solution in enumerate(solutions)]

@@ -126,7 +126,7 @@ def claim_depth(net: FinancialNetwork):
     """Longest chain of claims in ``net``, or None when its claims form a
     cycle: the last power of the claim matrix that still holds an edge (a
     chain has at most n - 1 edges, so a cycle keeps the n-th power nonzero)."""
-    claims = (net.interbank_assets > 0).astype(int)
+    claims = (net.interbank_liabilities.T > 0).astype(int)
     power, depth = claims, 0
     while power.any():
         depth += 1

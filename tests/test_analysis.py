@@ -58,7 +58,7 @@ def test_stress_loss_decomposition_identity(ring):
         lhs = (result.delta_equity - direct).sum()
         shocked = ring.apply_shock(result.shock)
         discounts = spec.bind(shocked).edge_discounts(result.report.solution)
-        rhs = (shocked.interbank_assets * (1.0 - discounts)).sum()
+        rhs = (shocked.interbank_liabilities.T * (1.0 - discounts)).sum()
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -140,7 +140,7 @@ def test_discount_stack_matches_per_point_solves(spec):
 @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.interbank_kind)
 def test_network_effect_matches_the_dense_formula(spec):
     for net, alphas in _stack_cases(seed=11):
-        claims = net.interbank_assets
+        claims = net.interbank_liabilities.T
         total = claims.sum()
         results = stress_test(net, spec, alphas)
         bound = spec.bind(net, [(1.0 - r.shock) * net.external_assets for r in results])
@@ -160,7 +160,7 @@ def test_discounts_match_the_dense_stacks(spec):
         bound = spec.bind(net, [(1.0 - c.shock) * net.external_assets for c in comparisons])
         # stress_test solves the same stack, so these are the same solutions
         solutions = np.array([r.report.solution for r in stress_test(net, spec, alphas)])
-        lenders, borrowers = np.nonzero(net.interbank_assets > 0)
+        lenders, borrowers = np.nonzero(net.interbank_liabilities.T > 0)
         merton = bound.edge_discounts(bound.book_equity)[:, lenders, borrowers]
         network = bound.edge_discounts(solutions)[:, lenders, borrowers]
         for k, cmp in enumerate(comparisons):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,26 +117,23 @@ def test_bounds_identity_on_random_networks():
     for _ in range(50):
         net = random_network(rng, nonnegative_cashflow=False)
         gap = net.book_equity() - net.equity_lower_bound()
-        expected = net.external_assets + net.interbank_assets.sum(axis=1)
+        expected = net.external_assets + net.interbank_liabilities.T.sum(axis=1)
         assert np.allclose(gap, expected, atol=1e-12)
-
-
-def test_interbank_assets_are_transpose(ring):
-    assert np.array_equal(ring.interbank_assets, ring.interbank_liabilities.T)
 
 
 def test_edges_are_the_positive_claims_in_lender_major_order():
     rng = np.random.default_rng(5)
     for _ in range(20):
         net = random_network(rng)
-        lenders, borrowers = np.nonzero(net.interbank_assets > 0)
+        lenders, borrowers = np.nonzero(net.interbank_liabilities.T > 0)
         for edges in (net, net.apply_shock(0.5)):
             assert np.array_equal(edges.creditors, lenders)
             assert np.array_equal(edges.debtors, borrowers)
-            assert np.array_equal(edges.amounts, net.interbank_assets[lenders, borrowers])
+            assert np.array_equal(edges.amounts,
+                                  net.interbank_liabilities.T[lenders, borrowers])
         flipped = net.transpose()
-        assert np.array_equal(flipped.interbank_liabilities, net.interbank_assets)
-        lenders, borrowers = np.nonzero(flipped.interbank_assets > 0)
+        assert np.array_equal(flipped.interbank_liabilities, net.interbank_liabilities.T)
+        lenders, borrowers = np.nonzero(flipped.interbank_liabilities.T > 0)
         assert np.array_equal(flipped.creditors, lenders)
         assert np.array_equal(flipped.debtors, borrowers)
         assert np.array_equal(flipped.total_obligations(), net.total_claims())
@@ -164,12 +163,27 @@ def test_claim_sums_take_the_edges_up_to_a_mean_degree_of_n_over_40():
     denser[0, 2] = 1.0
     weights = np.random.default_rng(4).random((3, n))
     for liabilities, sparse in ((ring, True), (denser, False)):
-        # through transpose: a network built from edges, without the view
         net = FinancialNetwork([f"B{k}" for k in range(n)], np.ones(n), np.zeros(n),
-                               liabilities.T).transpose()
+                               liabilities)
         sums = net.claim_sums(weights)
         assert ("interbank_liabilities" in vars(net)) is not sparse
         assert np.array_equal(sums, weights @ liabilities)
+
+
+def test_the_dense_constructor_keeps_no_matrix():
+    # a 2000-bank ring is read into its 2000 edges: the 32 MB matrix it is
+    # given is not copied, and the dense view is not built
+    n = 2000
+    ring = np.roll(np.eye(n), 1, axis=1)
+    tracemalloc.start()
+    try:
+        net = FinancialNetwork([f"B{k}" for k in range(n)], np.ones(n), np.zeros(n), ring)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    assert "interbank_liabilities" not in vars(net)
+    assert np.all(net.book_equity() == 1.0)
 
 
 def test_construction_rejects_bad_data():
@@ -185,6 +199,11 @@ def test_construction_rejects_bad_data():
         FinancialNetwork(["A", "B"], [1, 1], [0, 0], np.eye(2))  # self-loan
     with pytest.raises(NetworkError):
         FinancialNetwork(["A", "B"], [1, 1], [0, 0], -np.ones((2, 2)) + np.eye(2))
+    # the first bad entry in row order is named, a bad amount before a self-loan
+    with pytest.raises(NetworkError, match=r"^self-loan on the diagonal for bank A$"):
+        FinancialNetwork(["A", "B"], [1, 1], [0, 0], [[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(NetworkError, match=r"^interbank_liabilities\[A -> A\] .* \(nan\)$"):
+        FinancialNetwork(["A", "B"], [1, 1], [0, 0], [[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(NetworkError):
         FinancialNetwork(["A", "B"], [1, 1], [0, 0], np.zeros((3, 3)))
 

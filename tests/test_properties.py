@@ -48,9 +48,10 @@ ULP = np.finfo(float).eps
 
 
 @st.composite
-def networks(draw, max_banks=6):
-    """A random network whose first banks (at least one, possibly all but
-    one) owe nothing, with operating cash flow of either sign."""
+def balance_sheets(draw, max_banks=6):
+    """The bank ids, external assets, external liabilities and liability
+    matrix of a random network whose first banks (at least one, possibly all
+    but one) owe nothing, with operating cash flow of either sign."""
     n = draw(st.integers(2, max_banks))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     debt_free = draw(st.integers(1, n - 1))
@@ -59,8 +60,12 @@ def networks(draw, max_banks=6):
     liabilities = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
     np.fill_diagonal(liabilities, 0.0)
     liabilities[:debt_free] = 0.0
-    return FinancialNetwork([f"B{k}" for k in range(n)], assets,
-                            external_liabilities, liabilities)
+    return [f"B{k}" for k in range(n)], assets, external_liabilities, liabilities
+
+
+def networks(max_banks=6):
+    """The network of ``balance_sheets``, built by the dense constructor."""
+    return balance_sheets(max_banks).map(lambda sheets: FinancialNetwork(*sheets))
 
 
 @st.composite
@@ -92,23 +97,72 @@ def _scale(net, assets) -> float:
     return float(max(1.0, np.max(terms)))
 
 
+def _monte_carlo_network() -> FinancialNetwork:
+    """A 50-bank network of mean degree 10 and thin capital, as dense as the
+    Monte Carlo benchmark's: its claim sums take the BLAS product."""
+    n = 50
+    rng = np.random.default_rng(50)
+    liabilities = rng.lognormal(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.2)
+    np.fill_diagonal(liabilities, 0.0)
+    claims, obligations = liabilities.sum(axis=0), liabilities.sum(axis=1)
+    assets = 3.0 * claims.mean() * rng.lognormal(-0.125, 0.5, n)
+    capital = rng.uniform(0.03, 0.10, n)
+    external_liabilities = np.maximum((1.0 - capital) * (assets + claims) - obligations, 0.0)
+    return FinancialNetwork([f"B{k}" for k in range(n)], assets, external_liabilities,
+                            liabilities)
+
+
 @given(networks() | sparse_networks(), st.floats(0.05, 1.0), st.floats(0.1, 2.0),
-       st.integers(0, 2**32 - 1))
-def test_monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, seed):
-    # one sample at beta = 1 is, bit for bit, the greatest Eisenberg-Noe solve
-    # of the network holding that sample's terminal external assets: under the
-    # default tolerance, that of the drawn book equities, and under a given one
-    normals = np.random.default_rng(seed).standard_normal((1, net.n))
+       st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(_monte_carlo_network(), 0.2, 1.0, 40, 1001)
+def test_monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, samples, seed):
+    # each sample at beta = 1 is the greatest Eisenberg-Noe solve of the
+    # network holding that sample's terminal external assets: under the
+    # default tolerance, that of the drawn book equities, and under a given
+    # one.  On the edge form a sample is that solve bit for bit, so the mean
+    # and standard error are those of the lone solves; on the dense form BLAS
+    # rounds a product by the stack's row count, and the samples agree with
+    # the lone solves within their tolerance
+    normals = np.random.default_rng(seed).standard_normal((samples, net.n))
     sigmas = np.full(net.n, sigma)
     terminal = net.external_assets * np.exp(sigmas * np.sqrt(tau) * normals
                                             - 0.5 * sigmas * sigmas * tau)
-    drawn = FinancialNetwork(net.bank_ids, terminal[0], net.external_liabilities,
-                             net.interbank_liabilities)
     for config in (None, SolveConfig(epsilon=greatest_solution(net, EN).epsilon)):
-        result = monte_carlo_global_valuation(net, sigma, tau, 1.0, 1, seed, config)
-        reference = greatest_solution(drawn, EN, config)
-        assert result.dropped == 0 and reference.converged
-        assert np.array_equal(result.mean, reference.solution)
+        result = monte_carlo_global_valuation(net, sigma, tau, 1.0, samples, seed, config)
+        references = [greatest_solution(FinancialNetwork(
+            net.bank_ids, assets, net.external_liabilities, net.interbank_liabilities),
+            EN, config) for assets in terminal]
+        assert result.dropped == 0 and all(ref.converged for ref in references)
+        solutions = np.array([ref.solution for ref in references])
+        mean = solutions.sum(axis=0) / samples
+        if net._sparse:
+            std_error = (solutions.std(axis=0, ddof=1) / np.sqrt(samples) if samples > 1
+                         else np.zeros(net.n))
+            assert np.array_equal(result.mean, mean)
+            assert np.array_equal(result.std_error, std_error)
+        else:
+            epsilon = max(ref.epsilon for ref in references)
+            assert np.max(np.abs(result.mean - mean)) <= epsilon
+
+
+@given(balance_sheets(), st.integers(0, 2**32 - 1))
+def test_the_dense_constructor_is_the_edge_builder(sheets, seed):
+    # the matrix is read into its nonzero entries and built as a file's edges
+    # are, here given in a shuffled order: the same lender-major edges,
+    # totals and book equities bit for bit, and no dense copy; the view,
+    # built on first read, is the matrix given
+    ids, assets, external_liabilities, liabilities = sheets
+    net = FinancialNetwork(*sheets)
+    order = np.random.default_rng(seed).permutation(np.count_nonzero(liabilities))
+    debtors, creditors = (index[order] for index in np.nonzero(liabilities))
+    edges = FinancialNetwork._from_edges(ids, assets, external_liabilities, debtors,
+                                         creditors, liabilities[debtors, creditors])
+    for name in ("debtors", "creditors", "amounts"):
+        assert np.array_equal(getattr(net, name), getattr(edges, name))
+    for name in ("total_obligations", "total_claims", "book_equity"):
+        assert np.array_equal(getattr(net, name)(), getattr(edges, name)())
+    assert "interbank_liabilities" not in vars(net)
+    assert np.array_equal(net.interbank_liabilities, liabilities)
 
 
 @given(networks(), st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 4),
