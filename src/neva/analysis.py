@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import FinancialNetwork, _is_number
 from .solver import SolveConfig, SolveReport, _reports, _solve, greatest_solution
-from .valuation import SpecError, ValuationSpec, _number
+from .valuation import PARAMETER_CHECKS, SpecError, ValuationSpec, _number
 
 __all__ = [
     "StressResult",
@@ -179,14 +179,19 @@ def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parame
         raise SpecError(f"{sequence} sequence must not be empty")
     if any(b >= a for a, b in zip(parameters, parameters[1:])):
         raise SpecError(f"{sequence} sequence must be strictly decreasing")
-    specs = [spec(p) for p in parameters]
+    # the first spec has the largest parameter, so its checks across
+    # parameters (the log-normal variance) cover the whole sequence
+    first = spec(parameters[0])
+    for p in parameters[1:]:
+        PARAMETER_CHECKS[parameter_name](parameter_name, p)
     reference = greatest_solution(net, reference_spec, config)
     if not reference.converged:
         notes = notes + ("reference solve did not converge",)
-    # one stack: a row per spec, the varying parameter a column of the binding
-    bound = specs[0].bind(net, np.broadcast_to(net.external_assets, (len(specs), net.n)),
-                          **{parameter_name: np.array(parameters, dtype=float)[:, np.newaxis]})
-    solutions, *_, converged = _solve(bound, bound.book_equity, config)
+    # one stack over the network's own balance sheet, a row per parameter:
+    # only the parameter column and what the kernel derives from it vary by row
+    bound = first.bind(net, **{parameter_name: np.array(parameters, dtype=float)[:, np.newaxis]})
+    solutions, *_, converged = _solve(
+        bound, np.broadcast_to(bound.book_equity, (len(parameters), net.n)), config)
     return LimitSeries(
         parameter_name=parameter_name,
         parameters=tuple(float(p) for p in parameters),

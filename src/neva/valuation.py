@@ -140,8 +140,10 @@ def _debtrank_kernel(equity, safe_book, worthless):
 
 
 def _gbm_prepare(external_assets, sigma, maturity, obligations=0.0, beta=None) -> dict:
-    """``-Ae`` (-1 where zero), half variance and spread of the log move, safe
-    and doubled obligations (1 and 2 where zero) and the mask of zero assets."""
+    """What the kernel multiplies by, computed once: ``1/-Ae`` (-1 where Ae is
+    0), the shift ``pbar/-Ae`` from row 0's ratio to row 1's, ``1/spread``
+    and ``half_variance/spread`` of the log move, ``0.5/pbar`` and ``Ae/(2
+    pbar)`` (pbar 1 where 0; 0 where Ae is), and the mask of zero assets."""
     external_assets = np.asarray(external_assets, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0):
@@ -150,11 +152,13 @@ def _gbm_prepare(external_assets, sigma, maturity, obligations=0.0, beta=None) -
         raise SpecError("time to maturity must be positive")
     obligations = np.asarray(obligations, dtype=float)
     flat, safe = external_assets <= 0, np.where(obligations > 0, obligations, 1.0)
-    return {"external_assets": external_assets, "obligations": obligations,
-            "negated_assets": np.where(flat, -1.0, -external_assets),
-            "half_variance": 0.5 * sigma * sigma * maturity,
-            "spread": np.sqrt(2.0 * maturity) * sigma, "flat": flat if flat.any() else None,
-            "safe_obligations": safe, "doubled_obligations": 2.0 * safe, "beta": beta}
+    negated = np.where(flat, -1.0, -external_assets)
+    spread = np.sqrt(2.0 * maturity) * sigma
+    return {"inverse_assets": 1.0 / negated, "shift": obligations / negated,
+            "inverse_spread": 1.0 / spread, "half_inverse": 0.5 / safe,
+            "scaled_variance": 0.5 * sigma * sigma * maturity / spread,
+            "tail_scale": np.where(flat, 0.0, external_assets) / (2.0 * safe),
+            "flat": flat if flat.any() else None, "beta": beta}
 
 
 def gbm_default_probability(equity, external_assets, sigma, maturity):
@@ -172,39 +176,37 @@ def gbm_default_probability(equity, external_assets, sigma, maturity):
                        **_gbm_prepare(external_assets, sigma, maturity))[0][()]
 
 
-def _gbm_kernel(equity, external_assets, obligations, negated_assets, half_variance, spread,
-                flat, safe_obligations, doubled_obligations, beta):
-    """Default probability and endogenous recovery under the log-normal model,
-    or given ``beta`` the before-maturity factor, from the probability ``(1 +
-    erf((hv + L)/s))/2`` and tail ``erf((hv + L)/s) + erf((hv - L)/s)``, ``L =
-    log(1 - x/Ae)``, at ``x`` = equity (row 0) and equity + obligations (row
-    1).  Both are 0 from ``x = Ae`` up, where the ratio is clamped to ``L =
-    -inf``; with zero obligations the rows agree and the closed form is +0."""
+def _gbm_kernel(equity, inverse_assets, shift, inverse_spread, scaled_variance, half_inverse,
+                tail_scale, flat, beta):
+    """Default probability ``(1 + e0)/2`` and endogenous recovery ``(e0 -
+    e1)(equity + pbar)/(2 pbar) + (t1 - t0) Ae/(2 pbar)`` under the log-normal
+    model, or given ``beta`` the before-maturity factor, by products with the
+    constants of ``_gbm_prepare``: ``e = erf((hv + L)/s)``, ``t = erf((hv -
+    L)/s) + e``, ``L = log(1 - x/Ae)`` at ``x`` = equity (row 0) and equity +
+    pbar (row 1).  Both are 0 from ``x = Ae`` up, where ``L = -inf``; with
+    zero obligations the rows agree and the recovery is +0.  Zero assets make
+    ``e`` the solvency indicator as +-1 and the tail term 0."""
     # imported on first use, so that ``import neva`` does not load scipy
     from scipy.special import erf
 
-    x = np.empty((2,) + np.broadcast(equity, obligations, negated_assets, spread).shape)
-    np.copyto(x[0, ...], equity)
-    np.add(equity, obligations, out=x[1, ...])
-    log = x / negated_assets
+    log = np.empty((2,) + np.broadcast(equity, shift, inverse_spread).shape)
+    np.multiply(equity, inverse_assets, out=log[0, ...])
+    np.add(log[0], shift, out=log[1, ...])
+    below = log > 0 if flat is not None else None  # x < 0
     with np.errstate(divide="ignore"):
         np.log1p(np.maximum(log, -1.0, out=log), out=log)
-    prob = log + half_variance
-    erf(np.divide(prob, spread, out=prob), out=prob)
-    tail = np.subtract(half_variance, log, out=log)
-    erf(np.divide(tail, spread, out=tail), out=tail)
+    log *= inverse_spread
+    prob = log + scaled_variance
+    erf(prob, out=prob)
+    tail = erf(np.subtract(scaled_variance, log, out=log), out=log)
     tail += prob
-    np.multiply(np.add(prob, 1.0, out=prob), 0.5, out=prob)
     if flat is not None:  # no move: the solvency indicator
-        prob = np.where(flat, np.where(x < 0, 1.0, 0.0), prob)
-    p_default, closed = prob[0, ...], np.subtract(prob[0], prob[1], out=prob[1, ...])
-    closed *= equity / safe_obligations + 1.0
-    closed += (np.subtract(tail[1], tail[0], out=tail[1, ...]) * external_assets
-               / doubled_obligations)
-    if flat is not None:  # point mass at zero move: at-maturity pro-rata recovery
-        point_mass = np.where(equity < 0, np.clip(x[1, ...] / safe_obligations, 0.0, 1.0), 0.0)
-        closed = np.where(flat, point_mass, closed)
+        prob = np.where(flat, np.where(below, 1.0, -1.0), prob)
+    closed = np.subtract(prob[0], prob[1], out=prob[1, ...])
+    closed *= equity * half_inverse + 0.5
+    closed += np.subtract(tail[1], tail[0], out=tail[1, ...]) * tail_scale
     np.clip(closed, 0.0, 1.0, out=closed)
+    p_default = np.multiply(np.add(prob[0], 1.0, out=prob[0, ...]), 0.5, out=prob[0, ...])
     return (p_default, closed) if beta is None else _exante(p_default, closed, beta)
 
 

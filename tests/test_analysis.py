@@ -491,6 +491,17 @@ def test_limit_sequences_are_checked_in_one_place(ring):
         maturity_limit_experiment(ring, 1.0, [1.0, 0.0])
     with pytest.raises(SpecError, match=r"^beta sequence must lie in \[0, 1\]$"):
         debtrank_limit_experiment(ring, [1.5, 0.5])
+    # an element past the first is checked as its spec would check it; a NaN
+    # passes the sequence checks (every comparison with it is false), an inf not
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(SpecError, match="^time to maturity must be positive; valuation at"):
+        maturity_limit_experiment(ring, 1.0, [2.0, nan, 0.5])
+    with pytest.raises(SpecError, match="^tau sequence must be strictly decreasing$"):
+        maturity_limit_experiment(ring, 1.0, [2.0, inf, 0.5])
+    with pytest.raises(SpecError, match=r"^beta must lie in \[0, 1\], got nan$"):
+        debtrank_limit_experiment(ring, [1.0, nan, 0.5])
+    with pytest.raises(SpecError, match=r"^beta sequence must lie in \[0, 1\]$"):
+        debtrank_limit_experiment(ring, [1.0, inf, 0.5])
 
 
 GBM = ValuationSpec.exante_en_gbm(0.5, 1.0)

@@ -97,10 +97,21 @@ def test_gbm_default_probability_degenerate_assets():
     assert gbm_default_probability(0.5, 0.0, 1.0, 1.0) == 0.0
 
 
+# times to maturity, and equities near 0, below -pbar, at Ae - pbar and at or
+# above Ae (Ae = 1), for obligations pbar = 2 and for zero obligations
+QUADRATURE_TAUS = (0.01, 1.0, 10.0)
+
+
+def _quadrature_equities(pbar):
+    return (-1e-9, 0.0, 1e-9, -0.5, 0.5, -pbar - 0.5, 1.0 - pbar, 1.0, 1.5)
+
+
 def test_gbm_default_probability_matches_quadrature_spot():
-    value = gbm_default_probability(0.5, 1.0, 1.0, 1.0)
-    oracle = gbm_default_probability_quadrature(0.5, 1.0, 1.0, 1.0)
-    assert value == pytest.approx(oracle, abs=1e-8)
+    for tau in QUADRATURE_TAUS:
+        for equity in _quadrature_equities(2.0):
+            value = gbm_default_probability(equity, 1.0, 1.0, tau)
+            oracle = gbm_default_probability_quadrature(equity, 1.0, 1.0, tau)
+            assert value == pytest.approx(oracle, abs=1e-8), (tau, equity)
 
 
 def test_gbm_recovery_trivial_zeros():
@@ -111,9 +122,12 @@ def test_gbm_recovery_trivial_zeros():
 
 
 def test_gbm_recovery_matches_quadrature_spot():
-    value = gbm_endogenous_recovery(-0.5, 1.0, 1.0, 1.0, 2.0)
-    oracle = gbm_recovery_quadrature(-0.5, 1.0, 1.0, 1.0, 2.0)
-    assert value == pytest.approx(oracle, abs=1e-8)
+    for tau in QUADRATURE_TAUS:
+        for pbar in (2.0, 0.0):
+            for equity in _quadrature_equities(pbar):
+                value = gbm_endogenous_recovery(equity, 1.0, 1.0, tau, pbar)
+                oracle = gbm_recovery_quadrature(equity, 1.0, 1.0, tau, pbar)
+                assert value == pytest.approx(oracle, abs=1e-8), (tau, pbar, equity)
 
 
 def test_gbm_recovery_degenerate_assets_is_clearing_fraction():
