@@ -179,8 +179,8 @@ def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parame
         raise SpecError(f"{sequence} sequence must not be empty")
     if any(b >= a for a, b in zip(parameters, parameters[1:])):
         raise SpecError(f"{sequence} sequence must be strictly decreasing")
-    # the first spec has the largest parameter, so its checks across
-    # parameters (the log-normal variance) cover the whole sequence
+    # build only the first spec: its parameter is the largest, and the variance
+    # check across parameters grows with it; the rest are checked one by one
     first = spec(parameters[0])
     for p in parameters[1:]:
         PARAMETER_CHECKS[parameter_name](parameter_name, p)

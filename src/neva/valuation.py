@@ -141,7 +141,8 @@ def _debtrank_kernel(equity, safe_book, worthless):
 
 def _gbm_prepare(external_assets, sigma, maturity, obligations=0.0, beta=None) -> dict:
     """What the kernel multiplies by, computed once: ``1/-Ae`` (-1 where Ae is
-    0), the shift ``pbar/-Ae`` from row 0's ratio to row 1's, ``1/spread``
+    0; one ulp away from zero where the nearest one leaves ``Ae * (1/-Ae)``
+    above -1, as for 49, so the ratio is -1 from ``x = Ae`` up), ``1/spread``
     and ``half_variance/spread`` of the log move, ``0.5/pbar`` and ``Ae/(2
     pbar)`` (pbar 1 where 0; 0 where Ae is), and the mask of zero assets."""
     external_assets = np.asarray(external_assets, dtype=float)
@@ -153,8 +154,9 @@ def _gbm_prepare(external_assets, sigma, maturity, obligations=0.0, beta=None) -
     obligations = np.asarray(obligations, dtype=float)
     flat, safe = external_assets <= 0, np.where(obligations > 0, obligations, 1.0)
     negated = np.where(flat, -1.0, -external_assets)
-    spread = np.sqrt(2.0 * maturity) * sigma
-    return {"inverse_assets": 1.0 / negated, "shift": obligations / negated,
+    inverse, spread = 1.0 / negated, np.sqrt(2.0 * maturity) * sigma
+    inverse = np.where(negated * inverse < 1.0, np.nextafter(inverse, -np.inf), inverse)
+    return {"inverse_assets": inverse, "obligations": obligations,
             "inverse_spread": 1.0 / spread, "half_inverse": 0.5 / safe,
             "scaled_variance": 0.5 * sigma * sigma * maturity / spread,
             "tail_scale": np.where(flat, 0.0, external_assets) / (2.0 * safe),
@@ -176,8 +178,8 @@ def gbm_default_probability(equity, external_assets, sigma, maturity):
                        **_gbm_prepare(external_assets, sigma, maturity))[0][()]
 
 
-def _gbm_kernel(equity, inverse_assets, shift, inverse_spread, scaled_variance, half_inverse,
-                tail_scale, flat, beta):
+def _gbm_kernel(equity, inverse_assets, obligations, inverse_spread, scaled_variance,
+                half_inverse, tail_scale, flat, beta):
     """Default probability ``(1 + e0)/2`` and endogenous recovery ``(e0 -
     e1)(equity + pbar)/(2 pbar) + (t1 - t0) Ae/(2 pbar)`` under the log-normal
     model, or given ``beta`` the before-maturity factor, by products with the
@@ -189,9 +191,10 @@ def _gbm_kernel(equity, inverse_assets, shift, inverse_spread, scaled_variance, 
     # imported on first use, so that ``import neva`` does not load scipy
     from scipy.special import erf
 
-    log = np.empty((2,) + np.broadcast(equity, shift, inverse_spread).shape)
+    log = np.empty((2,) + np.broadcast(equity, inverse_assets, obligations,
+                                       inverse_spread).shape)
     np.multiply(equity, inverse_assets, out=log[0, ...])
-    np.add(log[0], shift, out=log[1, ...])
+    np.multiply(np.add(equity, obligations, out=log[1, ...]), inverse_assets, out=log[1, ...])
     below = log > 0 if flat is not None else None  # x < 0
     with np.errstate(divide="ignore"):
         np.log1p(np.maximum(log, -1.0, out=log), out=log)

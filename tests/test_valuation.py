@@ -83,12 +83,21 @@ def test_gbm_default_probability_median():
         assert gbm_default_probability(equity, assets, sigma, tau) == pytest.approx(0.5, abs=1e-14)
 
 
+# external assets, 49 first, about 15% of which have a reciprocal r with
+# assets * r < 1 in floating point
+BOUNDARY_ASSETS = (49.0, *np.random.default_rng(49).uniform(0.01, 1e4, 40))
+
+
 def test_gbm_default_probability_limits():
     assert gbm_default_probability(-1e9, 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert gbm_default_probability(1.0, 1.0, 1.0, 1.0) == 0.0
     assert gbm_default_probability(2.0, 1.0, 1.0, 1.0) == 0.0
     # exactly 0 at and above the assets even where the log move is wide
     assert np.all(gbm_default_probability(np.array([1.0, 2.0, 1e300]), 1.0, 3.0, 10.0) == 0.0)
+    # also at assets whose nearest reciprocal rounds short: 49 * (1/49) < 1
+    for assets in BOUNDARY_ASSETS:
+        equity = np.array([assets, np.nextafter(assets, np.inf), 2.0 * assets])
+        assert np.all(gbm_default_probability(equity, assets, 3.0, 10.0) == 0.0), assets
 
 
 def test_gbm_default_probability_degenerate_assets():
@@ -119,6 +128,9 @@ def test_gbm_recovery_trivial_zeros():
     assert np.all(gbm_endogenous_recovery(np.array([1.0, 2.0]), 1.0, 3.0, 10.0, 2.0) == 0.0)
     assert gbm_endogenous_recovery(-1e9, 1.0, 1.0, 1.0, 2.0) == pytest.approx(0.0, abs=1e-12)
     assert gbm_endogenous_recovery(-0.5, 1.0, 1.0, 1.0, 0.0) == 0.0  # no obligations
+    for assets in BOUNDARY_ASSETS:  # nothing to lose at the assets: the factor is 1
+        assert gbm_endogenous_recovery(assets, assets, 3.0, 10.0, 2.0) == 0.0, assets
+        assert exante_en_gbm_interbank(assets, assets, 3.0, 10.0, 2.0, 0.5) == 1.0, assets
 
 
 def test_gbm_recovery_matches_quadrature_spot():
@@ -128,6 +140,11 @@ def test_gbm_recovery_matches_quadrature_spot():
                 value = gbm_endogenous_recovery(equity, 1.0, 1.0, tau, pbar)
                 oracle = gbm_recovery_quadrature(equity, 1.0, 1.0, tau, pbar)
                 assert value == pytest.approx(oracle, abs=1e-8), (tau, pbar, equity)
+    # equity + pbar at the assets, where the log move is wide
+    for pbar in (0.3, 10.0, 100.0):
+        value = gbm_endogenous_recovery(49.0 - pbar, 49.0, 3.0, 10.0, pbar)
+        oracle = gbm_recovery_quadrature(49.0 - pbar, 49.0, 3.0, 10.0, pbar)
+        assert value == pytest.approx(oracle, abs=1e-8), pbar
 
 
 def test_gbm_recovery_degenerate_assets_is_clearing_fraction():
