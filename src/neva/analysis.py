@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import FinancialNetwork, _is_number
 from .solver import SolveConfig, SolveReport, _reports, _solve, greatest_solution
-from .valuation import PARAMETER_CHECKS, SpecError, ValuationSpec, _number
+from .valuation import SpecError, ValuationSpec, _number
 
 __all__ = [
     "StressResult",
@@ -179,11 +179,7 @@ def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parame
         raise SpecError(f"{sequence} sequence must not be empty")
     if any(b >= a for a, b in zip(parameters, parameters[1:])):
         raise SpecError(f"{sequence} sequence must be strictly decreasing")
-    # build only the first spec: its parameter is the largest, and the variance
-    # check across parameters grows with it; the rest are checked one by one
-    first = spec(parameters[0])
-    for p in parameters[1:]:
-        PARAMETER_CHECKS[parameter_name](parameter_name, p)
+    first, *_ = [spec(p) for p in parameters]  # each spec checks its parameter
     reference = greatest_solution(net, reference_spec, config)
     if not reference.converged:
         notes = notes + ("reference solve did not converge",)

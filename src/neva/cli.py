@@ -111,8 +111,11 @@ def run_command(argv=None) -> int:
         net = files.load_network(args.network) if args.network else None
         kind = files.SCENARIO_KINDS[scenario.kind]
         config = scenario.solver and replace(scenario.solver, **_given(args, SOLVER_FLAGS))
-        result = kind.run(net, scenario.valuation, config,
-                          **{**scenario.params, **_given(args, FIELD_FLAGS)})
+        try:
+            result = kind.run(net, scenario.valuation, config,
+                              **{**scenario.params, **_given(args, FIELD_FLAGS)})
+        except files.SpecError as exc:  # a bank's factor constants: the files checked the rest
+            raise files.FileFormatError(f"{args.network}: {exc}") from exc
         text = files.serialize_results(result, args.format, net)
         files.write_output(text, args.output)
         return 0 if kind.complete(result) else 1

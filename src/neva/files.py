@@ -30,7 +30,7 @@ from .analysis import (DiscountComparison, LimitSeries, MonteCarloResult,
 from .network import FinancialNetwork, NetworkError, _invalid, _invalid_edges
 from .solver import FACE_VALUES, LOWER_BOUNDS, SolveConfig, SolveReport
 from .valuation import (EXTERNAL_FAMILIES, INTERBANK_FAMILIES,
-                        PARAMETER_CHECKS, SpecError, ValuationSpec, _check_variance)
+                        PARAMETER_CHECKS, SpecError, ValuationSpec, _log_move)
 
 __all__ = [
     "FileFormatError",
@@ -249,16 +249,15 @@ def load_network(path) -> FinancialNetwork:
         _reject_edge(edges[k], f"{path}: liabilities[{k}]", index)
     _unread(edges, ("debtor", "creditor", "amount"), f"{path}: liabilities",
             "a liability")
-    repeated = np.ones(len(edges), dtype=bool)
-    repeated[np.unique(debtors * len(ids) + creditors, return_index=True)[1]] = False
-    for k in np.flatnonzero(repeated):
-        log.warning("%s: duplicate edge %s -> %s; amounts summed",
-                    path, ids[debtors[k]], ids[creditors[k]])
     try:  # the per-bank sums may still overflow
-        return FinancialNetwork._from_edges(ids, assets, liabilities,
-                                            debtors, creditors, amounts)
+        net, repeated = FinancialNetwork._from_edges(ids, assets, liabilities,
+                                                     debtors, creditors, amounts)
     except NetworkError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    for k in repeated:
+        log.warning("%s: duplicate edge %s -> %s; amounts summed",
+                    path, ids[debtors[k]], ids[creditors[k]])
+    return net
 
 
 def network_to_dict(net: FinancialNetwork) -> dict:
@@ -368,11 +367,14 @@ def _parse_curve(entry, context) -> dict:
         if key in ("obligations", "external_assets") and curve[key] < 0:
             raise FileFormatError(f"{context}.{key}: expected a finite nonnegative number, "
                                   f"got {curve[key]}")
-    if "sigma" in curve:
-        try:
-            _check_variance(curve["sigma"], curve["maturity"])
-        except SpecError as exc:
-            raise FileFormatError(f"{context}.sigma: {exc}") from exc
+    where = f"{context}.sigma"
+    try:
+        if "sigma" in curve:
+            _log_move(curve["sigma"], curve["maturity"])
+        where = context
+        family.bind(curve)  # what it prepares must lie in the float range
+    except SpecError as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
     if lender:
         curve["lender_equity"] = _field(entry, "lender_equity", context, _finite, default=0.0)
     return curve
@@ -421,7 +423,8 @@ SCENARIO_KINDS = {
             analysis.maturity_limit_experiment(net, sigma, tau_sequence, beta, config),
         lambda series: not series.partial,
         check=("scenario.sigma", lambda spec, tau_sequence, sigma, beta:
-               ValuationSpec.exante_en_gbm(sigma, max(tau_sequence), beta))),
+               [ValuationSpec.exante_en_gbm(sigma, tau, beta)
+                for tau in (tau_sequence[0], tau_sequence[-1])])),
     "limit_beta": ScenarioKind(
         {"beta_sequence": (_grid(_checked("beta"), descending=True), None)},
         lambda net, spec, config, beta_sequence: analysis.debtrank_limit_experiment(

@@ -106,20 +106,20 @@ class FinancialNetwork:
 
     @classmethod
     def _from_edges(cls, bank_ids, external_assets, external_liabilities,
-                    debtors, creditors, amounts) -> "FinancialNetwork":
+                    debtors, creditors, amounts) -> tuple:
         """Network of the liability edges ``debtors[k] -> creditors[k]``, given
-        as bank indices in ``[0, n)``, as ``_fill`` builds it."""
+        as bank indices in ``[0, n)``, as ``_fill`` builds it, and its repeats."""
         net = cls.__new__(cls)
-        net._fill(bank_ids, external_assets, external_liabilities, debtors, creditors,
-                  amounts)
-        return net
+        return net, net._fill(bank_ids, external_assets, external_liabilities, debtors,
+                              creditors, amounts)
 
     def _fill(self, bank_ids, external_assets, external_liabilities, debtors, creditors,
-              amounts) -> None:
+              amounts) -> np.ndarray:
         """Check the banks and edges and set the fields.  The first invalid
         edge in the order given is named, a bad amount before a self-loan.
         A repeated pair's amounts are summed in the given order, zero sums
-        dropped, and the edges stored lender-major."""
+        dropped, and the edges and creditor runs stored lender-major, from one
+        sort that also finds the positions it returns: edges repeating a pair."""
         ids = tuple(str(b) for b in bank_ids)
         invalid = _invalid(amounts)
         bad = invalid | (debtors == creditors)
@@ -135,18 +135,20 @@ class FinancialNetwork:
         if len(set(ids)) != len(ids):
             raise NetworkError("bank ids are not unique")
         n = len(ids)
-        pairs, position = np.unique(np.asarray(creditors, dtype=np.intp) * n + debtors,
-                                    return_inverse=True)
+        pairs, first, position = np.unique(np.asarray(creditors, dtype=np.intp) * n
+                                           + debtors, return_index=True, return_inverse=True)
         sums = np.bincount(position, amounts, len(pairs))
         held = sums > 0
         creditors, debtors = np.divmod(pairs[held], n)
         amounts = sums[held]
+        starts = np.flatnonzero(np.diff(creditors, prepend=-1))  # a creditor's first edge
         arrays = {
             "external_assets": _as_amount_vector(external_assets, n, "external_assets"),
             "external_liabilities": _as_amount_vector(external_liabilities, n,
                                                       "external_liabilities"),
             "debtors": debtors, "creditors": creditors, "amounts": amounts,
-            "_obligations": np.bincount(debtors, amounts, n)}
+            "_obligations": np.bincount(debtors, amounts, n),
+            "_claim_holders": creditors[starts], "_claim_starts": starts}
         vars(self).update(  # frozen: fill the fields directly
             {name: _read_only(arr) for name, arr in arrays.items()}, bank_ids=ids)
         # on the edge form, claim totals are the sweeps' sums at unit weights
@@ -159,6 +161,7 @@ class FinancialNetwork:
         if bad.any():
             raise NetworkError(f"bank {ids[np.argmax(bad)]}: claims, obligations or "
                                "equity bounds overflow the float range")
+        return np.flatnonzero(first[position] != np.arange(len(position)))
 
     @property
     def n(self) -> int:
@@ -195,17 +198,13 @@ class FinancialNetwork:
             return np.zeros(shape)
         terms = np.asarray(weights, dtype=float).take(self.debtors, axis=-1)
         terms *= self.amounts
-        holders, starts = self._claim_runs
+        holders, starts = self._claim_holders, self._claim_starts
         sums = np.add.reduceat(terms, starts, axis=-1)
         if len(holders) == self.n:
             return sums
         scattered = np.zeros(shape)
         scattered[..., holders] = sums
         return scattered
-
-    @cached_property
-    def _claim_runs(self) -> tuple:  # the banks holding claims, the first edge of each
-        return np.unique(self.creditors, return_index=True)
 
     def index_of(self, bank_id: str) -> int:
         try:
@@ -261,7 +260,7 @@ class FinancialNetwork:
         """Network with every liability edge reversed."""
         return FinancialNetwork._from_edges(
             self.bank_ids, self.external_assets, self.external_liabilities,
-            self.creditors, self.debtors, self.amounts)
+            self.creditors, self.debtors, self.amounts)[0]
 
     def __repr__(self) -> str:  # keep reprs short for n of realistic size
         return f"FinancialNetwork(n={self.n}, edges={len(self.amounts)})"

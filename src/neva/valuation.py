@@ -51,7 +51,21 @@ __all__ = [
 ]
 
 class SpecError(ValueError):
-    """Raised for valuation parameters outside their admissible range."""
+    """Raised for valuation parameters, or factor constants of a balance
+    sheet, outside their admissible range."""
+
+
+def _in_range(prepared: dict, **formulas) -> dict:
+    """``prepared``, the constants a ``prepare`` computed, if each one named in
+    ``formulas`` is finite; else SpecError naming the first bank (``banks[k]``,
+    k on the last axis) where one is not."""
+    for name, formula in formulas.items():
+        finite = np.isfinite(prepared[name])
+        if not finite.all():
+            at = np.unravel_index(np.argmin(finite), finite.shape)
+            raise SpecError(f"{f'banks[{at[-1]}]: ' if at else ''}{formula} leaves the "
+                            f"float range ({prepared[name][at]:g})")
+    return prepared
 
 
 def _en_prepare(obligations, beta=1.0) -> dict:
@@ -59,9 +73,10 @@ def _en_prepare(obligations, beta=1.0) -> dict:
     is 1, the haircut on what a defaulted borrower pays (1 without debt)."""
     obligations = np.asarray(obligations, dtype=float)
     has_debt = obligations > 0
-    return {"reciprocal": np.divide(1.0, obligations, out=np.zeros(obligations.shape),
-                                    where=has_debt),
-            "haircut": None if np.all(np.equal(beta, 1.0)) else np.where(has_debt, beta, 1.0)}
+    with np.errstate(over="ignore"):
+        reciprocal = np.divide(1.0, obligations, out=np.zeros(obligations.shape), where=has_debt)
+    return _in_range({"reciprocal": reciprocal, "haircut": None if np.all(np.equal(beta, 1.0))
+                      else np.where(has_debt, beta, 1.0)}, reciprocal="1/obligations")
 
 
 def _en_kernel(equity, reciprocal, haircut):
@@ -139,6 +154,21 @@ def _debtrank_kernel(equity, safe_book, worthless):
     return frac if worthless is None else np.where(worthless, 0.0, frac)
 
 
+def _log_move(sigma, maturity) -> tuple:
+    """``1/spread`` and ``half_variance/spread`` of the log move; SpecError unless
+    sigma and maturity are positive and these and the spread are finite."""
+    sigma, maturity = np.asarray(sigma, dtype=float), np.asarray(maturity, dtype=float)
+    if not ((sigma > 0).all() and (maturity > 0).all()):
+        raise SpecError("sigma and time to maturity must be positive")
+    with np.errstate(all="ignore"):
+        spread = np.sqrt(2.0 * maturity) * sigma
+        move = {"spread": spread, "inverse": 1.0 / spread,
+                "scaled": 0.5 * sigma * sigma * maturity / spread}
+    _in_range(move, spread="the spread sqrt(2 * maturity) * sigma", inverse="1/spread",
+              scaled="the variance 0.5 * sigma**2 * maturity over the spread")
+    return move["inverse"], move["scaled"]
+
+
 def _gbm_prepare(external_assets, sigma, maturity, obligations=0.0, beta=None) -> dict:
     """What the kernel multiplies by, computed once: ``1/-Ae`` (-1 where Ae is
     0; one ulp away from zero where the nearest one leaves ``Ae * (1/-Ae)``
@@ -146,21 +176,20 @@ def _gbm_prepare(external_assets, sigma, maturity, obligations=0.0, beta=None) -
     and ``half_variance/spread`` of the log move, ``0.5/pbar`` and ``Ae/(2
     pbar)`` (pbar 1 where 0; 0 where Ae is), and the mask of zero assets."""
     external_assets = np.asarray(external_assets, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
-        raise SpecError("sigma must be positive")
-    if np.any(np.asarray(maturity) <= 0):
-        raise SpecError("time to maturity must be positive")
+    inverse_spread, scaled_variance = _log_move(sigma, maturity)
     obligations = np.asarray(obligations, dtype=float)
     flat, safe = external_assets <= 0, np.where(obligations > 0, obligations, 1.0)
     negated = np.where(flat, -1.0, -external_assets)
-    inverse, spread = 1.0 / negated, np.sqrt(2.0 * maturity) * sigma
-    inverse = np.where(negated * inverse < 1.0, np.nextafter(inverse, -np.inf), inverse)
-    return {"inverse_assets": inverse, "obligations": obligations,
-            "inverse_spread": 1.0 / spread, "half_inverse": 0.5 / safe,
-            "scaled_variance": 0.5 * sigma * sigma * maturity / spread,
-            "tail_scale": np.where(flat, 0.0, external_assets) / (2.0 * safe),
-            "flat": flat if flat.any() else None, "beta": beta}
+    with np.errstate(over="ignore"):
+        inverse = 1.0 / negated
+        inverse = np.where(negated * inverse < 1.0, np.nextafter(inverse, -np.inf), inverse)
+        return _in_range({"inverse_assets": inverse, "obligations": obligations,
+                          "inverse_spread": inverse_spread, "half_inverse": 0.5 / safe,
+                          "scaled_variance": scaled_variance,
+                          "tail_scale": np.where(flat, 0.0, external_assets) / (2.0 * safe),
+                          "flat": flat if flat.any() else None, "beta": beta},
+                         inverse_assets="1/external assets", half_inverse="0.5/obligations",
+                         tail_scale="external assets/(2 obligations)")
 
 
 def gbm_default_probability(equity, external_assets, sigma, maturity):
@@ -208,7 +237,8 @@ def _gbm_kernel(equity, inverse_assets, obligations, inverse_spread, scaled_vari
     closed = np.subtract(prob[0], prob[1], out=prob[1, ...])
     closed *= equity * half_inverse + 0.5
     closed += np.subtract(tail[1], tail[0], out=tail[1, ...]) * tail_scale
-    np.clip(closed, 0.0, 1.0, out=closed)
+    # fmax/fmin take 0 for the NaN of equal e times an overflowing equity/pbar
+    np.fmin(np.fmax(closed, 0.0, out=closed), 1.0, out=closed)
     p_default = np.multiply(np.add(prob[0], 1.0, out=prob[0, ...]), 0.5, out=prob[0, ...])
     return (p_default, closed) if beta is None else _exante(p_default, closed, beta)
 
@@ -253,27 +283,26 @@ def uniform_default_probability(equity, book_equity):
 
 
 def _uniform_prepare(book_equity, obligations, beta=None) -> dict:
-    """The linear factor's constants, negations, and the divisors ``pbar *
-    book`` and ``2 * pbar * book`` (1 unless both are positive)."""
+    """The linear factor's constants, negations, and the obligations (1 where
+    not positive) that the mean repayment is divided by."""
     book_equity = np.asarray(book_equity, dtype=float)
     obligations = np.asarray(obligations, dtype=float)
-    ok = (book_equity > 0) & (obligations > 0)
     return {**_debtrank_prepare(book_equity), "obligations": obligations,
             "negated_obligations": -obligations, "negated_book": -book_equity,
-            "scale": np.where(ok, obligations * book_equity, 1.0),
-            "doubled_scale": np.where(ok, 2.0 * obligations * book_equity, 1.0), "beta": beta}
+            "safe_obligations": np.where(obligations > 0, obligations, 1.0), "beta": beta}
 
 
 def _uniform_kernel(equity, safe_book, worthless, obligations, negated_obligations,
-                    negated_book, scale, doubled_scale, beta):
-    """The uniform-shock recovery (0 without a mask where book equity or
-    obligations are not positive: the width is not positive there); given
-    ``beta``, the before-maturity factor."""
+                    negated_book, safe_obligations, beta):
+    """The uniform-shock recovery, the share ``width/book`` of the moves that
+    default with something left times their mean repayment ``(equity + pbar +
+    (upper + lower)/2)/pbar``, each in [0, 1] (0 where book equity or pbar is
+    not positive: the width is not); given ``beta``, the before-maturity factor."""
     upper = -np.maximum(equity, 0.0)
     lower = np.maximum(negated_obligations - equity, negated_book)
     width = upper - lower
-    value = ((equity + obligations) / scale * width
-             + (upper * upper - lower * lower) / doubled_scale)
+    value = (width / safe_book) * ((equity + obligations + 0.5 * (upper + lower))
+                                   / safe_obligations)
     value = np.where(width > 0, value, 0.0)
     np.clip(value, 0.0, 1.0, out=value)
     if beta is None:
@@ -327,16 +356,6 @@ def _check_maturity(name: str, value) -> float:
                         "is the eisenberg_noe_haircut family (eisenberg_noe "
                         "when beta is 1)")
     return value
-
-
-def _check_variance(sigma, maturity) -> None:
-    """Reject a (largest) ``sigma`` and a ``maturity``, each admissible, whose
-    log-normal variance ``0.5 * sigma**2 * maturity`` overflows in the order
-    the kernel computes it."""
-    sigma = float(np.max(sigma))
-    if 0.5 * sigma * sigma * maturity == np.inf:
-        raise SpecError(f"sigma {sigma:g} with time to maturity {maturity:g} overflows "
-                        "the log-normal variance 0.5 * sigma**2 * maturity")
 
 
 # Validator per valuation parameter; each returns the value normalized to
@@ -453,7 +472,7 @@ class ValuationSpec:
                 raise SpecError(f"{name} does not apply to {self.interbank_kind} "
                                 f"with {self.external_kind} external valuation")
         if self.sigma is not None:
-            _check_variance(self.sigma, self.maturity)
+            _log_move(self.sigma, self.maturity)
 
     @classmethod
     def eisenberg_noe(cls) -> "ValuationSpec":

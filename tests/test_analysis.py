@@ -498,6 +498,9 @@ def test_limit_sequences_are_checked_in_one_place(ring):
         maturity_limit_experiment(ring, 1.0, [2.0, nan, 0.5])
     with pytest.raises(SpecError, match="^tau sequence must be strictly decreasing$"):
         maturity_limit_experiment(ring, 1.0, [2.0, inf, 0.5])
+    # the last (shortest) maturity too: its spread sqrt(2 tau) sigma underflows
+    with pytest.raises(SpecError, match="^1/spread leaves the float range"):
+        maturity_limit_experiment(ring, 1e-200, [1.0, 1e-300])
     with pytest.raises(SpecError, match=r"^beta must lie in \[0, 1\], got nan$"):
         debtrank_limit_experiment(ring, [1.0, nan, 0.5])
     with pytest.raises(SpecError, match=r"^beta sequence must lie in \[0, 1\]$"):

@@ -109,6 +109,31 @@ def test_load_network_sums_duplicate_edges_with_warning(tmp_path, caplog):
     assert any("duplicate edge" in rec.message for rec in caplog.records)
 
 
+def test_duplicate_edge_warnings_name_each_repeat_in_file_order(tmp_path, caplog):
+    # B -> A repeats twice and C -> B once; a warning per repeat, in the file's
+    # order (not the pairs' sorted order), each with the path; the first
+    # occurrence of a pair is no repeat
+    payload = json.loads(json.dumps(RING_FILE))
+    payload["liabilities"][1:1] = [{"debtor": "B", "creditor": "A", "amount": 0.25}]
+    payload["liabilities"] += [{"debtor": "C", "creditor": "B", "amount": 0.125},
+                               {"debtor": "B", "creditor": "A", "amount": 1.0}]
+    path = write_json(tmp_path / "n.json", payload)
+    with caplog.at_level("WARNING", logger="neva"):
+        net = load_network(path)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"{path}: duplicate edge {debtor} -> {creditor}; amounts summed"
+        for debtor, creditor in (("B", "A"), ("C", "B"), ("B", "A"))]
+    assert net.interbank_liabilities[1, 0] == 1.75
+    assert net.interbank_liabilities[2, 1] == 0.625
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="neva"):
+        dense = FinancialNetwork(net.bank_ids, net.external_assets,
+                                 net.external_liabilities, net.interbank_liabilities)
+        dense.transpose()
+        net.transpose()
+    assert not caplog.records
+
+
 def test_load_network_parse_error_has_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"banks": [,]}', encoding="utf-8")
@@ -241,6 +266,30 @@ def test_cli_rejects_a_network_whose_sums_overflow(tmp_path, capsys):
     # named like every other fault of a network file: the path first
     assert err.startswith(f"neva: ERROR: {network}: bank A: ") and "overflow" in err
     assert "Traceback" not in err and err.count("\n") == 1  # one error line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("solve", EN_SOLVE_SCENARIO, "1/obligations"),
+    ("stress", {"valuation": EN_SOLVE_SCENARIO["valuation"],
+                "scenario": {"kind": "stress", "alpha_grid": [0.0, 0.1]}}, "1/obligations"),
+    ("solve", {"valuation": {"interbank": {"kind": "exante_en_gbm", "sigma": 0.3,
+                                           "maturity": 1.0, "beta": 1.0}},
+               "scenario": {"kind": "solve"}}, "0.5/obligations"),
+])
+def test_cli_names_the_network_file_and_bank_of_constants_beyond_the_float_range(
+        tmp_path, capsys, command, document, message):
+    # A owes 1e-310, whose reciprocal overflows: exit 2, not a NaN solve
+    network = write_json(tmp_path / "net.json", {
+        "banks": [{"id": "A", "external_assets": 1.0, "external_liabilities": 0.0},
+                  {"id": "B", "external_assets": 1.0, "external_liabilities": 0.0}],
+        "liabilities": [{"debtor": "A", "creditor": "B", "amount": 1e-310}]})
+    scenario = write_json(tmp_path / "scn.json", document)
+    out = tmp_path / "out.csv"
+    assert run_command([command, "--network", network, "--scenario", scenario,
+                        "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (f"neva: ERROR: {network}: banks[0]: {message} "
+                                       "leaves the float range (inf)\n")
     assert not out.exists()
 
 
@@ -682,6 +731,29 @@ GBM_VALUATION = {"kind": "exante_en_gbm", "maturity": 1.0, "beta": 1.0}
         {"family": "exante_en_gbm", "external_assets": 1.0, "sigma": 1e200, "maturity": 1.0,
          "obligations": 1.0, "beta": 1.0}]}},
         "families[0].sigma", id="curve-gbm-variance-overflow"),
+    # each admissible alone; the spread sqrt(2 tau) sigma underflows, at the
+    # shortest maturity of a sequence too
+    pytest.param("limit-maturity", {"scenario": {**LIMIT_SCENARIO, "sigma": 1e-200,
+                                                 "tau_sequence": [1.0, 1e-300]}},
+                 "scenario.sigma", id="limit-maturity-spread-underflow"),
+    pytest.param("mc-global", {"scenario": {**MC_SCENARIO, "sigma": 1e-200, "tau": 1e-300}},
+                 "scenario.sigma", id="mc-global-spread-underflow"),
+    pytest.param("solve", {"valuation": {"interbank": {**GBM_VALUATION, "sigma": 1e-200,
+                                                       "maturity": 1e-300}},
+                           "scenario": {"kind": "solve"}},
+                 "valuation", id="solve-gbm-spread-underflow"),
+    pytest.param("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "exante_en_gbm", "external_assets": 1.0, "sigma": 1e-200,
+         "maturity": 1e-300, "obligations": 1.0, "beta": 1.0}]}},
+        "families[0].sigma", id="curve-gbm-spread-underflow"),
+    # a curve constant beyond the float range: 1/obligations, Ae/(2 pbar)
+    pytest.param("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "eisenberg_noe", "obligations": 1e-310}]}},
+        "families[0]", id="curve-en-reciprocal-overflow"),
+    pytest.param("curve", {"scenario": {"kind": "curve", "equity_grid": [0.0], "families": [
+        {"family": "exante_en_gbm", "external_assets": 1e9, "sigma": 0.3, "maturity": 1.0,
+         "obligations": 1e-300, "beta": 1.0}]}},
+        "families[0]", id="curve-gbm-tail-overflow"),
     # each rejected at load, before the network is read
     pytest.param("mc-global", {"scenario": {**MC_SCENARIO, "samples": 0}},
                  "scenario.samples", id="mc-global-no-samples"),

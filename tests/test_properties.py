@@ -8,8 +8,10 @@ round trip, on files that repeat edges and leave banks without edges;
 result files that give back every bank id and value bit for bit, and JSON
 text that is ``json.dumps(indent=2)`` byte for byte; bound factors that are
 their public functions bit for bit; every valuation family feasible (each
-factor in [0, 1] and nondecreasing), with iterates that fall from the face
-values and rise from the lower bounds; greatest solves of acyclic networks
+factor in [0, 1] and nondecreasing), and either rejected or finite, never
+NaN, for amounts and log-normal parameters anywhere in the float range,
+with iterates that fall from the face values and rise from the lower
+bounds; greatest solves of acyclic networks
 under every borrower-only family that stop exactly within claim depth + 1
 sweeps; solves that a change of unit by a power of two changes in nothing
 but the unit; the Monte Carlo, depth + 1 and unit properties draw sparse
@@ -30,10 +32,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from neva import (FinancialNetwork, SolveConfig, SolveReport, StressResult,
-                  ValuationSpec, dump_network, en_clearing_payments,
+from neva import (FinancialNetwork, NetworkError, SolveConfig, SolveReport, SpecError,
+                  StressResult, ValuationSpec, dump_network, en_clearing_payments,
                   greatest_solution, least_solution, load_network,
                   monte_carlo_global_valuation, serialize_results, solve, stress_test)
 from neva.cli import run_command
@@ -155,8 +157,10 @@ def test_the_dense_constructor_is_the_edge_builder(sheets, seed):
     net = FinancialNetwork(*sheets)
     order = np.random.default_rng(seed).permutation(np.count_nonzero(liabilities))
     debtors, creditors = (index[order] for index in np.nonzero(liabilities))
-    edges = FinancialNetwork._from_edges(ids, assets, external_liabilities, debtors,
-                                         creditors, liabilities[debtors, creditors])
+    edges, repeated = FinancialNetwork._from_edges(ids, assets, external_liabilities,
+                                                   debtors, creditors,
+                                                   liabilities[debtors, creditors])
+    assert not len(repeated)
     for name in ("debtors", "creditors", "amounts"):
         assert np.array_equal(getattr(net, name), getattr(edges, name))
     for name in ("total_obligations", "total_claims", "book_equity"):
@@ -489,6 +493,80 @@ def test_every_family_is_feasible(net, rows, beta, column, seed):
     # a family added to either table is checked here too
     assert checked == {(kind, external) for kind in INTERBANK_FAMILIES
                        for external in EXTERNAL_FAMILIES}
+
+
+# every amount, sigma and maturity spread over the decades of the float
+# range, subnormals included; 10**-323.5 and below round to 0
+WIDE = st.floats(-323.5, 308.0).map(lambda exponent: 10.0 ** exponent)
+
+
+def _sheet(assets, liabilities, edges) -> tuple:
+    """Balance sheets of ``len(assets)`` banks owing ``edges``, (debtor,
+    creditor, amount) triples, summed per pair."""
+    dense = np.zeros((len(assets),) * 2)
+    with np.errstate(over="ignore"):  # a sum that overflows is the constructor's to reject
+        for debtor, creditor, amount in edges:
+            dense[debtor, creditor] += amount
+    return [f"B{k}" for k in range(len(assets))], assets, liabilities, dense
+
+
+@st.composite
+def wide_balance_sheets(draw):
+    """``_sheet`` of 2 to 4 banks, every amount 0 or drawn from ``WIDE``."""
+    n = draw(st.integers(2, 4))
+    amounts = st.lists(st.just(0.0) | WIDE, min_size=n, max_size=n)
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                                    st.just(0.0) | WIDE), max_size=2 * n))
+    return _sheet(draw(amounts), draw(amounts),
+                  [(debtor, (debtor + step) % n, amount) for debtor, step, amount in edges])
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([(kind, external) for kind in INTERBANK_FAMILIES
+                        for external in EXTERNAL_FAMILIES]),
+       wide_balance_sheets(), WIDE | st.lists(WIDE, min_size=4, max_size=4), WIDE,
+       st.floats(0.0, 1.0))
+@example(("eisenberg_noe", "unit"), _sheet([1.0, 1.0], [0.0, 0.0], [(0, 1, 1e-310)]),
+         0.3, 1.0, 1.0)
+@example(("exante_en_gbm", "unit"), _sheet([1.0, 1.0], [0.0, 0.0], [(0, 1, 1.0)]),
+         1.0, 1e308, 1.0)
+@example(("exante_en_gbm", "unit"), _sheet([1.0, 1.0], [0.0, 0.0], [(0, 1, 1.0)]),
+         1e-200, 1e-300, 1.0)
+@example(("exante_en_gbm", "unit"), _sheet([1e9, 1.0], [0.0, 0.0], [(0, 1, 1e-300)]),
+         0.3, 1.0, 1.0)
+@example(("exante_en_uniform", "unit"), _sheet([2e-200, 1.0], [0.0, 0.0],
+                                               [(0, 1, 1e-200)]), 0.3, 1.0, 0.5)
+@example(("exante_en_gbm", "unit"), _sheet([0.0, 0.0], [0.0, 1e152], [(1, 0, 1e-157)]),
+         1.0, 1.0, 0.0)  # equity / (2 pbar) overflows where no mass is left: 0 x inf
+@example(("exante_en_uniform", "unit"), _sheet([1e155, 1.0], [0.0, 0.0], [(0, 1, 1e150)]),
+         0.3, 1.0, 0.5)  # book**2 overflows: inf - inf
+def test_admissible_inputs_never_give_nan_factors(kinds, sheets, sigma, maturity, beta):
+    # under every pair of table keys, a balance sheet and a (sigma, maturity)
+    # anywhere in the float range are rejected, by the network, the spec or
+    # bind, or every bound factor is finite and in [0, 1] on a stack from one
+    # below the lattice to one above it, its branch points included
+    kind, external = kinds
+    parameters = {"alpha": beta, "beta": beta, "recovery": beta, "maturity": maturity,
+                  "sigma": sigma if np.ndim(sigma) == 0 else tuple(sigma[:len(sheets[0])])}
+    params = INTERBANK_FAMILIES[kind].params + EXTERNAL_FAMILIES[external].params
+    try:
+        net = FinancialNetwork(*sheets)
+        bound = ValuationSpec(kind, external, **{name: parameters[name]
+                                                 for name in params}).bind(net)
+    except (NetworkError, SpecError):
+        return
+    lower, upper = net.equity_lower_bound() - 1.0, bound.book_equity + 1.0
+    share = np.linspace(0.0, 1.0, 17)[:, np.newaxis]
+    obligations = net.total_obligations()
+    equities = np.vstack([(1.0 - share) * lower + share * upper, np.zeros(net.n),
+                          -obligations, net.external_assets,
+                          net.external_assets - obligations])
+    for side in ("borrower", "lender", "external"):
+        # the values are checked, so a product that overflows on its way to
+        # a clipped factor, or an inf - inf that a mask drops, may pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors = getattr(bound, f"{side}_factors")(equities)
+        assert factors is None or np.all((factors >= 0.0) & (factors <= 1.0)), side
 
 
 @given(networks(), st.integers(1, 3), st.floats(0.0, 1.0), st.booleans(),

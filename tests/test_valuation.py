@@ -301,6 +301,64 @@ def test_spec_validation():
         spec.sigma_vector(4)
 
 
+@pytest.mark.parametrize("sigma, maturity, message", [
+    (1.0, 1e308, "the spread sqrt(2 * maturity) * sigma leaves the float range (inf)"),
+    (1e-200, 1e-300, "1/spread leaves the float range (inf)"),  # the spread is 0
+    (1e-160, 1e-300, "1/spread leaves the float range (inf)"),  # it is subnormal
+    (1e200, 1.0, "the variance 0.5 * sigma**2 * maturity over the spread leaves the "
+                 "float range (inf)"),
+    ((0.3, 1e-200), 1e-300, "banks[1]: 1/spread leaves the float range (inf)"),
+])
+def test_log_move_out_of_the_float_range_is_rejected(sigma, maturity, message):
+    # sigma and maturity each admissible: the spread sqrt(2 tau) sigma
+    # overflows or underflows, or the variance does; a NaN factor before
+    with pytest.raises(SpecError) as err:
+        ValuationSpec.exante_en_gbm(sigma, maturity)
+    assert str(err.value) == message
+    with pytest.raises(SpecError) as err:
+        gbm_default_probability(0.0, 1.0, np.array(sigma), maturity)
+    assert str(err.value) == message
+    ValuationSpec.exante_en_gbm((0.3, 1e-100), 1e-100)  # a small spread is no fault
+
+
+@pytest.mark.parametrize("compute, message", [
+    (lambda: en_interbank(0.0, 1e-310), "1/obligations leaves the float range (inf)"),
+    (lambda: exante_en_gbm_interbank(0.0, 1.0, 0.3, 1.0, 1e-310),
+     "0.5/obligations leaves the float range (inf)"),
+    (lambda: gbm_endogenous_recovery(np.array([-1.0, 0.0]), 1e9, 0.3, 1.0, 1e-300),
+     "external assets/(2 obligations) leaves the float range (inf)"),
+    (lambda: gbm_default_probability(0.0, [1.0, 5e-324], 0.3, 1.0),
+     "banks[1]: 1/external assets leaves the float range (-inf)"),
+])
+def test_closed_forms_reject_constants_beyond_the_float_range(compute, message):
+    # a NaN factor before: 0 x inf in the kernel, with an overflow warning
+    with pytest.raises(SpecError) as err:
+        compute()
+    assert str(err.value) == message
+
+
+def test_bind_names_the_bank_whose_constants_leave_the_float_range():
+    # bank A owes 1e-310: its reciprocal obligations overflow; under the
+    # log-normal family so do 0.5/pbar and, for B's assets, Ae/(2 pbar)
+    net = FinancialNetwork(["A", "B"], [1.0, 1.0], [0.0, 0.0], [[0.0, 1e-310], [0.0, 0.0]])
+    for spec, message in ((ValuationSpec.eisenberg_noe(), "1/obligations"),
+                          (ValuationSpec.exante_en_gbm(0.3, 1.0), "0.5/obligations")):
+        with pytest.raises(SpecError) as err:
+            greatest_solution(net, spec)
+        assert str(err.value) == f"banks[0]: {message} leaves the float range (inf)"
+    far = FinancialNetwork(["A", "B"], [1.0, 1e9], [0.0, 0.0], [[0.0, 0.0], [1e-300, 0.0]])
+    with pytest.raises(SpecError, match=r"^banks\[1\]: external assets/\(2 obligations\)"):
+        ValuationSpec.exante_en_gbm(0.3, 1.0).bind(far)
+
+
+def test_uniform_recovery_forms_no_product_of_amounts():
+    # pbar * book underflowed to 0 before (NaN), and book**2 overflowed
+    # (inf - inf, NaN); the share of defaulting moves times their mean
+    # repayment fraction is pbar / (2 book) in both cases
+    assert uniform_endogenous_recovery(0.0, 1e-200, 1e-200) == 0.5
+    assert uniform_endogenous_recovery(2e154, 1e155, 1e150) == pytest.approx(5e-6, rel=1e-12)
+
+
 def test_bind_and_sigma_vector_reject_what_the_spec_does_not_read(ring):
     with pytest.raises(SpecError, match=r"^eisenberg_noe does not read all of \['beta'\]$"):
         ValuationSpec.eisenberg_noe().bind(ring, beta=np.ones((2, 1)))
