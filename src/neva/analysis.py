@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import FinancialNetwork, _is_number
 from .solver import SolveConfig, SolveReport, _reports, _solve, greatest_solution
-from .valuation import SpecError, ValuationSpec, _number
+from .valuation import PARAMETER_CHECKS, SpecError, ValuationSpec, _number
 
 __all__ = [
     "StressResult",
@@ -179,7 +179,10 @@ def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parame
         raise SpecError(f"{sequence} sequence must not be empty")
     if any(b >= a for a, b in zip(parameters, parameters[1:])):
         raise SpecError(f"{sequence} sequence must be strictly decreasing")
-    first, *_ = [spec(p) for p in parameters]  # each spec checks its parameter
+    # the spread and variance, monotone in the value, by both end specs; each alone
+    first, _ = spec(parameters[0]), spec(parameters[-1])
+    for p in parameters[1:-1]:
+        PARAMETER_CHECKS[parameter_name](parameter_name, p)
     reference = greatest_solution(net, reference_spec, config)
     if not reference.converged:
         notes = notes + ("reference solve did not converge",)

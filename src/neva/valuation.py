@@ -51,14 +51,12 @@ __all__ = [
 ]
 
 class SpecError(ValueError):
-    """Raised for valuation parameters, or factor constants of a balance
-    sheet, outside their admissible range."""
+    """Raised for valuation parameters or factor constants out of range."""
 
 
 def _in_range(prepared: dict, **formulas) -> dict:
-    """``prepared``, the constants a ``prepare`` computed, if each one named in
-    ``formulas`` is finite; else SpecError naming the first bank (``banks[k]``,
-    k on the last axis) where one is not."""
+    """``prepared``, a ``prepare``'s constants, if each one in ``formulas`` is
+    finite; else SpecError naming the first bank (k on the last axis) where not."""
     for name, formula in formulas.items():
         finite = np.isfinite(prepared[name])
         if not finite.all():
@@ -294,10 +292,9 @@ def _uniform_prepare(book_equity, obligations, beta=None) -> dict:
 
 def _uniform_kernel(equity, safe_book, worthless, obligations, negated_obligations,
                     negated_book, safe_obligations, beta):
-    """The uniform-shock recovery, the share ``width/book`` of the moves that
-    default with something left times their mean repayment ``(equity + pbar +
-    (upper + lower)/2)/pbar``, each in [0, 1] (0 where book equity or pbar is
-    not positive: the width is not); given ``beta``, the before-maturity factor."""
+    """The uniform-shock recovery, the share ``width/book`` of defaulting moves
+    times their mean repayment ``(equity + pbar + (upper + lower)/2)/pbar``, each
+    in [0, 1] (0 where the width is not positive); given ``beta``, the exante factor."""
     upper = -np.maximum(equity, 0.0)
     lower = np.maximum(negated_obligations - equity, negated_book)
     width = upper - lower
