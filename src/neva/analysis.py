@@ -179,7 +179,7 @@ def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parame
         raise SpecError(f"{sequence} sequence must not be empty")
     if any(b >= a for a, b in zip(parameters, parameters[1:])):
         raise SpecError(f"{sequence} sequence must be strictly decreasing")
-    # the spread and variance, monotone in the value, by both end specs; each alone
+    # both end specs check the spread and variance (monotone in the value); the rest alone
     first, _ = spec(parameters[0]), spec(parameters[-1])
     for p in parameters[1:-1]:
         PARAMETER_CHECKS[parameter_name](parameter_name, p)
