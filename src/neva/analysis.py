@@ -170,11 +170,14 @@ def merton_vs_network_discount(net: FinancialNetwork, spec: ValuationSpec,
 
 
 def _run_limit(net: FinancialNetwork, sequence: str, parameter_name: str, parameters,
-               spec, reference_spec: ValuationSpec,
+               outside: tuple, spec, reference_spec: ValuationSpec,
                config: Optional[SolveConfig], notes: tuple = ()) -> LimitSeries:
-    """Greatest solutions of ``spec(p)`` for each ``p`` of the non-empty,
-    strictly decreasing ``parameters`` against the greatest solution of
-    ``reference_spec``; ``sequence`` names the parameters in errors."""
+    """Greatest solutions of ``spec(p)`` for each ``p`` of ``parameters``, numbers none
+    of which pass ``outside[0]`` (else ``{sequence} sequence must {outside[1]}``), non-empty
+    and strictly decreasing, against the greatest solution of ``reference_spec``."""
+    parameters = [_number(sequence, p) for p in parameters]
+    if any(map(outside[0], parameters)):
+        raise SpecError(f"{sequence} sequence must {outside[1]}")
     if not parameters:
         raise SpecError(f"{sequence} sequence must not be empty")
     if any(b >= a for a, b in zip(parameters, parameters[1:])):
@@ -211,10 +214,7 @@ def maturity_limit_experiment(net: FinancialNetwork, sigma,
     limit at maturity: pro-rata clearing with haircut ``beta`` on what
     defaulted borrowers pay, the eisenberg_noe_haircut family (eisenberg_noe
     when ``beta`` is 1)."""
-    taus = [_number("tau", t) for t in taus]
-    if any(t <= 0 for t in taus):
-        raise SpecError("tau sequence must be positive")
-    return _run_limit(net, "tau", "maturity", taus,
+    return _run_limit(net, "tau", "maturity", taus, (lambda t: t <= 0, "be positive"),
                       lambda tau: ValuationSpec.exante_en_gbm(sigma, tau, beta),
                       ValuationSpec.eisenberg_noe_haircut(beta), config)
 
@@ -224,16 +224,14 @@ def debtrank_limit_experiment(net: FinancialNetwork, betas: Sequence[float],
     """Greatest solutions of the uniform-shock family along a decreasing
     sequence of exogenous recovery fractions, referenced against the linear
     distress-propagation solution (their common limit at zero recovery)."""
-    betas = [_number("beta", b) for b in betas]
-    if any(b < 0 or b > 1 for b in betas):
-        raise SpecError("beta sequence must lie in [0, 1]")
     notes = ()
     degenerate = [net.bank_ids[j] for j in np.nonzero(net.book_equity() <= 0)[0]]
     if degenerate:
         notes = (f"banks with non-positive book equity valued at zero: "
                  f"{', '.join(degenerate)}",)
-    return _run_limit(net, "beta", "beta", betas, ValuationSpec.exante_en_uniform,
-                      ValuationSpec.linear_debtrank(), config, notes)
+    return _run_limit(net, "beta", "beta", betas, (lambda b: b < 0 or b > 1, "lie in [0, 1]"),
+                      ValuationSpec.exante_en_uniform, ValuationSpec.linear_debtrank(),
+                      config, notes)
 
 
 def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,

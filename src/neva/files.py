@@ -635,20 +635,19 @@ def _mc_table(net: FinancialNetwork, result: MonteCarloResult) -> tuple:
 
 
 def _discount_table(net: FinancialNetwork, results) -> tuple:
-    counts = [len(res.edges) for res in results]
-    edges = np.concatenate([np.array(res.edges, dtype=np.intp).reshape(-1, 2)
-                            for res in results])
+    """A point's rows are the network's claims, creditor-major, as its ``edges``."""
+    claims, points = len(net.amounts), len(results)
     merton = np.concatenate([res.merton for res in results])
     # a point that did not converge has no network discounts: empty cells
     solved = [res for res in results if res.network is not None]
     network = np.concatenate([np.empty(0)] + [res.network for res in solved])
     difference = np.concatenate([np.empty(0)] + [res.difference for res in solved])
-    rows = np.repeat([res.network is not None for res in results], counts)
+    rows = np.repeat([res.network is not None for res in results], claims)
     index = np.where(rows, np.cumsum(rows) - 1, len(network))
     return "discount", ("alpha", "lender", "borrower", "merton_discount",
                         "network_discount", "difference"), (
-        _repeat(_alphas(results), counts), (net.bank_ids, edges[:, 0]),
-        (net.bank_ids, edges[:, 1]), _floats(merton), _floats(network, index),
+        _repeat(_alphas(results), claims), (net.bank_ids, np.tile(net.creditors, points)),
+        (net.bank_ids, np.tile(net.debtors, points)), _floats(merton), _floats(network, index),
         _floats(difference, index),
     ), {"converged": all(res.converged for res in results)}
 
@@ -672,6 +671,9 @@ def serialize_results(result, fmt: str = "csv",
     key = (type(result[0]),) if isinstance(result, (list, tuple)) and result else type(result)
     if key not in _TABLES:
         raise FileFormatError(f"cannot serialize {type(result).__name__}")
+    if net is None and key is not CurveTable:  # the other tables read the bank ids
+        kind = key[0] if isinstance(key, tuple) else key
+        raise FileFormatError(f"cannot serialize {kind.__name__} without its network")
     return _render(*_TABLES[key](net, result), fmt)
 
 

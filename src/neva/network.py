@@ -121,12 +121,12 @@ class FinancialNetwork:
         dropped, and the edges and creditor runs stored lender-major, from one
         sort that also finds the positions it returns: edges repeating a pair."""
         ids = tuple(str(b) for b in bank_ids)
-        invalid = _invalid(amounts)
-        bad = invalid | (debtors == creditors)
+        n = len(ids)
+        bad = _invalid_edges(n, debtors, creditors, amounts)
         if bad.any():
             k = int(np.argmax(bad))
             i, j = ids[debtors[k]], ids[creditors[k]]
-            if invalid[k]:
+            if _invalid(amounts[k]):
                 raise NetworkError(f"interbank_liabilities[{i} -> {j}] is "
                                    f"negative or not finite ({amounts[k]})")
             raise NetworkError(f"self-loan on the diagonal for bank {i}")
@@ -134,7 +134,6 @@ class FinancialNetwork:
             raise NetworkError("network needs at least one bank")
         if len(set(ids)) != len(ids):
             raise NetworkError("bank ids are not unique")
-        n = len(ids)
         pairs, first, position = np.unique(np.asarray(creditors, dtype=np.intp) * n
                                            + debtors, return_index=True, return_inverse=True)
         sums = np.bincount(position, amounts, len(pairs))

@@ -78,7 +78,8 @@ def _en_prepare(obligations, beta=1.0) -> dict:
 
 
 def _en_kernel(equity, reciprocal, haircut):
-    factor = np.asarray(equity * reciprocal)  # 0-d for scalars: the steps below work in place
+    with np.errstate(over="ignore"):  # an infinite ratio clips to 0 or 1 as a finite one
+        factor = np.asarray(equity * reciprocal)  # 0-d for scalars: worked on in place
     factor += 1.0
     np.clip(factor, 0.0, 1.0, out=factor)
     if haircut is not None:
@@ -153,11 +154,8 @@ def _debtrank_kernel(equity, safe_book, worthless):
 
 
 def _log_move(sigma, maturity) -> tuple:
-    """``1/spread`` and ``half_variance/spread`` of the log move; SpecError unless
-    sigma and maturity are positive and these and the spread are finite."""
-    sigma, maturity = np.asarray(sigma, dtype=float), np.asarray(maturity, dtype=float)
-    if not ((sigma > 0).all() and (maturity > 0).all()):
-        raise SpecError("sigma and time to maturity must be positive")
+    """``1/spread`` and ``half_variance/spread`` of the log move of a positive sigma
+    (a number or array) and maturity; SpecError unless these and the spread are finite."""
     with np.errstate(all="ignore"):
         spread = np.sqrt(2.0 * maturity) * sigma
         move = {"spread": spread, "inverse": 1.0 / spread,
@@ -168,12 +166,15 @@ def _log_move(sigma, maturity) -> tuple:
 
 
 def _gbm_prepare(external_assets, sigma, maturity, obligations=0.0, beta=None) -> dict:
-    """What the kernel multiplies by, computed once: ``1/-Ae`` (-1 where Ae is
-    0; one ulp away from zero where the nearest one leaves ``Ae * (1/-Ae)``
-    above -1, as for 49, so the ratio is -1 from ``x = Ae`` up), ``1/spread``
-    and ``half_variance/spread`` of the log move, ``0.5/pbar`` and ``Ae/(2
-    pbar)`` (pbar 1 where 0; 0 where Ae is), and the mask of zero assets."""
+    """What the kernel multiplies by, computed once for a positive sigma and maturity
+    (else SpecError): ``1/-Ae`` (-1 where Ae is 0; one ulp away from zero where the
+    nearest one leaves ``Ae * (1/-Ae)`` above -1, as for 49, so the ratio is -1 from
+    ``x = Ae`` up), ``1/spread`` and ``half_variance/spread`` of the log move,
+    ``0.5/pbar`` and ``Ae/(2 pbar)`` (pbar 1 where 0; 0 where Ae is), zero assets' mask."""
     external_assets = np.asarray(external_assets, dtype=float)
+    sigma, maturity = np.asarray(sigma, dtype=float), np.asarray(maturity, dtype=float)
+    if not ((sigma > 0).all() and (maturity > 0).all()):
+        raise SpecError("sigma and time to maturity must be positive")
     inverse_spread, scaled_variance = _log_move(sigma, maturity)
     obligations = np.asarray(obligations, dtype=float)
     flat, safe = external_assets <= 0, np.where(obligations > 0, obligations, 1.0)
@@ -469,7 +470,7 @@ class ValuationSpec:
                 raise SpecError(f"{name} does not apply to {self.interbank_kind} "
                                 f"with {self.external_kind} external valuation")
         if self.sigma is not None:
-            _log_move(self.sigma, self.maturity)
+            _log_move(np.asarray(self.sigma, dtype=float), self.maturity)
 
     @classmethod
     def eisenberg_noe(cls) -> "ValuationSpec":

@@ -462,6 +462,28 @@ def test_serialize_rejects_unknown(ring):
         serialize_results(report, "xml", ring)
 
 
+NETWORK_RESULTS = {
+    "SolveReport": lambda net: neva.greatest_solution(net, ValuationSpec.eisenberg_noe()),
+    "StressResult": lambda net: stress_test(net, ValuationSpec.eisenberg_noe(), [0.1]),
+    "LimitSeries": lambda net: neva.debtrank_limit_experiment(net, [1.0, 0.5]),
+    "MonteCarloResult":
+        lambda net: neva.monte_carlo_global_valuation(net, 0.2, 1.0, 1.0, samples=10),
+    "DiscountComparison": lambda net: neva.merton_vs_network_discount(
+        net, ValuationSpec.exante_en_gbm(0.3, 1.0), [0.1]),
+}
+
+
+@pytest.mark.parametrize("kind", NETWORK_RESULTS)
+def test_serialize_without_the_network_names_the_result_type(ring, kind):
+    # every table but the curve table (whose CLI run has no network) reads the
+    # bank ids: an AttributeError on None before
+    result = NETWORK_RESULTS[kind](ring)
+    for fmt in ("csv", "json"):
+        with pytest.raises(FileFormatError,
+                           match=f"^cannot serialize {kind} without its network$"):
+            serialize_results(result, fmt)
+
+
 # ------------------------------------------------------------------------ CLI
 
 def test_cli_solve_open_chain(tmp_path):
@@ -1074,6 +1096,13 @@ def test_package_entry_point_lists_every_command():
                           text=True, env=_child_env())
     assert proc.returncode == 0
     assert "{solve,stress,limit-maturity,limit-beta,curve,mc-global,discount}" in proc.stdout
+
+
+def test_package_entry_point_without_a_command_exits_two():
+    proc = subprocess.run([sys.executable, "-m", "neva"], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: neva ")
 
 
 def test_cli_logging_env(tmp_path, monkeypatch, capsys):

@@ -58,6 +58,16 @@ def test_least_solution_matches_on_dag(open_chain):
     assert np.allclose(report.solution, [2.2, 0.8, -0.2])
 
 
+@pytest.mark.filterwarnings("error")
+def test_pro_rata_ratio_beyond_the_float_range_clips_without_a_warning():
+    # B's equity over its obligations, -1e10 x (1/1e-300), overflows to -inf and
+    # clips to a factor of 0, as any ratio below -1 does; numpy warned of it before
+    net = FinancialNetwork(["A", "B"], [1.0, 0.0], [0.0, 1e10], [[0, 0], [1e-300, 0]])
+    for solve in (greatest_solution, least_solution):
+        report = solve(net, EN)
+        assert report.converged and report.solution.tolist() == [1.0, -1e10]
+
+
 def test_least_solution_constant_map():
     net = FinancialNetwork(["X", "Y"], [2.0, 1.0], [0.5, 0.25], np.zeros((2, 2)))
     report = least_solution(net, EN)

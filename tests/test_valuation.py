@@ -337,6 +337,20 @@ def test_closed_forms_reject_constants_beyond_the_float_range(compute, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("sigma, maturity", [(0.0, 1.0), ([0.3, -0.1], 1.0), (0.3, 0.0),
+                                             (float("nan"), 1.0)])
+@pytest.mark.parametrize("closed_form", [
+    lambda sigma, maturity: gbm_default_probability(0.0, 1.0, sigma, maturity),
+    lambda sigma, maturity: gbm_endogenous_recovery(0.0, 1.0, sigma, maturity, 1.0),
+    lambda sigma, maturity: exante_en_gbm_interbank(0.0, 1.0, sigma, maturity, 1.0),
+], ids=["probability", "recovery", "factor"])
+def test_log_normal_closed_forms_reject_a_sigma_or_maturity_not_positive(
+        closed_form, sigma, maturity):
+    # no spec checks the public closed forms' parameters: their prepare step does
+    with pytest.raises(SpecError, match="^sigma and time to maturity must be positive$"):
+        closed_form(sigma, maturity)
+
+
 def test_bind_names_the_bank_whose_constants_leave_the_float_range():
     # bank A owes 1e-310: its reciprocal obligations overflow; under the
     # log-normal family so do 0.5/pbar and, for B's assets, Ae/(2 pbar)
