@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .network import FinancialNetwork, _is_number
-from .solver import SolveConfig, SolveReport, _reports, _solve, greatest_solution
+from .solver import SolveConfig, SolveReport, _certify, _reports, _solve, greatest_solution
 from .valuation import PARAMETER_CHECKS, SpecError, ValuationSpec, _number
 
 __all__ = [
@@ -82,10 +82,10 @@ class LimitSeries:
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloResult:
-    """Sample mean and standard error of the globally valued equities.
+    """Sample mean and standard error of the globally valued equities, and
+    ``bias_bound``, the most the ``certified`` samples' early stops raise them.
 
-    ``valid`` is False when more than 1% of the samples had to be dropped
-    for non-convergence of the inner clearing solve.
+    ``valid`` is False when more than 1% of the samples were dropped unconverged.
     """
 
     mean: np.ndarray
@@ -94,6 +94,8 @@ class MonteCarloResult:
     dropped: int
     seed: int
     valid: bool
+    bias_bound: np.ndarray
+    certified: int
 
 
 def _shocked(net: FinancialNetwork, spec: ValuationSpec, alphas: Sequence,
@@ -244,9 +246,9 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     log-normal law over horizon ``tau``; each draw is cleared with the
     pro-rata factors (haircut ``beta``) from face values, all draws as one
     stack, and the sample mean and standard error of each bank's equity are
-    returned.  Each sample stops at its own tolerance (the configured epsilon,
-    else the default of its own book equities), as its drawn network's solve
-    does.  Sample ``s`` is row ``s`` of
+    returned.  A sample stops at the configured epsilon, as its drawn network's
+    solve does; without one, where ``_certify`` bounds its error or else at the
+    default tolerance of its own book equities.  Sample ``s`` is row ``s`` of
     ``np.random.default_rng(seed).standard_normal((samples, n))``, so more
     samples extend a run and never change the earlier ones; the final
     reduction runs in ascending sample order.
@@ -260,21 +262,23 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     n = net.n
     sigma, tau, beta = local.sigma_vector(n), local.maturity, local.beta
 
-    normals = np.random.default_rng(seed).standard_normal((samples, n))
-    drift = -0.5 * sigma * sigma * tau
-    terminal_assets = net.external_assets * np.exp(sigma * np.sqrt(tau) * normals + drift)
-    bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, terminal_assets)
+    terminal = np.random.default_rng(seed).standard_normal((samples, n))  # in place
+    terminal *= sigma * np.sqrt(tau)
+    terminal += -0.5 * sigma * sigma * tau
+    terminal = np.multiply(np.exp(terminal, out=terminal), net.external_assets, out=terminal)
+    bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, terminal)
     # the rows are read as arrays: no per-sample report
-    solutions, *_, converged = _solve(bound, bound.book_equity, config)
+    solutions, bounds, converged, certified = _certify(bound, config)
     kept = solutions[converged]
-    count = len(kept)
-    dropped = samples - count
+    count, dropped = len(kept), samples - len(kept)
     if dropped:
-        log.warning("monte carlo: dropped %d of %d unconverged samples",
-                    dropped, samples)
+        log.warning("monte carlo: dropped %d of %d unconverged samples", dropped, samples)
     mean = kept.sum(axis=0) / count if count else np.full(n, np.nan)
     std_error = (kept.std(axis=0, ddof=1) / np.sqrt(count) if count > 1
                  else np.full(n, 0.0 if count else np.nan))
-    valid = dropped <= 0.01 * samples
+    bias_bound = bounds[converged].sum(axis=0) / count if count else np.full(n, np.nan)
+    log.info("monte carlo: %d of %d samples certified, bias bound %.3g", certified.sum(),
+             samples, bias_bound.max())
     return MonteCarloResult(mean=mean, std_error=std_error, samples=samples,
-                            dropped=dropped, seed=int(seed), valid=valid)
+                            dropped=dropped, seed=int(seed), valid=dropped <= 0.01 * samples,
+                            bias_bound=bias_bound, certified=int(certified.sum()))

@@ -530,14 +530,21 @@ def evaluate_curves(families: list, grid) -> CurveTable:
 # one pass, or a list of labels and shared values, each rendered once; index
 # len(values) of a float array leaves the cell empty (JSON null).
 
+def _json_safe(value):
+    """``value`` (a list, recursively) with each non-finite float, which JSON lacks, as None."""
+    return (list(map(_json_safe, value)) if isinstance(value, list) else
+            None if isinstance(value, float) and not np.isfinite(value) else value)
+
+
 def _cells(values, index, csv_text: bool) -> list:
     if isinstance(values, np.ndarray):
         if csv_text:  # the text ends in a newline: the split adds one empty cell
             rendered = (("%.17g\n" * len(values)) % tuple(values.tolist())).split("\n")
         else:  # one list through the C encoder; no float's text holds ", "
-            rendered = json.dumps(values.tolist() + [None])[1:-1].split(", ")
+            listed = values.tolist() if np.isfinite(values).all() else _json_safe(values.tolist())
+            rendered = json.dumps(listed + [None])[1:-1].split(", ")
     else:
-        rendered = list(map(_text if csv_text else json.dumps, values))
+        rendered = [_text(v) if csv_text else json.dumps(_json_safe(v)) for v in values]
     return rendered if index is None else np.array(rendered, dtype=object)[index].tolist()
 
 
@@ -683,6 +690,7 @@ def _render(kind: str, header, columns, extra: dict, fmt: str) -> str:
     cells = [_cells(values, index, fmt == "csv") for values, index in columns]
     if fmt == "csv":
         return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    extra = {key: _json_safe(value) for key, value in extra.items()}
     head = json.dumps({"kind": kind, **extra, "rows": []}, indent=2)
     row = "    {%s\n    }" % ",".join("\n      %s: %%s" % json.dumps(name).replace("%", "%%")
                                        for name in header)

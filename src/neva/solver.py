@@ -36,15 +36,16 @@ __all__ = [
 
 FACE_VALUES = "face_values"
 LOWER_BOUNDS = "lower_bounds"
+LOOSE_SHARE = 1e-6  # of the scale: the step at which ``_certify`` tries its certificate
 
 
-def _scaled_epsilon(book_equity: np.ndarray, obligations: np.ndarray):
-    """``1e-10 * max|book equity|``, one per row of a stack; where that is 0,
-    ``1e-10 * max(obligations)``, and where that is 0 too, 5e-324.  No
+def _scaled_epsilon(book_equity: np.ndarray, obligations: np.ndarray, share: float = 1e-10):
+    """``share * max|book equity|``, one per row of a stack; where that is 0,
+    ``share * max(obligations)``, and where that is 0 too, 5e-324.  No
     absolute floor, so a change of unit by ``2**k`` scales it exactly."""
     scale = np.max(np.abs(book_equity), axis=-1)
     scale = np.where(scale > 0, scale, np.max(obligations))
-    return np.maximum(1e-10 * scale, 5e-324)
+    return np.maximum(share * scale, 5e-324)
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,38 @@ def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfi
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
     epsilon = np.broadcast_to(epsilon, residuals.shape)
     return solutions, sweeps, residuals, epsilon, residuals <= epsilon
+
+
+def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
+    """Greatest solve of each row of the stack ``bound``, stopped at a step of
+    ``LOOSE_SHARE`` of its scale where ``Φ(x) >= x`` certifies a bound (README,
+    *Stacked solves*); other rows stop as their plain solves do.  Per row: the
+    solution in ``[m, M]``, the bound (0 where not certified), converged, certified."""
+    if config and config.epsilon:
+        solutions, *_, converged = _solve(bound, bound.book_equity, config)
+        return solutions, np.zeros_like(solutions), converged, np.zeros_like(converged)
+    budget, obligations = (config or SolveConfig()).max_iterations, bound.net.total_obligations()
+    loose, epsilon = (_scaled_epsilon(bound.book_equity, obligations, share)
+                      for share in (LOOSE_SHARE, 1e-10))
+    solutions, sweeps, steps = _iterate(bound, bound.book_equity, loose, budget)
+    stack = bound.stack(len(solutions))
+    upper = stack.equity_map(solutions)  # E', from E
+    gap = np.subtract(solutions, upper, out=solutions)  # w, in E's buffer
+    drop, step = gap.max(axis=1), np.abs(gap).max(axis=1)  # max(w), the step to E'
+    rate = np.clip(np.divide(drop, steps, out=np.zeros_like(drop), where=steps > 0), 0.0, 0.99)
+    slack = 64.0 * np.spacing(loose / LOOSE_SHARE)[:, np.newaxis]  # ulp of the scale
+    np.maximum(gap, np.maximum(1e-3 * drop[:, np.newaxis], slack), out=gap)
+    gap *= (1.0 + 2.0 * rate / (1.0 - rate))[:, np.newaxis]
+    probe = np.subtract(upper, np.add(gap, slack, out=gap), out=gap)  # x
+    certified = (steps <= loose) & (stack.equity_map(probe) >= probe).all(axis=1)
+    bounds = np.multiply(upper - probe, certified[:, np.newaxis], out=probe)
+    converged = certified | (steps <= epsilon) | ((step <= epsilon) & (sweeps < budget))
+    retry = ((steps <= loose) & ~converged).nonzero()[0]
+    stack.keep(retry)
+    upper[retry], more, last = _iterate(stack, upper[retry], epsilon[retry], budget)
+    converged[retry] = (last <= epsilon[retry]) & (sweeps[retry] + more < budget)
+    np.clip(upper, bound.net.equity_lower_bound(), bound.book_equity, out=upper)
+    return upper, bounds, converged, certified
 
 
 def _reports(solved: tuple, kind: str = "greatest", warnings: tuple = ()) -> list:

@@ -591,7 +591,7 @@ class BoundValuation:
         from ``(1, n)`` one row at a time).  Per-row values (2-D) are shared
         with this binding (copied only where not contiguous, as a broadcast
         is) and per-bank ones shared by every row tiled; ``keep`` then drops
-        rows, the one change a binding takes."""
+        rows, the one change a binding takes, and a stack restacks as itself."""
         external = "cash" if self.spec.external_kind == "unit" else "external_assets"
         constants = {name: self.constants[name] for name in ("obligations", external)}
         for factor in filter(None, self.factors):

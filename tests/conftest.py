@@ -1,6 +1,7 @@
 """Shared fixtures: reference networks, random generators, and the
-independent numerical oracles used to check closed forms."""
+independent numerical oracles used to check closed forms and solves."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ else:
     # a shared machine.
     settings.register_profile("neva", derandomize=True, deadline=None,
                               max_examples=25)
+    # the exact-oracle properties at depth: --hypothesis-profile neva-deep
+    settings.register_profile("neva-deep", derandomize=True, deadline=None,
+                              max_examples=300)
     settings.load_profile("neva")
 
 
@@ -179,6 +183,78 @@ def en_clearing_oracle(net: FinancialNetwork, tol: float = 1e-14,
             return updated
         payments = updated
     return payments
+
+
+def exact_greatest(net: FinancialNetwork, spec) -> list:
+    """The greatest equities of ``net`` under the pro-rata ``spec``
+    (``eisenberg_noe`` or ``eisenberg_noe_haircut``) as Fractions: the default
+    regime (paying in full, in part or nothing) read off a greatest solve at
+    1e-15 of the scale, its part-paying banks' linear system solved exactly.
+    Raises ValueError when that system is singular or its solution leaves the
+    regime it was read from; there is no fallback."""
+    from neva import SolveConfig, greatest_solution
+    from neva.solver import _scaled_epsilon
+    if spec.interbank_kind not in ("eisenberg_noe", "eisenberg_noe_haircut"):
+        raise ValueError(f"no exact oracle for {spec.interbank_kind}")
+    beta = Fraction(1 if spec.beta is None else spec.beta)
+    tight = float(_scaled_epsilon(net.book_equity(), net.total_obligations(), 1e-15))
+    guide = greatest_solution(net, spec, SolveConfig(epsilon=tight,
+                                                     max_iterations=10**6)).solution
+    edges = [(int(d), int(c), Fraction(float(a)))
+             for d, c, a in zip(net.debtors, net.creditors, net.amounts)]
+    owed = [Fraction(0)] * net.n
+    for debtor, _, amount in edges:
+        owed[debtor] += amount
+    base = [Fraction(float(a)) - Fraction(float(l)) - p for a, l, p in
+            zip(net.external_assets, net.external_liabilities, owed)]
+    # a claim on a part payer is worth beta * (1 + y) of its face value, for
+    # its y = E / owed; the part payers' rows in y, dyadic, are scaled to
+    # integers and eliminated without fractions (column m holds the right side)
+    part = [j for j in range(net.n) if owed[j] and -owed[j] < guide[j] < 0]
+    index, m = {j: k for k, j in enumerate(part)}, len(part)
+    rows = [{k: owed[j], m: base[j]} for k, j in enumerate(part)]
+    equities = list(base)
+    for debtor, creditor, amount in edges:
+        value = amount * (beta if debtor in index else
+                          int(guide[debtor] >= 0 or not owed[debtor]))
+        equities[creditor] += value
+        if creditor in index:
+            row = rows[index[creditor]]
+            row[m] += value
+            if debtor in index:
+                row[index[debtor]] = row.get(index[debtor], 0) - amount * beta
+    rows = [{col: int(value * max(v.denominator for v in row.values()))
+             for col, value in row.items()} for row in rows]
+    for k in range(m):  # pivots on the diagonal
+        pivot = rows[k].get(k, 0)
+        if not pivot:
+            raise ValueError(f"singular part-paying block at bank {part[k]}")
+        for row in rows[k + 1:]:
+            factor = row.pop(k, 0)
+            if factor:
+                for col in row:
+                    row[col] *= pivot
+                for col, value in rows[k].items():
+                    if col != k:
+                        row[col] = row.get(col, 0) - factor * value
+                common = math.gcd(*row.values()) or 1
+                for col in row:
+                    row[col] //= common
+    solved = [Fraction(0)] * m
+    for k in reversed(range(m)):
+        solved[k] = Fraction(rows[k][m] - sum(value * solved[col] for col, value
+                                              in rows[k].items() if k < col < m), rows[k][k])
+    for debtor, creditor, amount in edges:
+        if debtor in index:
+            equities[creditor] += amount * beta * solved[index[debtor]]
+    for j in filter(owed.__getitem__, range(net.n)):
+        if j in index:  # below 0 where the haircut jumps there
+            holds = -owed[j] <= equities[j] <= 0 and (beta == 1 or equities[j] < 0)
+        else:
+            holds = equities[j] >= 0 if guide[j] >= 0 else equities[j] <= -owed[j]
+        if not holds:
+            raise ValueError(f"bank {j} leaves the regime read for it")
+    return equities
 
 
 def lognormal_move_pdf(x: float, assets: float, sigma: float, tau: float) -> float:

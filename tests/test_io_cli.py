@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import neva
-from neva import (FileFormatError, FinancialNetwork, SolveConfig, ValuationSpec,
-                  dump_network, evaluate_curves, greatest_solution, load_network,
-                  load_scenario, serialize_results, stress_test)
+from neva import (FileFormatError, FinancialNetwork, MonteCarloResult, SolveConfig,
+                  ValuationSpec, dump_network, evaluate_curves, greatest_solution,
+                  load_network, load_scenario, serialize_results, stress_test)
 from neva import cli
 from neva.cli import build_parser, run_command
 from neva.files import network_to_dict
+from neva.solver import _solve
 from neva.valuation import INTERBANK_FAMILIES
 
 from conftest import closed_chain_network, random_network, rescaled, ring_network
@@ -1061,6 +1062,69 @@ def test_cli_mc_global_reproducible(tmp_path):
     run_command(["mc-global", "--network", str(network), "--scenario",
                  str(scenario), "--output", str(different), "--seed", "9"])
     assert different.read_bytes() != outs[0]
+
+
+def test_cli_mc_global_at_a_given_epsilon_is_the_plain_solve(tmp_path):
+    # a configured epsilon skips the certified early stop: every sample is
+    # the stacked solve at that epsilon, and the files are those bytes
+    network = tmp_path / "net.json"
+    dump_network(closed_chain_network(), str(network))
+    net = load_network(network)
+    scenario = write_json(tmp_path / "scn.json", {
+        "solver": {"epsilon": 1e-9},
+        "scenario": {"kind": "mc_global", "sigma": 0.8, "tau": 1.0, "beta": 0.5,
+                     "samples": 50, "seed": 4}})
+    normals = np.random.default_rng(4).standard_normal((50, net.n))
+    bound = ValuationSpec.eisenberg_noe_haircut(0.5).bind(
+        net, net.external_assets * np.exp(0.8 * normals - 0.32))
+    solutions, *_, converged = _solve(bound, bound.book_equity, SolveConfig(epsilon=1e-9))
+    assert converged.all()
+    expected = MonteCarloResult(
+        mean=solutions.sum(axis=0) / 50, std_error=solutions.std(axis=0, ddof=1) / np.sqrt(50),
+        samples=50, dropped=0, seed=4, valid=True, bias_bound=np.zeros(net.n), certified=0)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"mc.{fmt}"
+        assert run_command(["mc-global", "--network", str(network), "--scenario", scenario,
+                            "--output", str(out), "--format", fmt]) == 0
+        assert out.read_text() == serialize_results(expected, fmt, net)
+
+
+def test_cli_mc_global_json_writes_null_for_dropped_means(tmp_path, caplog):
+    # every sample dropped leaves NaN means and errors: null in JSON, which
+    # has no NaN, and nan in CSV as before
+    network = tmp_path / "net.json"
+    dump_network(closed_chain_network(), str(network))
+    scenario = write_json(tmp_path / "scn.json", {
+        "solver": {"max_iterations": 1},
+        "scenario": {"kind": "mc_global", "sigma": 2.0, "tau": 1.0, "samples": 3, "seed": 1}})
+    out = tmp_path / "mc.json"
+    assert run_command(["mc-global", "--network", str(network), "--scenario", scenario,
+                        "--output", str(out), "--format", "json"]) == 1
+
+    def reject(constant):
+        raise ValueError(f"JSON holds {constant}")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+    assert [(row["mean_equity"], row["std_error"], row["dropped"]) for row in rows] \
+        == [(None, None, 3)] * 3
+    assert run_command(["mc-global", "--network", str(network), "--scenario", scenario,
+                        "--output", str(tmp_path / "mc.csv")]) == 1
+    assert (tmp_path / "mc.csv").read_text().splitlines()[1] == "A,nan,nan,3,3"
+
+
+def test_cli_mc_global_logs_its_certificate_at_info(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NEVA_LOG", "info")
+    network = tmp_path / "net.json"
+    dump_network(closed_chain_network(), str(network))
+    scenario = write_json(tmp_path / "scn.json", {"scenario": {
+        "kind": "mc_global", "sigma": 0.8, "tau": 1.0, "samples": 20}})
+    assert run_command(["mc-global", "--network", str(network), "--scenario", scenario,
+                        "--output", str(tmp_path / "mc.csv")]) == 0
+    logged = capsys.readouterr().err
+    result = neva.monte_carlo_global_valuation(load_network(network), 0.8, 1.0, 1.0, 20)
+    assert logged == (
+        f"neva: INFO: monte carlo: {result.certified} of 20 samples certified, bias bound "
+        f"{result.bias_bound.max():.3g}\n")
 
 
 def test_cli_epsilon_override_applies(tmp_path):

@@ -40,6 +40,7 @@ from neva import (FinancialNetwork, NetworkError, SolveConfig, SolveReport, Spec
                   monte_carlo_global_valuation, serialize_results, solve, stress_test)
 from neva.cli import run_command
 from neva.files import SCENARIO_KINDS, _quoted, _render
+from neva.solver import _certify
 from neva.valuation import EXTERNAL_FAMILIES, INTERBANK_FAMILIES, en_interbank
 
 from conftest import (claim_depth, en_clearing_oracle, infeasible_factors,
@@ -119,12 +120,14 @@ def _monte_carlo_network() -> FinancialNetwork:
 @example(_monte_carlo_network(), 0.2, 1.0, 40, 1001)
 def test_monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, samples, seed):
     # each sample at beta = 1 is the greatest Eisenberg-Noe solve of the
-    # network holding that sample's terminal external assets: under the
-    # default tolerance, that of the drawn book equities, and under a given
-    # one.  On the edge form a sample is that solve bit for bit, so the mean
-    # and standard error are those of the lone solves; on the dense form BLAS
-    # rounds a product by the stack's row count, and the samples agree with
-    # the lone solves within their tolerance
+    # network holding that sample's terminal external assets.  Under the
+    # default tolerance it stops early within its certified bound above the
+    # lone solve (uncertified, a bound of 0), or below it by at most one step
+    # of the default tolerance, that of the drawn book equities; rounding aside.
+    # Under a given tolerance, on the edge form a sample is that solve bit for
+    # bit, so the mean and standard error are those of the lone solves; on the
+    # dense form BLAS rounds a product by the stack's row count, and the
+    # samples agree with the lone solves within their tolerance
     normals = np.random.default_rng(seed).standard_normal((samples, net.n))
     sigmas = np.full(net.n, sigma)
     terminal = net.external_assets * np.exp(sigmas * np.sqrt(tau) * normals
@@ -136,6 +139,15 @@ def test_monte_carlo_sample_is_the_clearing_solution(net, sigma, tau, samples, s
             EN, config) for assets in terminal]
         assert result.dropped == 0 and all(ref.converged for ref in references)
         solutions = np.array([ref.solution for ref in references])
+        if config is None:
+            drawn, bounds, *_ = _certify(ValuationSpec.eisenberg_noe_haircut(1.0).bind(
+                net, terminal), None)
+            epsilon = np.array([[ref.epsilon] for ref in references])
+            rounding = 1e-3 * epsilon  # 1e-13 of the scale
+            assert np.all(drawn - solutions <= bounds + rounding)
+            assert np.all(solutions - drawn <= epsilon + rounding)
+            assert np.array_equal(result.mean, drawn.sum(axis=0) / samples)
+            continue
         mean = solutions.sum(axis=0) / samples
         if net._sparse:
             std_error = (solutions.std(axis=0, ddof=1) / np.sqrt(samples) if samples > 1
@@ -412,8 +424,10 @@ def tables(draw):
 @given(tables())
 def test_json_output_is_that_of_json_dumps(drawn):
     # the cells are encoded column by column and spliced into the document;
-    # the text must be json.dumps(indent=2) of the same rows, byte for byte
+    # the text must be json.dumps(indent=2) of the same rows, byte for byte,
+    # with each NaN or infinity, which JSON does not have, as null
     table, document = drawn
+    document = json.loads(json.dumps(document), parse_constant=lambda constant: None)
     assert _render(*table, "json") == json.dumps(document, indent=2) + "\n"
 
 
