@@ -242,15 +242,15 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     """Expected equities when claims are valued at maturity for each
     realization of the external assets, then averaged.
 
-    Terminal external assets are drawn per bank from the zero-drift
-    log-normal law over horizon ``tau``; each draw is cleared with the
-    pro-rata factors (haircut ``beta``) from face values, all draws as one
-    stack, and the sample mean and standard error of each bank's equity are
-    returned.  A sample stops at the configured epsilon, as its drawn network's
-    solve does; without one, where ``_certify`` bounds its error or else at the
-    default tolerance of its own book equities.  Sample ``s`` is row ``s`` of
-    ``np.random.default_rng(seed).standard_normal((samples, n))``, so more
-    samples extend a run and never change the earlier ones; the final
+    Terminal external assets are drawn per bank from the zero-drift log-normal law
+    over horizon ``tau``; each draw is cleared with the pro-rata factors (haircut
+    ``beta``) from face values, all draws as one stack, and each bank's sample mean
+    and standard error (SE) are returned.  A sample stops at the configured epsilon,
+    as its drawn network's solve does; without one, ``_certify`` stops it early where
+    a certificate bounds its error, at a step that keeps every bank's ``bias_bound``
+    within ``BIAS_SHARE`` (5%) of its SE, or else at the default tolerance.  Sample
+    ``s`` is row ``s`` of ``np.random.default_rng(seed).standard_normal((samples, n))``,
+    so more samples extend a run and never change the earlier ones; the final
     reduction runs in ascending sample order.
     """
     for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
@@ -259,26 +259,18 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
                             f"got {value!r}")
     # the parameters are those of the before-maturity (local) counterpart
     local = ValuationSpec.exante_en_gbm(sigma, tau, beta)
-    n = net.n
-    sigma, tau, beta = local.sigma_vector(n), local.maturity, local.beta
+    sigma, tau, beta = local.sigma_vector(net.n), local.maturity, local.beta
 
-    terminal = np.random.default_rng(seed).standard_normal((samples, n))  # in place
+    terminal = np.random.default_rng(seed).standard_normal((samples, net.n))  # in place
     terminal *= sigma * np.sqrt(tau)
     terminal += -0.5 * sigma * sigma * tau
     terminal = np.multiply(np.exp(terminal, out=terminal), net.external_assets, out=terminal)
     bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, terminal)
     # the rows are read as arrays: no per-sample report
-    solutions, bounds, converged, certified = _certify(bound, config)
-    kept = solutions[converged]
-    count, dropped = len(kept), samples - len(kept)
+    *_, converged, certified, (mean, std_error, bias_bound) = _certify(bound, config)
+    dropped = samples - int(converged.sum())
     if dropped:
         log.warning("monte carlo: dropped %d of %d unconverged samples", dropped, samples)
-    mean = kept.sum(axis=0) / count if count else np.full(n, np.nan)
-    std_error = (kept.std(axis=0, ddof=1) / np.sqrt(count) if count > 1
-                 else np.full(n, 0.0 if count else np.nan))
-    bias_bound = bounds[converged].sum(axis=0) / count if count else np.full(n, np.nan)
-    log.info("monte carlo: %d of %d samples certified, bias bound %.3g", certified.sum(),
-             samples, bias_bound.max())
     return MonteCarloResult(mean=mean, std_error=std_error, samples=samples,
                             dropped=dropped, seed=int(seed), valid=dropped <= 0.01 * samples,
                             bias_bound=bias_bound, certified=int(certified.sum()))

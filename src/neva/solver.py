@@ -14,6 +14,7 @@ check that bound, with an exact stop (``SolveConfig(epsilon=5e-324)``).
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional, Union
@@ -34,9 +35,11 @@ __all__ = [
     "en_clearing_payments",
 ]
 
+log = logging.getLogger("neva")
+
 FACE_VALUES = "face_values"
 LOWER_BOUNDS = "lower_bounds"
-LOOSE_SHARE = 1e-6  # of the scale: the step at which ``_certify`` tries its certificate
+BIAS_SHARE = 0.05  # of a bank's standard error: what early stops may add to its Monte Carlo mean
 
 
 def _scaled_epsilon(book_equity: np.ndarray, obligations: np.ndarray, share: float = 1e-10):
@@ -151,36 +154,66 @@ def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfi
     return solutions, sweeps, residuals, epsilon, residuals <= epsilon
 
 
+def _estimates(samples: np.ndarray, bounds: np.ndarray, kept: np.ndarray) -> tuple:
+    """Per bank over the ``kept`` rows, in order: mean and SE of ``samples``, mean of ``bounds``."""
+    count, samples, n = int(kept.sum()), samples[kept], samples.shape[1]
+    if not count:
+        return np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
+    std_error = samples.std(axis=0, ddof=1) / np.sqrt(count) if count > 1 else np.zeros(n)
+    return samples.sum(axis=0) / count, std_error, bounds[kept].sum(axis=0) / count
+
+
 def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
-    """Greatest solve of each row of the stack ``bound``, stopped at a step of
-    ``LOOSE_SHARE`` of its scale where ``Φ(x) >= x`` certifies a bound (README,
-    *Stacked solves*); other rows stop as their plain solves do.  Per row: the
-    solution in ``[m, M]``, the bound (0 where not certified), converged, certified."""
-    if config and config.epsilon:
-        solutions, *_, converged = _solve(bound, bound.book_equity, config)
-        return solutions, np.zeros_like(solutions), converged, np.zeros_like(converged)
-    budget, obligations = (config or SolveConfig()).max_iterations, bound.net.total_obligations()
-    loose, epsilon = (_scaled_epsilon(bound.book_equity, obligations, share)
-                      for share in (LOOSE_SHARE, 1e-10))
-    solutions, sweeps, steps = _iterate(bound, bound.book_equity, loose, budget)
-    stack = bound.stack(len(solutions))
-    upper = stack.equity_map(solutions)  # E', from E
-    gap = np.subtract(solutions, upper, out=solutions)  # w, in E's buffer
-    drop, step = gap.max(axis=1), np.abs(gap).max(axis=1)  # max(w), the step to E'
-    rate = np.clip(np.divide(drop, steps, out=np.zeros_like(drop), where=steps > 0), 0.0, 0.99)
-    slack = 64.0 * np.spacing(loose / LOOSE_SHARE)[:, np.newaxis]  # ulp of the scale
-    np.maximum(gap, np.maximum(1e-3 * drop[:, np.newaxis], slack), out=gap)
-    gap *= (1.0 + 2.0 * rate / (1.0 - rate))[:, np.newaxis]
-    probe = np.subtract(upper, np.add(gap, slack, out=gap), out=gap)  # x
-    certified = (steps <= loose) & (stack.equity_map(probe) >= probe).all(axis=1)
-    bounds = np.multiply(upper - probe, certified[:, np.newaxis], out=probe)
-    converged = certified | (steps <= epsilon) | ((step <= epsilon) & (sweeps < budget))
-    retry = ((steps <= loose) & ~converged).nonzero()[0]
-    stack.keep(retry)
-    upper[retry], more, last = _iterate(stack, upper[retry], epsilon[retry], budget)
-    converged[retry] = (last <= epsilon[retry]) & (sweeps[retry] + more < budget)
-    np.clip(upper, bound.net.equity_lower_bound(), bound.book_equity, out=upper)
-    return upper, bounds, converged, certified
+    """Greatest solve of each row of the Monte Carlo stack ``bound``, stopped at the first step
+    of its ladder where ``Φ(x) >= x`` certifies a bound (README, *Stacked solves*).  Per row:
+    the solution in [m, M], bound (0 if uncertified), converged, certified; their _estimates."""
+    config, book = config or SolveConfig(), bound.book_equity
+    (count, n), obligations = book.shape, bound.net.total_obligations()
+    scale, budget = _scaled_epsilon(book, obligations, 1.0), config.max_iterations
+    epsilon = np.broadcast_to(config.epsilon or np.maximum(1e-10 * scale, 5e-324), count)
+    se = book.std(0, ddof=1) / np.sqrt(count) if count > 1 and not config.epsilon else np.zeros(n)
+    first = np.clip(BIAS_SHARE * min(se[se > 0], default=0.0), epsilon, 1e-3 * scale)
+    # rungs: a share of the least book SE (Harris: at most any equity SE), 1/100 of it, ε
+    ladder = np.maximum(first / np.array([[1.0], [100.0], [np.inf]]), epsilon)
+    rows, stack, rung = np.arange(count), bound.stack(count), 2 * (first <= epsilon)  # 2: plain
+    solutions, used, steps = _iterate(stack, book, ladder[rung, rows], budget)  # every row
+    iterate, bounds = solutions, np.zeros_like(book)
+    settled, certified = np.zeros(count, bool), np.zeros(count, bool)
+    while True:  # the rows in hand have just iterated to their steps
+        settled[rows] |= (steps <= epsilon[rows]) & (used[rows] <= budget)
+        probed = ((steps <= ladder[rung[rows], rows]) & (rung[rows] < 2)).nonzero()[0]
+        rows, iterate, steps = rows[probed], iterate[probed], steps[probed]
+        stack.keep(probed)
+        upper = stack.equity_map(iterate)  # E', from E: one more sweep
+        gap = np.subtract(iterate, upper, out=iterate)  # w, in E's buffer
+        offsets = np.arange(len(rows)) * n  # the row maxima as segments of the flat stack
+        drop, jump = (np.maximum.reduceat(w.ravel(), offsets) for w in (gap, np.abs(gap)))
+        settled[rows] |= (jump <= epsilon[rows]) & (used[rows] < budget)
+        rate = np.clip(np.divide(drop, steps, out=np.zeros_like(drop), where=steps > 0), 0.0, 0.99)
+        slack = 64.0 * np.spacing(scale[rows, np.newaxis])  # 64 ulp of the scale
+        np.maximum(gap, np.maximum(1e-3 * drop[:, np.newaxis], slack), out=gap)
+        gap *= (1.0 + 2.0 * rate / (1.0 - rate))[:, np.newaxis]
+        probe = np.subtract(upper, np.add(gap, slack, out=gap), out=gap)  # x
+        holds = (stack.equity_map(probe) >= probe).all(axis=1)
+        solutions[rows], certified[rows], used[rows] = upper, holds, used[rows] + 1
+        rung[rows], bounds[rows[holds]] = rung[rows] + ~holds, (upper - probe)[holds]
+        going = (~holds & ((rung[rows] < 2) | ~settled[rows] & (used[rows] < budget))).nonzero()[0]
+        rows = rows[going]  # uncertified; at ε only until settled or out of sweeps
+        stack.keep(going)
+        if not rows.size:
+            np.clip(solutions, bound.net.equity_lower_bound(), book, out=solutions)
+            estimates = _estimates(solutions, bounds, settled | certified)
+            if not (estimates[2] > BIAS_SHARE * estimates[1]).any():
+                break
+            rows, stack = certified.nonzero()[0], bound.stack(count)  # each one step down
+            stack.keep(rows)
+            rung[rows], certified[rows], bounds[rows] = rung[rows] + 1, False, 0.0
+        iterate, sweeps, steps = _iterate(stack, solutions[rows], ladder[rung[rows], rows], budget)
+        solutions[rows], used[rows] = iterate, used[rows] + sweeps
+    log.info("monte carlo: %d of %d samples certified, bias bound %.3g, step %.3g of the median "
+             "scale, rows per rung %d/%d/%d", certified.sum(), count, estimates[2].max(),
+             np.sort(first / scale)[count // 2], *np.bincount(rung, minlength=3))  # no numpy.ma
+    return solutions, bounds, settled | certified, certified, estimates
 
 
 def _reports(solved: tuple, kind: str = "greatest", warnings: tuple = ()) -> list:

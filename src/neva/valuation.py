@@ -598,7 +598,7 @@ class BoundValuation:
             constants.update(factor.keywords)
         laid_out = {name: np.ascontiguousarray(np.broadcast_to(value, (count, value.shape[-1])))
                     for name, value in constants.items() if getattr(value, "ndim", 0)}
-        per_row = tuple(name for name in laid_out if constants[name].ndim == 2)
+        per_row = self.per_row or tuple(name for name in laid_out if constants[name].ndim == 2)
         constants.update(laid_out)
         return BoundValuation(self.spec, self.net, constants, tuple(
             None if factor is None else partial(

@@ -186,16 +186,18 @@ def en_clearing_oracle(net: FinancialNetwork, tol: float = 1e-14,
 
 
 def exact_greatest(net: FinancialNetwork, spec) -> list:
-    """The greatest equities of ``net`` under the pro-rata ``spec``
-    (``eisenberg_noe`` or ``eisenberg_noe_haircut``) as Fractions: the default
-    regime (paying in full, in part or nothing) read off a greatest solve at
-    1e-15 of the scale, its part-paying banks' linear system solved exactly.
-    Raises ValueError when that system is singular or its solution leaves the
-    regime it was read from; there is no fallback."""
+    """The greatest equities of ``net`` as Fractions, under a spec whose claim factors
+    are piecewise linear in the borrower's equity: ``eisenberg_noe`` and
+    ``eisenberg_noe_haircut`` (pro rata), ``furfine`` (constant within a regime) and
+    ``linear_debtrank`` (linear between 0 and the book equity).  Each borrower's regime
+    is read off a greatest solve at 1e-15 of the scale, and the linear block's system is
+    solved exactly.  Raises ValueError when that system is singular or its solution
+    leaves the regime it was read from; there is no fallback."""
     from neva import SolveConfig, greatest_solution
     from neva.solver import _scaled_epsilon
-    if spec.interbank_kind not in ("eisenberg_noe", "eisenberg_noe_haircut"):
-        raise ValueError(f"no exact oracle for {spec.interbank_kind}")
+    kind = spec.interbank_kind
+    if kind not in ("eisenberg_noe", "eisenberg_noe_haircut", "furfine", "linear_debtrank"):
+        raise ValueError(f"no exact oracle for {kind}")
     beta = Fraction(1 if spec.beta is None else spec.beta)
     tight = float(_scaled_epsilon(net.book_equity(), net.total_obligations(), 1e-15))
     guide = greatest_solution(net, spec, SolveConfig(epsilon=tight,
@@ -207,22 +209,46 @@ def exact_greatest(net: FinancialNetwork, spec) -> list:
         owed[debtor] += amount
     base = [Fraction(float(a)) - Fraction(float(l)) - p for a, l, p in
             zip(net.external_assets, net.external_liabilities, owed)]
-    # a claim on a part payer is worth beta * (1 + y) of its face value, for
-    # its y = E / owed; the part payers' rows in y, dyadic, are scaled to
-    # integers and eliminated without fractions (column m holds the right side)
-    part = [j for j in range(net.n) if owed[j] and -owed[j] < guide[j] < 0]
+    book = list(base)
+    for _, creditor, amount in edges:
+        book[creditor] += amount
+    # per borrower, a claim on it is worth its face value times a constant share plus,
+    # in the linear block, a slope times y = E / unit: (unit, share, slope, regime test)
+    regimes, face = [], net.book_equity().tolist()
+    for j, g in enumerate(guide.tolist()):
+        if kind == "furfine":
+            solvent = g >= 0
+            regimes.append((None, Fraction(1) if solvent else Fraction(spec.recovery), 0,
+                            lambda e, solvent=solvent: (e >= 0) == solvent))
+        elif kind == "linear_debtrank":
+            if book[j] <= 0 or g <= 0:  # worthless: max(E, 0) / book is 0
+                regimes.append((None, Fraction(0), 0, lambda e, j=j: book[j] <= 0 or e <= 0))
+            elif g >= face[j]:  # at face value
+                regimes.append((None, Fraction(1), 0, lambda e, j=j: e >= book[j]))
+            else:
+                regimes.append((book[j], Fraction(0), Fraction(1),
+                                lambda e, j=j: 0 <= e <= book[j]))
+        elif owed[j] and -owed[j] < g < 0:  # pays in part: beta * (1 + y) of face value
+            regimes.append((owed[j], beta, beta, lambda e, j=j: -owed[j] <= e <= 0
+                            and (beta == 1 or e < 0)))  # below 0 where the haircut jumps
+        else:
+            solvent = g >= 0 or not owed[j]
+            regimes.append((None, Fraction(int(solvent)), 0, lambda e, solvent=solvent, j=j:
+                            e >= 0 if solvent else e <= -owed[j]))
+    # the linear block's rows in y, dyadic, are scaled to integers and eliminated
+    # without fractions (column m holds the right side)
+    part = [j for j in range(net.n) if regimes[j][0] is not None]
     index, m = {j: k for k, j in enumerate(part)}, len(part)
-    rows = [{k: owed[j], m: base[j]} for k, j in enumerate(part)]
+    rows = [{k: regimes[j][0], m: base[j]} for k, j in enumerate(part)]
     equities = list(base)
     for debtor, creditor, amount in edges:
-        value = amount * (beta if debtor in index else
-                          int(guide[debtor] >= 0 or not owed[debtor]))
+        value = amount * regimes[debtor][1]
         equities[creditor] += value
         if creditor in index:
             row = rows[index[creditor]]
             row[m] += value
             if debtor in index:
-                row[index[debtor]] = row.get(index[debtor], 0) - amount * beta
+                row[index[debtor]] = row.get(index[debtor], 0) - amount * regimes[debtor][2]
     rows = [{col: int(value * max(v.denominator for v in row.values()))
              for col, value in row.items()} for row in rows]
     for k in range(m):  # pivots on the diagonal
@@ -246,13 +272,9 @@ def exact_greatest(net: FinancialNetwork, spec) -> list:
                                               in rows[k].items() if k < col < m), rows[k][k])
     for debtor, creditor, amount in edges:
         if debtor in index:
-            equities[creditor] += amount * beta * solved[index[debtor]]
+            equities[creditor] += amount * regimes[debtor][2] * solved[index[debtor]]
     for j in filter(owed.__getitem__, range(net.n)):
-        if j in index:  # below 0 where the haircut jumps there
-            holds = -owed[j] <= equities[j] <= 0 and (beta == 1 or equities[j] < 0)
-        else:
-            holds = equities[j] >= 0 if guide[j] >= 0 else equities[j] <= -owed[j]
-        if not holds:
+        if not regimes[j][3](equities[j]):
             raise ValueError(f"bank {j} leaves the regime read for it")
     return equities
 

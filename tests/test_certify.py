@@ -2,9 +2,11 @@
 stop checked against it: greatest solves at or above the exact greatest
 equities and tight re-solves within rounding of them; per-sample certified
 bounds that cover each sample's distance to them; a bias bound that covers
-what the early stops add to the mean; and drops only where a sample neither
-certifies nor meets the default stop.  ``--hypothesis-profile neva-deep``
+what the early stops add to the mean, at most ``BIAS_SHARE`` of each bank's
+standard error; and drops only where a sample neither certifies nor meets the
+default stop.  ``--hypothesis-profile neva-deep``
 runs these properties at depth."""
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +17,14 @@ from hypothesis import example, given, strategies as st
 
 from neva import (FinancialNetwork, SolveConfig, ValuationSpec, greatest_solution,
                   monte_carlo_global_valuation)
-from neva.solver import _certify, _scaled_epsilon
+from neva.solver import BIAS_SHARE, _certify, _scaled_epsilon
 
 from conftest import exact_greatest
 from test_properties import _monte_carlo_network, networks, sparse_networks
 
-PRO_RATA = st.sampled_from([ValuationSpec.eisenberg_noe(),
-                            ValuationSpec.eisenberg_noe_haircut(0.5)])
+PIECEWISE_LINEAR = st.sampled_from([ValuationSpec.eisenberg_noe(),
+                                    ValuationSpec.eisenberg_noe_haircut(0.5),
+                                    ValuationSpec.furfine(0.4), ValuationSpec.linear_debtrank()])
 
 
 def _rounding(bound) -> np.ndarray:
@@ -30,7 +33,7 @@ def _rounding(bound) -> np.ndarray:
                            1e-13)[..., np.newaxis]
 
 
-@given(networks() | sparse_networks(), PRO_RATA)
+@given(networks() | sparse_networks(), PIECEWISE_LINEAR)
 def test_the_greatest_solve_lies_above_the_exact_answer(net, spec):
     # the exact answer reads its regime off a solve at 1e-15 of the scale; the
     # default solve stops above it, and that tight solve near it, each within
@@ -61,7 +64,7 @@ def test_certified_samples_bound_their_distance_to_the_exact_answer(
     terminal = net.external_assets * np.exp(sigma * np.sqrt(tau) * normals
                                             - 0.5 * sigma * sigma * tau)
     bound = spec.bind(net, terminal)
-    solutions, bounds, converged, certified = _certify(bound, config)
+    solutions, bounds, converged, certified, _ = _certify(bound, config)
     drawn = [FinancialNetwork(net.bank_ids, assets, net.external_liabilities,
                               net.interbank_liabilities) for assets in terminal]
     exact = np.array([[float(e) for e in exact_greatest(d, spec)] for d in drawn])
@@ -81,3 +84,46 @@ def test_certified_samples_bound_their_distance_to_the_exact_answer(
         assert np.all(result.bias_bound + outside >= shift - rounding.max())
     for row in np.nonzero(~converged)[0]:
         assert not greatest_solution(drawn[row], spec, config).converged
+
+
+@given(networks() | sparse_networks(), st.sampled_from([1.0, 0.5]), st.floats(0.05, 1.0),
+       st.floats(0.1, 2.0), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 2, 5]))
+@example(_monte_carlo_network(), 1.0, 0.2, 1.0, 40, 1001, None)
+@example(_monte_carlo_network(), 1.0, 0.2, 1.0, 1, 1001, None)
+def test_every_bias_bound_is_within_its_share_of_the_standard_error(
+        net, beta, sigma, tau, samples, seed, max_iterations):
+    # the step is set before the solve from the book equities' standard errors, and
+    # the check after it holds the budget whatever the draws; a lone sample has no
+    # standard error to spend and is a plain solve, without a warning
+    config = max_iterations and SolveConfig(max_iterations=max_iterations)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = monte_carlo_global_valuation(net, sigma, tau, beta, samples, seed, config)
+    if result.dropped < samples:
+        assert np.all(result.bias_bound <= BIAS_SHARE * result.std_error)
+    if samples == 1:
+        assert result.certified == 0
+
+
+def test_a_bank_whose_equity_never_moves_sends_the_certified_rows_down(caplog):
+    # bank Z holds no external assets and a claim on A, which never defaults in
+    # these draws: its equity's standard error is 0, below any bound, so the check
+    # after the solve sends the certified rows a step down, twice, to the default
+    # tolerance.  Given external assets of its own, Z moves, and rows stay certified
+    liabilities = np.zeros((4, 4))
+    liabilities[0, 1], liabilities[1, 2], liabilities[2, 0] = 1.0, 1.0, 1.0  # A->B->C->A
+    liabilities[0, 3] = 1.0  # A owes Z
+    for z_assets in (0.0, 1.0):
+        net = FinancialNetwork(["A", "B", "C", "Z"], [20.0, 1.0, 1.0, z_assets],
+                               [0.0, 0.95, 0.95, 0.0], liabilities)
+        with caplog.at_level("INFO", logger="neva"):
+            result = monte_carlo_global_valuation(net, 0.5, 1.0, 1.0, 30, 7)
+        assert result.dropped == 0
+        assert np.all(result.bias_bound <= BIAS_SHARE * result.std_error)
+        rungs = caplog.records[-1].getMessage().rsplit(" ", 1)[1]
+        if z_assets:
+            assert result.std_error[3] > 0.0 and result.certified > 0
+        else:
+            assert result.std_error[3] == 0.0 and result.certified == 0
+            assert rungs == "0/0/30" and not result.bias_bound.any()

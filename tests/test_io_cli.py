@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import stat
 import subprocess
 import sys
@@ -1112,7 +1113,10 @@ def test_cli_mc_global_json_writes_null_for_dropped_means(tmp_path, caplog):
     assert (tmp_path / "mc.csv").read_text().splitlines()[1] == "A,nan,nan,3,3"
 
 
-def test_cli_mc_global_logs_its_certificate_at_info(tmp_path, monkeypatch, capsys):
+def test_cli_mc_global_logs_its_certificate_at_info(tmp_path, monkeypatch, capsys, caplog):
+    # one line: the certified count, the largest bias bound, the ladder's first step
+    # as a share of the median scale, and the rows that stopped at each of its three
+    # steps (none runs out of sweeps here, so the first two hold the certified ones)
     monkeypatch.setenv("NEVA_LOG", "info")
     network = tmp_path / "net.json"
     dump_network(closed_chain_network(), str(network))
@@ -1121,10 +1125,15 @@ def test_cli_mc_global_logs_its_certificate_at_info(tmp_path, monkeypatch, capsy
     assert run_command(["mc-global", "--network", str(network), "--scenario", scenario,
                         "--output", str(tmp_path / "mc.csv")]) == 0
     logged = capsys.readouterr().err
-    result = neva.monte_carlo_global_valuation(load_network(network), 0.8, 1.0, 1.0, 20)
-    assert logged == (
-        f"neva: INFO: monte carlo: {result.certified} of 20 samples certified, bias bound "
-        f"{result.bias_bound.max():.3g}\n")
+    with caplog.at_level("INFO", logger="neva"):
+        result = neva.monte_carlo_global_valuation(load_network(network), 0.8, 1.0, 1.0, 20)
+    message = caplog.records[-1].getMessage()
+    assert logged == f"neva: INFO: {message}\n"
+    line = re.fullmatch(r"monte carlo: (\d+) of 20 samples certified, bias bound (\S+), step "
+                        r"(\S+) of the median scale, rows per rung (\d+)/(\d+)/(\d+)", message)
+    assert int(line[1]) == result.certified == int(line[4]) + int(line[5])
+    assert line[2] == f"{result.bias_bound.max():.3g}" and 0 < float(line[3]) <= 1e-3
+    assert sum(map(int, line.groups()[3:])) == 20
 
 
 def test_cli_epsilon_override_applies(tmp_path):
