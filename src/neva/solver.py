@@ -14,7 +14,6 @@ check that bound, with an exact stop (``SolveConfig(epsilon=5e-324)``).
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional, Union
@@ -34,8 +33,6 @@ __all__ = [
     "uniqueness_check",
     "en_clearing_payments",
 ]
-
-log = logging.getLogger("neva")
 
 FACE_VALUES = "face_values"
 LOWER_BOUNDS = "lower_bounds"
@@ -103,20 +100,21 @@ def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
     """Fixed-point iteration of every row of the ``(batch, n)`` stack ``start``
     under the equity map of ``bound``, laid out once as ``bound.stack(batch)``.
 
-    A row retires once its sup-norm step is at most its ``epsilon`` (scalar or
-    per row); the active rows stay compact, in order, and the stack is told
-    which it keeps, so the map is never evaluated on zero rows.
+    A row retires once its sup-norm step is at most its ``epsilon`` or at its ``max_iterations``
+    sweeps (each scalar or per row; caps of at least 1); the active rows stay compact, in order,
+    and the stack is told which it keeps, so the map is never evaluated on zero rows.
     Returns per row the last iterate, sweeps and last step.
     """
     solutions = np.array(start, dtype=float)
     stack = bound.stack(len(solutions))
     active = np.arange(len(solutions))
-    sweeps = np.full(active.shape, max_iterations)
+    sweeps = np.array(np.broadcast_to(max_iterations, active.shape))  # a row's cap until it retires
+    least = int(sweeps.min(initial=0))  # before this sweep, no row is at its cap
     residuals = np.full(active.shape, np.inf)
     tolerance = np.broadcast_to(epsilon, active.shape)  # one per row
     offsets = active * solutions.shape[1]  # of the rows in the flat stack
     equities, steps = solutions, residuals
-    for sweep in range(1, max_iterations + 1):
+    for sweep in range(1, int(sweeps.max(initial=0)) + 1):
         if not active.size:
             break
         updated = stack.equity_map(equities)
@@ -127,6 +125,8 @@ def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
                                     offsets[:len(active)])
         equities = updated
         done = steps <= tolerance
+        if sweep >= least:
+            done |= sweeps[active] <= sweep
         if done.any():  # the rows left move up, in order, and the stack keeps them
             gone, kept = done.nonzero()[0], (~done).nonzero()[0]
             retired = active[gone]
@@ -154,66 +154,69 @@ def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfi
     return solutions, sweeps, residuals, epsilon, residuals <= epsilon
 
 
-def _estimates(samples: np.ndarray, bounds: np.ndarray, kept: np.ndarray) -> tuple:
-    """Per bank over the ``kept`` rows, in order: mean and SE of ``samples``, mean of ``bounds``."""
-    count, samples, n = int(kept.sum()), samples[kept], samples.shape[1]
-    if not count:
-        return np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
-    std_error = samples.std(axis=0, ddof=1) / np.sqrt(count) if count > 1 else np.zeros(n)
-    return samples.sum(axis=0) / count, std_error, bounds[kept].sum(axis=0) / count
-
-
 def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
     """Greatest solve of each row of the Monte Carlo stack ``bound``, stopped at the first step
-    of its ladder where ``Φ(x) >= x`` certifies a bound (README, *Stacked solves*).  Per row:
-    the solution in [m, M], bound (0 if uncertified), converged, certified; their _estimates."""
+    of its ladder where ``Φ(x) >= x`` certifies a bound (README, *Stacked solves*).  Per row: the
+    solution in [m, M], bound (0 if uncertified), converged, certified; then per bank the mean,
+    SE and bias bound, the first step's share of the median scale and the rows per rung."""
     config, book = config or SolveConfig(), bound.book_equity
     (count, n), obligations = book.shape, bound.net.total_obligations()
     scale, budget = _scaled_epsilon(book, obligations, 1.0), config.max_iterations
     epsilon = np.broadcast_to(config.epsilon or np.maximum(1e-10 * scale, 5e-324), count)
     se = book.std(0, ddof=1) / np.sqrt(count) if count > 1 and not config.epsilon else np.zeros(n)
-    first = np.clip(BIAS_SHARE * min(se[se > 0], default=0.0), epsilon, 1e-3 * scale)
-    # rungs: a share of the least book SE (Harris: at most any equity SE), 1/100 of it, ε
-    ladder = np.maximum(first / np.array([[1.0], [100.0], [np.inf]]), epsilon)
+    least = BIAS_SHARE * min(se[se > 0], default=0.0)  # Harris: no equity SE is below min(se)
+    first = np.clip(least, 1e-6 * scale, 1e-3 * scale) if least else epsilon  # floor: README
+    ladder = np.maximum(first / np.array([[1.0], [100.0], [np.inf]]), epsilon)  # its rungs
     rows, stack, rung = np.arange(count), bound.stack(count), 2 * (first <= epsilon)  # 2: plain
     solutions, used, steps = _iterate(stack, book, ladder[rung, rows], budget)  # every row
     iterate, bounds = solutions, np.zeros_like(book)
     settled, certified = np.zeros(count, bool), np.zeros(count, bool)
-    while True:  # the rows in hand have just iterated to their steps
-        settled[rows] |= (steps <= epsilon[rows]) & (used[rows] <= budget)
+    while True:  # the rows in hand have just iterated to their steps or out of sweeps
+        settled[rows] |= steps <= epsilon[rows]
         probed = ((steps <= ladder[rung[rows], rows]) & (rung[rows] < 2)).nonzero()[0]
         rows, iterate, steps = rows[probed], iterate[probed], steps[probed]
-        stack.keep(probed)
-        upper = stack.equity_map(iterate)  # E', from E: one more sweep
-        gap = np.subtract(iterate, upper, out=iterate)  # w, in E's buffer
-        offsets = np.arange(len(rows)) * n  # the row maxima as segments of the flat stack
-        drop, jump = (np.maximum.reduceat(w.ravel(), offsets) for w in (gap, np.abs(gap)))
-        settled[rows] |= (jump <= epsilon[rows]) & (used[rows] < budget)
-        rate = np.clip(np.divide(drop, steps, out=np.zeros_like(drop), where=steps > 0), 0.0, 0.99)
-        slack = 64.0 * np.spacing(scale[rows, np.newaxis])  # 64 ulp of the scale
-        np.maximum(gap, np.maximum(1e-3 * drop[:, np.newaxis], slack), out=gap)
-        gap *= (1.0 + 2.0 * rate / (1.0 - rate))[:, np.newaxis]
-        probe = np.subtract(upper, np.add(gap, slack, out=gap), out=gap)  # x
-        holds = (stack.equity_map(probe) >= probe).all(axis=1)
-        solutions[rows], certified[rows], used[rows] = upper, holds, used[rows] + 1
-        rung[rows], bounds[rows[holds]] = rung[rows] + ~holds, (upper - probe)[holds]
-        going = (~holds & ((rung[rows] < 2) | ~settled[rows] & (used[rows] < budget))).nonzero()[0]
-        rows = rows[going]  # uncertified; at ε only until settled or out of sweeps
-        stack.keep(going)
-        if not rows.size:
+        if rows.size:
+            stack.keep(probed)
+            upper = stack.equity_map(iterate)  # E', from E: one more sweep
+            gap = np.subtract(iterate, upper, out=iterate)  # w, in E's buffer
+            offsets = np.arange(len(rows)) * n  # the row maxima as segments of the flat stack
+            drop, jump = (np.maximum.reduceat(w.ravel(), offsets) for w in (gap, np.abs(gap)))
+            settled[rows] |= (jump <= epsilon[rows]) & (used[rows] < budget)
+            rate = np.clip(np.divide(drop, steps, out=np.zeros_like(drop), where=steps > 0),
+                           0.0, 0.99)
+            slack = 64.0 * np.spacing(scale[rows, np.newaxis])  # 64 ulp of the scale
+            np.maximum(gap, np.maximum(1e-3 * drop[:, np.newaxis], slack), out=gap)
+            gap *= (1.0 + 2.0 * rate / (1.0 - rate))[:, np.newaxis]
+            probe = np.subtract(upper, np.add(gap, slack, out=gap), out=gap)  # x
+            holds = (stack.equity_map(probe) >= probe).all(axis=1)
+            solutions[rows], certified[rows], used[rows] = upper, holds, used[rows] + 1
+            rung[rows], bounds[rows[holds]] = rung[rows] + ~holds, (upper - probe)[holds]
+            going = ~holds & (used[rows] < budget) & ((rung[rows] < 2) | ~settled[rows])
+            rows = rows[going]  # uncertified with sweeps left; at ε only until settled
+            stack.keep(going.nonzero()[0])
+        if not rows.size:  # the check: every bank's bias bound within its share of its SE
             np.clip(solutions, bound.net.equity_lower_bound(), book, out=solutions)
-            estimates = _estimates(solutions, bounds, settled | certified)
-            if not (estimates[2] > BIAS_SHARE * estimates[1]).any():
+            kept = settled | certified
+            k = int(kept.sum())
+            mean = solutions[kept].sum(axis=0) / k if k else np.full(n, np.nan)
+            std_error = (solutions[kept].std(axis=0, ddof=1) / np.sqrt(k) if k > 1
+                         else np.full(n, 0.0 if k else np.nan))
+            bias_bound = bounds[kept].sum(axis=0) / k if k else np.full(n, np.nan)
+            if not (over := bias_bound > BIAS_SHARE * std_error).any():
                 break
-            rows, stack = certified.nonzero()[0], bound.stack(count)  # each one step down
+            # certified rows go a rung down (to ε if one over budget has an SE of 0); a settled
+            # row is where its plain solve stops, and one without sweeps left is dropped
+            down = certified.nonzero()[0]
+            rung[down] = 2 if (std_error[over] == 0).any() else rung[down] + 1
+            certified[down], bounds[down] = False, 0.0
+            rows, stack = down[~settled[down] & (used[down] < budget)], bound.stack(count)
             stack.keep(rows)
-            rung[rows], certified[rows], bounds[rows] = rung[rows] + 1, False, 0.0
-        iterate, sweeps, steps = _iterate(stack, solutions[rows], ladder[rung[rows], rows], budget)
+        iterate, sweeps, steps = _iterate(stack, solutions[rows], ladder[rung[rows], rows],
+                                          budget - used[rows])
         solutions[rows], used[rows] = iterate, used[rows] + sweeps
-    log.info("monte carlo: %d of %d samples certified, bias bound %.3g, step %.3g of the median "
-             "scale, rows per rung %d/%d/%d", certified.sum(), count, estimates[2].max(),
-             np.sort(first / scale)[count // 2], *np.bincount(rung, minlength=3))  # no numpy.ma
-    return solutions, bounds, settled | certified, certified, estimates
+    share = None if config.epsilon else np.sort(first / scale)[count // 2]  # no numpy.ma
+    return solutions, bounds, settled | certified, certified, (
+        mean, std_error, bias_bound, share, np.bincount(rung, minlength=3))
 
 
 def _reports(solved: tuple, kind: str = "greatest", warnings: tuple = ()) -> list:

@@ -610,6 +610,8 @@ class BoundValuation:
         constants are gathered to them, the tiles cut to as many rows, and the
         bound kernels read these from then on; nothing is bound anew."""
         constants = self.constants
+        if len(rows) == len(constants["obligations"]):  # every row: nothing to drop
+            return
         for name, value in constants.items():
             if name in self.per_row:
                 constants[name] = value.take(rows, axis=0)

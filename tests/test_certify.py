@@ -17,6 +17,7 @@ from hypothesis import example, given, strategies as st
 
 from neva import (FinancialNetwork, SolveConfig, ValuationSpec, greatest_solution,
                   monte_carlo_global_valuation)
+from neva.valuation import BoundValuation
 from neva.solver import BIAS_SHARE, _certify, _scaled_epsilon
 
 from conftest import exact_greatest
@@ -106,24 +107,74 @@ def test_every_bias_bound_is_within_its_share_of_the_standard_error(
         assert result.certified == 0
 
 
-def test_a_bank_whose_equity_never_moves_sends_the_certified_rows_down(caplog):
-    # bank Z holds no external assets and a claim on A, which never defaults in
-    # these draws: its equity's standard error is 0, below any bound, so the check
-    # after the solve sends the certified rows a step down, twice, to the default
-    # tolerance.  Given external assets of its own, Z moves, and rows stay certified
-    liabilities = np.zeros((4, 4))
-    liabilities[0, 1], liabilities[1, 2], liabilities[2, 0] = 1.0, 1.0, 1.0  # A->B->C->A
-    liabilities[0, 3] = 1.0  # A owes Z
-    for z_assets in (0.0, 1.0):
-        net = FinancialNetwork(["A", "B", "C", "Z"], [20.0, 1.0, 1.0, z_assets],
-                               [0.0, 0.95, 0.95, 0.0], liabilities)
+def _with_a_still_bank(net: FinancialNetwork, z_assets: float) -> FinancialNetwork:
+    """``net`` with banks D and Z added: D holds 20 in external assets and owes Z 1, so
+    never defaults in these draws, and Z holds ``z_assets`` and that claim only."""
+    n = net.n
+    liabilities = np.zeros((n + 2, n + 2))
+    liabilities[:n, :n], liabilities[n, n + 1] = net.interbank_liabilities, 1.0
+    return FinancialNetwork([*net.bank_ids, "D", "Z"], [*net.external_assets, 20.0, z_assets],
+                            [*net.external_liabilities, 0.0, 0.0], liabilities)
+
+
+CHAIN = FinancialNetwork(["A", "B", "C"], [1.0, 1.0, 1.0], [0.95, 0.95, 0.95],
+                         [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("net, max_iterations", [(CHAIN, None), (CHAIN, 2),
+                                                 (_monte_carlo_network(), None),
+                                                 (_monte_carlo_network(), 20)])
+def test_a_bank_whose_equity_never_moves_sends_the_certified_rows_to_the_default_tolerance(
+        net, max_iterations, caplog, monkeypatch):
+    # with no external assets, Z's equity has a standard error of 0, below any bias
+    # bound: the check after the solve sends the certified rows straight to the
+    # default tolerance, and drops a row that runs out of sweeps there, as its lone
+    # solve fails.  With external assets of its own Z moves, and rows stay certified
+    config = max_iterations and SolveConfig(max_iterations=max_iterations)
+    evaluations = [0]
+    equity_map = BoundValuation.equity_map
+
+    def counted(self, equities):
+        evaluations[0] += len(equities)
+        return equity_map(self, equities)
+
+    monkeypatch.setattr(BoundValuation, "equity_map", counted)
+    for z_assets in (1.0, 0.0):
+        still = _with_a_still_bank(net, z_assets)
+        evaluations[0] = 0
         with caplog.at_level("INFO", logger="neva"):
-            result = monte_carlo_global_valuation(net, 0.5, 1.0, 1.0, 30, 7)
-        assert result.dropped == 0
+            result = monte_carlo_global_valuation(still, 0.5, 1.0, 1.0, 30, 7, config)
+        logged, used = caplog.records[-1].getMessage(), evaluations[0]
         assert np.all(result.bias_bound <= BIAS_SHARE * result.std_error)
-        rungs = caplog.records[-1].getMessage().rsplit(" ", 1)[1]
         if z_assets:
-            assert result.std_error[3] > 0.0 and result.certified > 0
-        else:
-            assert result.std_error[3] == 0.0 and result.certified == 0
-            assert rungs == "0/0/30" and not result.bias_bound.any()
+            assert result.std_error[-1] > 0.0 and result.certified > 0
+            continue
+        normals = np.random.default_rng(7).standard_normal((30, still.n))
+        terminal = still.external_assets * np.exp(0.5 * normals - 0.125)
+        alone = [greatest_solution(FinancialNetwork(still.bank_ids, assets,
+                                                    still.external_liabilities,
+                                                    still.interbank_liabilities),
+                                   ValuationSpec.eisenberg_noe_haircut(1.0), config)
+                 for assets in terminal]
+        assert result.std_error[-1] == 0.0 and result.certified == 0
+        assert not result.bias_bound.any()
+        assert result.dropped == sum(not report.converged for report in alone)
+        assert logged.split("/")[-2] == "0"  # none stopped at the middle rung
+        if net.n > 3:  # no row has settled when probed: one probe each, two if the first fails
+            assert used < sum(report.iterations for report in alone) + 2 * 30
+
+
+def test_a_small_bank_leaves_the_first_step_at_a_fixed_share_of_the_scale(caplog):
+    # Harris bounds each equity SE by the book equity's SE, which for a bank a million
+    # times smaller than the rest would set a first step far below what certifies the
+    # other rows; the step stays at 1e-6 of the scale, and the check keeps the budget
+    net = _monte_carlo_network()
+    assets = net.external_assets.copy()
+    assets[0] *= 1e-6
+    small = FinancialNetwork(net.bank_ids, assets, net.external_liabilities,
+                             net.interbank_liabilities)
+    with caplog.at_level("INFO", logger="neva"):
+        result = monte_carlo_global_valuation(small, 0.2, 1.0, 1.0, 40, 1001)
+    assert ", step 1e-06 of the median scale," in caplog.records[-1].getMessage()
+    assert result.dropped == 0 and result.certified > 0
+    assert np.all(result.bias_bound <= BIAS_SHARE * result.std_error)

@@ -1065,9 +1065,10 @@ def test_cli_mc_global_reproducible(tmp_path):
     assert different.read_bytes() != outs[0]
 
 
-def test_cli_mc_global_at_a_given_epsilon_is_the_plain_solve(tmp_path):
+def test_cli_mc_global_at_a_given_epsilon_is_the_plain_solve(tmp_path, caplog):
     # a configured epsilon skips the certified early stop: every sample is
-    # the stacked solve at that epsilon, and the files are those bytes
+    # the stacked solve at that epsilon, and the files are those bytes; the
+    # log line names no first step, as none is taken
     network = tmp_path / "net.json"
     dump_network(closed_chain_network(), str(network))
     net = load_network(network)
@@ -1088,6 +1089,10 @@ def test_cli_mc_global_at_a_given_epsilon_is_the_plain_solve(tmp_path):
         assert run_command(["mc-global", "--network", str(network), "--scenario", scenario,
                             "--output", str(out), "--format", fmt]) == 0
         assert out.read_text() == serialize_results(expected, fmt, net)
+    with caplog.at_level("INFO", logger="neva"):
+        neva.monte_carlo_global_valuation(net, 0.8, 1.0, 0.5, 50, 4, SolveConfig(epsilon=1e-9))
+    assert caplog.records[-1].getMessage() == (
+        "monte carlo: 0 of 50 samples certified, bias bound 0, rows per rung 0/0/50")
 
 
 def test_cli_mc_global_json_writes_null_for_dropped_means(tmp_path, caplog):
@@ -1115,8 +1120,9 @@ def test_cli_mc_global_json_writes_null_for_dropped_means(tmp_path, caplog):
 
 def test_cli_mc_global_logs_its_certificate_at_info(tmp_path, monkeypatch, capsys, caplog):
     # one line: the certified count, the largest bias bound, the ladder's first step
-    # as a share of the median scale, and the rows that stopped at each of its three
-    # steps (none runs out of sweeps here, so the first two hold the certified ones)
+    # as a share of the median scale (never below a fixed 1e-6 step), and the rows that
+    # stopped at each of its three steps (none runs out of sweeps here, so the first
+    # two hold the certified ones)
     monkeypatch.setenv("NEVA_LOG", "info")
     network = tmp_path / "net.json"
     dump_network(closed_chain_network(), str(network))
@@ -1132,7 +1138,7 @@ def test_cli_mc_global_logs_its_certificate_at_info(tmp_path, monkeypatch, capsy
     line = re.fullmatch(r"monte carlo: (\d+) of 20 samples certified, bias bound (\S+), step "
                         r"(\S+) of the median scale, rows per rung (\d+)/(\d+)/(\d+)", message)
     assert int(line[1]) == result.certified == int(line[4]) + int(line[5])
-    assert line[2] == f"{result.bias_bound.max():.3g}" and 0 < float(line[3]) <= 1e-3
+    assert line[2] == f"{result.bias_bound.max():.3g}" and 1e-6 <= float(line[3]) <= 1e-3
     assert sum(map(int, line.groups()[3:])) == 20
 
 
