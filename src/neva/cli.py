@@ -116,8 +116,7 @@ def run_command(argv=None) -> int:
                               **{**scenario.params, **_given(args, FIELD_FLAGS)})
         except files.SpecError as exc:  # a bank's factor constants: the files checked the rest
             raise files.FileFormatError(f"{args.network}: {exc}") from exc
-        text = files.serialize_results(result, args.format, net)
-        files.write_output(text, args.output)
+        files.write_output(files.render_results(result, args.format, net), args.output)
         return 0 if kind.complete(result) else 1
     except (ValueError, OSError, MemoryError) as exc:
         # input errors (FileFormatError, NetworkError, SpecError), too large ones

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "CurveTable",
     "evaluate_curves",
     "serialize_results",
+    "render_results",
     "write_output",
 ]
 
@@ -526,9 +527,11 @@ def evaluate_curves(families: list, grid) -> CurveTable:
 
 # A result table is (kind, header, columns, JSON fields besides the rows).
 # A column is (values, index): row r holds values[index[r]] (values[r] when
-# the index is None).  Values are a float array, formatted cell by cell in
-# one pass, or a list of labels and shared values, each rendered once; index
+# the index is None).  Values are a float array, formatted block by block,
+# or a list of labels and shared values, each rendered once; index
 # len(values) of a float array leaves the cell empty (JSON null).
+BLOCK_ROWS = 1024  # rows per piece of rendered text
+
 
 def _json_safe(value):
     """``value`` (a list, recursively) with each non-finite float, which JSON lacks, as None."""
@@ -536,16 +539,26 @@ def _json_safe(value):
             None if isinstance(value, float) and not np.isfinite(value) else value)
 
 
-def _cells(values, index, csv_text: bool) -> list:
+def _rendered(values, index, csv_text: bool) -> tuple:
+    """A column, its labels rendered once and its indexed floats NaN-padded (the empty cell)."""
     if isinstance(values, np.ndarray):
-        if csv_text:  # the text ends in a newline: the split adds one empty cell
-            rendered = (("%.17g\n" * len(values)) % tuple(values.tolist())).split("\n")
-        else:  # one list through the C encoder; no float's text holds ", "
-            listed = values.tolist() if np.isfinite(values).all() else _json_safe(values.tolist())
-            rendered = json.dumps(listed + [None])[1:-1].split(", ")
-    else:
-        rendered = [_text(v) if csv_text else json.dumps(_json_safe(v)) for v in values]
-    return rendered if index is None else np.array(rendered, dtype=object)[index].tolist()
+        return values if index is None else np.append(values, np.nan), index
+    return np.array([_text(v) if csv_text else json.dumps(_json_safe(v)) for v in values],
+                    dtype=object), index
+
+
+def _cells(values, index, rows: slice, csv_text: bool) -> list:
+    """The text of ``rows`` of a column made by ``_rendered``."""
+    taken = values[rows if index is None else index[rows]]
+    if taken.dtype == object:
+        return taken.tolist()
+    if not csv_text:  # one list through the C encoder; no float's text holds ", "
+        listed = taken.tolist() if np.isfinite(taken).all() else _json_safe(taken.tolist())
+        return json.dumps(listed)[1:-1].split(", ")
+    cells = ("\n".join(["%.17g"] * len(taken)) % tuple(taken.tolist())).split("\n")
+    for k in [] if index is None else np.flatnonzero(index[rows] == len(values) - 1):
+        cells[k] = ""
+    return cells
 
 
 def _floats(values, index=None) -> tuple:
@@ -665,9 +678,10 @@ _TABLES = {SolveReport: _solve_table, (StressResult,): _stress_table,
            MonteCarloResult: _mc_table, (DiscountComparison,): _discount_table}
 
 
-def serialize_results(result, fmt: str = "csv",
-                      net: Optional[FinancialNetwork] = None) -> str:
-    """Render a result object as CSV or JSON text.
+def render_results(result, fmt: str = "csv",
+                   net: Optional[FinancialNetwork] = None) -> Iterator[str]:
+    """Render a result object as CSV or JSON text, in pieces of ``BLOCK_ROWS`` rows
+    made as they are consumed; the arguments are checked before the first piece.
 
     CSV columns are fixed per result kind (see README); JSON mirrors the
     same rows.  Both render from one set of columns.  Floats are printed
@@ -684,27 +698,41 @@ def serialize_results(result, fmt: str = "csv",
     return _render(*_TABLES[key](net, result), fmt)
 
 
-def _render(kind: str, header, columns, extra: dict, fmt: str) -> str:
-    """The text of a result table; its JSON is that of ``json.dumps`` with
-    ``indent=2``, with the cells encoded column by column and spliced in."""
-    cells = [_cells(values, index, fmt == "csv") for values, index in columns]
-    if fmt == "csv":
-        return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
-    extra = {key: _json_safe(value) for key, value in extra.items()}
-    head = json.dumps({"kind": kind, **extra, "rows": []}, indent=2)
-    row = "    {%s\n    }" % ",".join("\n      %s: %%s" % json.dumps(name).replace("%", "%%")
-                                       for name in header)
-    rows = ",\n".join(row % values for values in zip(*cells))  # head ends in "[]\n}"
-    return (head[:-4] + "[\n" + rows + "\n  ]\n}" if rows else head) + "\n"
+def serialize_results(result, fmt: str = "csv",
+                      net: Optional[FinancialNetwork] = None) -> str:
+    """The whole text of ``render_results``."""
+    return "".join(render_results(result, fmt, net))
 
 
-def write_output(text: str, path=None) -> None:
-    """Write to stdout, or atomically to a file (write-then-rename) so a
-    failed run never leaves a partial file behind.  As with ``open(path,
-    "w")``, a symlink's target is written, an existing file keeps its mode
-    and a new one gets 0o666 less the umask."""
+def _render(kind: str, header, columns, extra: dict, fmt: str) -> Iterator[str]:
+    """The text of a result table: a head, blocks of ``BLOCK_ROWS`` rows and a tail, so
+    that neither the whole text nor a string per cell is held.  Its JSON is that of
+    ``json.dumps`` with ``indent=2``, the cells encoded column by column and spliced in."""
+    csv_text, (values, index) = fmt == "csv", columns[0]
+    count = len(values if index is None else index)
+    columns = [_rendered(values, index, csv_text) for values, index in columns]
+    head, row, separator, tail = ",".join(header), ",".join, "\n", "\n"
+    if not csv_text:
+        extra = {key: _json_safe(value) for key, value in extra.items()}
+        head = json.dumps({"kind": kind, **extra, "rows": []}, indent=2)[:-3]  # less "]\n}"
+        separator, tail = ",\n", "\n  ]\n}\n" if count else "]\n}\n"
+        row = ("    {%s\n    }" % ",".join("\n      %s: %%s" % json.dumps(name).replace("%", "%%")
+                                          for name in header)).__mod__
+    yield head
+    for start in range(0, count, BLOCK_ROWS):
+        cells = [_cells(*column, slice(start, start + BLOCK_ROWS), csv_text) for column in columns]
+        yield (separator if start else "\n") + separator.join(map(row, zip(*cells)))
+    yield tail
+
+
+def write_output(text: Iterable[str], path=None) -> None:
+    """Write the text, or its pieces as they come, to stdout, or atomically to a file
+    (write-then-rename) so a failed run, even one whose pieces raise part way, never
+    leaves a partial file behind.  As with ``open(path, "w")``, a symlink's target is
+    written, an existing file keeps its mode and a new one gets 0o666 less the umask."""
+    pieces = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     target, tmp = os.path.realpath(path), None
     try:
@@ -714,7 +742,7 @@ def write_output(text: str, path=None) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             if os.path.exists(target):
                 os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, target)
     except BaseException as exc:
         if tmp and os.path.exists(tmp):

@@ -192,7 +192,7 @@ def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
             solutions[rows], certified[rows], used[rows] = upper, holds, used[rows] + 1
             rung[rows], bounds[rows[holds]] = rung[rows] + ~holds, (upper - probe)[holds]
             going = ~holds & (used[rows] < budget) & ((rung[rows] < 2) | ~settled[rows])
-            rows = rows[going]  # uncertified with sweeps left; at ε only until settled
+            rows, steps = rows[going], steps[going]  # uncertified, sweeps left; at ε till settled
             stack.keep(going.nonzero()[0])
         if not rows.size:  # the check: every bank's bias bound within its share of its SE
             np.clip(solutions, bound.net.equity_lower_bound(), book, out=solutions)
@@ -209,7 +209,9 @@ def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
             down = certified.nonzero()[0]
             rung[down] = 2 if (std_error[over] == 0).any() else rung[down] + 1
             certified[down], bounds[down] = False, 0.0
-            rows, stack = down[~settled[down] & (used[down] < budget)], bound.stack(count)
+            if not (rows := down[~settled[down] & (used[down] < budget)]).size:
+                continue  # none to resume: the next check finds no bias bound left
+            stack = bound.stack(count)
             stack.keep(rows)
         iterate, sweeps, steps = _iterate(stack, solutions[rows], ladder[rung[rows], rows],
                                           budget - used[rows])

@@ -17,6 +17,7 @@ from hypothesis import example, given, strategies as st
 
 from neva import (FinancialNetwork, SolveConfig, ValuationSpec, greatest_solution,
                   monte_carlo_global_valuation)
+from neva import solver
 from neva.valuation import BoundValuation
 from neva.solver import BIAS_SHARE, _certify, _scaled_epsilon
 
@@ -139,6 +140,14 @@ def test_a_bank_whose_equity_never_moves_sends_the_certified_rows_to_the_default
         return equity_map(self, equities)
 
     monkeypatch.setattr(BoundValuation, "equity_map", counted)
+    batches = []  # the rows of each _iterate call: never none
+    iterate = solver._iterate
+
+    def recorded(stack, start, *args):
+        batches.append(len(start))
+        return iterate(stack, start, *args)
+
+    monkeypatch.setattr(solver, "_iterate", recorded)
     for z_assets in (1.0, 0.0):
         still = _with_a_still_bank(net, z_assets)
         evaluations[0] = 0
@@ -162,6 +171,7 @@ def test_a_bank_whose_equity_never_moves_sends_the_certified_rows_to_the_default
         assert logged.split("/")[-2] == "0"  # none stopped at the middle rung
         if net.n > 3:  # no row has settled when probed: one probe each, two if the first fails
             assert used < sum(report.iterations for report in alone) + 2 * 30
+    assert batches and min(batches) > 0
 
 
 def test_a_small_bank_leaves_the_first_step_at_a_fixed_share_of_the_scale(caplog):

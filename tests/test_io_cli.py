@@ -16,8 +16,9 @@ import pytest
 import neva
 from neva import (FileFormatError, FinancialNetwork, MonteCarloResult, SolveConfig,
                   ValuationSpec, dump_network, evaluate_curves, greatest_solution,
-                  load_network, load_scenario, serialize_results, stress_test)
-from neva import cli
+                  load_network, load_scenario, render_results, serialize_results,
+                  stress_test, write_output)
+from neva import cli, files
 from neva.cli import build_parser, run_command
 from neva.files import network_to_dict
 from neva.solver import _solve
@@ -347,6 +348,20 @@ def test_large_ring_solves_and_stresses_without_a_dense_matrix(tmp_path):
         assert result.report.converged
         expected = 1.0 - 2.0 * alpha - (0.5 if alpha > 0.5 else 0.0)
         assert np.allclose(result.report.solution, expected, rtol=0.0, atol=1e-9)
+    # its 220 000 rows are written a block at a time: the whole text, 8.6 MB
+    # of CSV or 28 MB of JSON, and a string per cell are never held at once
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"stress.{fmt}"
+        tracemalloc.start()
+        try:
+            write_output(render_results(results, fmt, net), str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, fmt
+        text = out.read_text(encoding="utf-8")
+        rows = text.count("\n") - 1 if fmt == "csv" else text.count('"bank_id": ')
+        assert rows == 11 * 20_000
 
 
 def test_duplicate_ids_of_a_large_file_are_named_in_one_pass(tmp_path):
@@ -1033,6 +1048,28 @@ def test_cli_output_through_a_symlink_writes_its_target(tmp_path):
                         "--output", str(link)]) == 0
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_text().startswith("bank_id,")
+    assert not list(tmp_path.rglob(".neva-*.tmp"))
+
+
+def test_cli_output_stays_whole_when_rendering_fails_part_way(tmp_path, capsys, monkeypatch):
+    # the pieces go to the temporary file as they are made: one that raises
+    # after the first leaves the old file byte for byte and no temporary file
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    scenario = write_json(tmp_path / "scn.json", EN_SOLVE_SCENARIO)
+    out, old = tmp_path / "out.csv", "old,\u00e9\r\n".encode()
+    out.write_bytes(old)
+    render, streamed = files._render, []
+
+    def failing(*args):
+        yield next(render(*args))
+        streamed.extend(tmp_path.glob(".neva-*.tmp"))
+        raise MemoryError("no room for the next block")
+
+    monkeypatch.setattr(files, "_render", failing)
+    assert run_command(["solve", "--network", network, "--scenario", scenario,
+                        "--output", str(out)]) == 2
+    assert "no room for the next block" in capsys.readouterr().err
+    assert streamed and out.read_bytes() == old
     assert not list(tmp_path.rglob(".neva-*.tmp"))
 
 

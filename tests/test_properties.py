@@ -38,6 +38,7 @@ from neva import (FinancialNetwork, NetworkError, SolveConfig, SolveReport, Spec
                   StressResult, ValuationSpec, dump_network, en_clearing_payments,
                   greatest_solution, least_solution, load_network,
                   monte_carlo_global_valuation, serialize_results, solve, stress_test)
+from neva import files
 from neva.cli import run_command
 from neva.files import SCENARIO_KINDS, _quoted, _render
 from neva.solver import _certify
@@ -399,7 +400,7 @@ LABELS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
 @st.composite
 def tables(draw):
     """A random result table and its rows as Python values."""
-    rows = draw(st.integers(0, 5))
+    rows = draw(st.integers(0, 9))
     header = draw(st.lists(st.text('ab "%é\n', max_size=4), min_size=1, max_size=4,
                            unique=True))
     columns, cells = [], []
@@ -421,14 +422,20 @@ def tables(draw):
         "kind": kind, **extra, "rows": [dict(zip(header, row)) for row in zip(*cells)]}
 
 
-@given(tables())
-def test_json_output_is_that_of_json_dumps(drawn):
-    # the cells are encoded column by column and spliced into the document;
-    # the text must be json.dumps(indent=2) of the same rows, byte for byte,
-    # with each NaN or infinity, which JSON does not have, as null
+@given(tables(), st.sampled_from([1, 2, 3, 1024]))
+def test_json_output_is_that_of_json_dumps(drawn, block_rows):
+    # the cells are encoded column by column, block_rows rows at a time, and
+    # spliced into the document; the text must be json.dumps(indent=2) of the
+    # same rows, byte for byte, with each NaN or infinity, which JSON does not
+    # have, as null; the CSV must be that of one block (at most 9 rows)
     table, document = drawn
     document = json.loads(json.dumps(document), parse_constant=lambda constant: None)
-    assert _render(*table, "json") == json.dumps(document, indent=2) + "\n"
+    single = "".join(_render(*table, "csv"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "BLOCK_ROWS", block_rows)
+        text, csv_text = ("".join(_render(*table, fmt)) for fmt in ("json", "csv"))
+    assert text == json.dumps(document, indent=2) + "\n"
+    assert csv_text == single
 
 
 def _drawn_spec(n, kind, external, beta, rng) -> ValuationSpec:
