@@ -267,13 +267,13 @@ def monte_carlo_global_valuation(net: FinancialNetwork, sigma, tau: float,
     terminal = np.multiply(np.exp(terminal, out=terminal), net.external_assets, out=terminal)
     bound = ValuationSpec.eisenberg_noe_haircut(beta).bind(net, terminal)
     # the rows are read as arrays: no per-sample report
-    *_, converged, certified, (mean, std_error, bias_bound, step, rungs) = _certify(bound, config)
+    *_, converged, certified, (mean, std_error, bias_bound, step) = _certify(bound, config)
     dropped = samples - int(converged.sum())
     if dropped:
         log.warning("monte carlo: dropped %d of %d unconverged samples", dropped, samples)
-    log.info("monte carlo: %d of %d samples certified, bias bound %.3g%s, rows per rung %d/%d/%d",
-             certified.sum(), samples, bias_bound.max(),
-             "" if step is None else f", step {step:.3g} of the median scale", *rungs)
+    log.info("monte carlo: %d of %d samples certified, bias bound %.3g%s", certified.sum(),
+             samples, bias_bound.max(),
+             "" if step is None else f", step {step:.3g} of the median scale")
     return MonteCarloResult(mean=mean, std_error=std_error, samples=samples,
                             dropped=dropped, seed=int(seed), valid=dropped <= 0.01 * samples,
                             bias_bound=bias_bound, certified=int(certified.sum()))

@@ -528,8 +528,8 @@ def evaluate_curves(families: list, grid) -> CurveTable:
 # A result table is (kind, header, columns, JSON fields besides the rows).
 # A column is (values, index): row r holds values[index[r]] (values[r] when
 # the index is None).  Values are a float array, formatted block by block,
-# or a list of labels and shared values, each rendered once; index
-# len(values) of a float array leaves the cell empty (JSON null).
+# or a list of labels and shared values, each rendered once; index -1
+# of a float array leaves the cell empty (JSON null).
 BLOCK_ROWS = 1024  # rows per piece of rendered text
 
 
@@ -540,9 +540,10 @@ def _json_safe(value):
 
 
 def _rendered(values, index, csv_text: bool) -> tuple:
-    """A column, its labels rendered once and its indexed floats NaN-padded (the empty cell)."""
-    if isinstance(values, np.ndarray):
-        return values if index is None else np.append(values, np.nan), index
+    """A column, its labels rendered once and its floats, NaN-padded if an index is -1."""
+    if isinstance(values, np.ndarray):  # index -1 reads the appended NaN; else no copy
+        return (values if index is None or index.min(initial=0) >= 0
+                else np.append(values, np.nan)), index
     return np.array([_text(v) if csv_text else json.dumps(_json_safe(v)) for v in values],
                     dtype=object), index
 
@@ -556,7 +557,7 @@ def _cells(values, index, rows: slice, csv_text: bool) -> list:
         listed = taken.tolist() if np.isfinite(taken).all() else _json_safe(taken.tolist())
         return json.dumps(listed)[1:-1].split(", ")
     cells = ("\n".join(["%.17g"] * len(taken)) % tuple(taken.tolist())).split("\n")
-    for k in [] if index is None else np.flatnonzero(index[rows] == len(values) - 1):
+    for k in [] if index is None else np.flatnonzero(index[rows] < 0):
         cells[k] = ""
     return cells
 
@@ -663,7 +664,7 @@ def _discount_table(net: FinancialNetwork, results) -> tuple:
     network = np.concatenate([np.empty(0)] + [res.network for res in solved])
     difference = np.concatenate([np.empty(0)] + [res.difference for res in solved])
     rows = np.repeat([res.network is not None for res in results], claims)
-    index = np.where(rows, np.cumsum(rows) - 1, len(network))
+    index = np.where(rows, np.cumsum(rows) - 1, -1)
     return "discount", ("alpha", "lender", "borrower", "merton_discount",
                         "network_discount", "difference"), (
         _repeat(_alphas(results), claims), (net.bank_ids, np.tile(net.creditors, points)),

@@ -155,70 +155,67 @@ def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfi
 
 
 def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
-    """Greatest solve of each row of the Monte Carlo stack ``bound``, stopped at the first step
-    of its ladder where ``Φ(x) >= x`` certifies a bound (README, *Stacked solves*).  Per row: the
-    solution in [m, M], bound (0 if uncertified), converged, certified; then per bank the mean,
-    SE and bias bound, the first step's share of the median scale and the rows per rung."""
+    """Greatest solve of each row of the Monte Carlo stack ``bound`` in two steps (README,
+    *Stacked solves*): every row to its first step, where ``Φ(x) >= x`` may certify a bound,
+    then the rows that do not certify on to the default tolerance ε; only if some bank's bias
+    bound then exceeds ``BIAS_SHARE`` of its SE do the certified rows go on to ε too.  Per
+    row: the solution in [m, M], bound (0 if uncertified), converged, certified; then per bank
+    the mean, SE and bias bound, and the first step's share of the median scale."""
     config, book = config or SolveConfig(), bound.book_equity
     (count, n), obligations = book.shape, bound.net.total_obligations()
     scale, budget = _scaled_epsilon(book, obligations, 1.0), config.max_iterations
-    epsilon = np.broadcast_to(config.epsilon or np.maximum(1e-10 * scale, 5e-324), count)
+    epsilon = np.broadcast_to(config.epsilon or _scaled_epsilon(book, obligations), count)
     se = book.std(0, ddof=1) / np.sqrt(count) if count > 1 and not config.epsilon else np.zeros(n)
     least = BIAS_SHARE * min(se[se > 0], default=0.0)  # Harris: no equity SE is below min(se)
     first = np.clip(least, 1e-6 * scale, 1e-3 * scale) if least else epsilon  # floor: README
-    ladder = np.maximum(first / np.array([[1.0], [100.0], [np.inf]]), epsilon)  # its rungs
-    rows, stack, rung = np.arange(count), bound.stack(count), 2 * (first <= epsilon)  # 2: plain
-    solutions, used, steps = _iterate(stack, book, ladder[rung, rows], budget)  # every row
-    iterate, bounds = solutions, np.zeros_like(book)
-    settled, certified = np.zeros(count, bool), np.zeros(count, bool)
-    while True:  # the rows in hand have just iterated to their steps or out of sweeps
+    step, stack = np.maximum(first, epsilon), bound.stack(count)  # at ε: a plain solve
+    solutions, used, steps = _iterate(stack, book, step, budget)  # every row
+    settled, certified, bounds = steps <= epsilon, np.zeros(count, bool), np.zeros_like(book)
+
+    def onward(stack, kept, rows):  # rows ``kept`` of ``stack``, ``rows`` of ours, on to ε
+        stack.keep(kept)
+        solutions[rows], _, steps = _iterate(stack, solutions[rows], epsilon[rows],
+                                             budget - used[rows])  # with the sweeps left
         settled[rows] |= steps <= epsilon[rows]
-        probed = ((steps <= ladder[rung[rows], rows]) & (rung[rows] < 2)).nonzero()[0]
-        rows, iterate, steps = rows[probed], iterate[probed], steps[probed]
+
+    def estimates():  # per bank over the kept rows, clipped into [m, M]: mean, SE, bias bound
+        np.clip(solutions, bound.net.equity_lower_bound(), book, out=solutions)
+        kept = settled | certified
+        if not (k := int(kept.sum())):
+            return np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
+        std_error = solutions[kept].std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(n)
+        return solutions[kept].sum(axis=0) / k, std_error, bounds[kept].sum(axis=0) / k
+
+    rows = ((steps <= step) & (step > epsilon)).nonzero()[0]  # met a first step: probed once
+    if rows.size:
+        stack.keep(rows)
+        iterate, steps = solutions[rows], steps[rows]
+        upper = stack.equity_map(iterate)  # E', from E: one more sweep
+        gap = np.subtract(iterate, upper, out=iterate)  # w, in E's buffer
+        offsets = np.arange(len(rows)) * n  # the row maxima as segments of the flat stack
+        drop, jump = (np.maximum.reduceat(w.ravel(), offsets) for w in (gap, np.abs(gap)))
+        settled[rows] |= (jump <= epsilon[rows]) & (used[rows] < budget)
+        rate = np.clip(np.divide(drop, steps, out=np.zeros_like(drop), where=steps > 0),
+                       0.0, 0.99)
+        slack = 64.0 * np.spacing(scale[rows, np.newaxis])  # 64 ulp of the scale
+        np.maximum(gap, np.maximum(1e-3 * drop[:, np.newaxis], slack), out=gap)
+        gap *= (1.0 + 2.0 * rate / (1.0 - rate))[:, np.newaxis]
+        probe = np.subtract(upper, np.add(gap, slack, out=gap), out=gap)  # x
+        holds = (stack.equity_map(probe) >= probe).all(axis=1)
+        solutions[rows], certified[rows], used[rows] = upper, holds, used[rows] + 1
+        bounds[rows[holds]] = (upper - probe)[holds]
+        going = ~holds & ~settled[rows] & (used[rows] < budget)  # neither certified nor at ε
+        if going.any():
+            onward(stack, going.nonzero()[0], rows[going])
+    mean, std_error, bias_bound = estimates()
+    if (bias_bound > BIAS_SHARE * std_error).any():  # the check: the certified rows go on to ε
+        rows = (certified & ~settled & (used < budget)).nonzero()[0]  # settled stay, spent drop
+        certified[:], bounds[:] = False, 0.0
         if rows.size:
-            stack.keep(probed)
-            upper = stack.equity_map(iterate)  # E', from E: one more sweep
-            gap = np.subtract(iterate, upper, out=iterate)  # w, in E's buffer
-            offsets = np.arange(len(rows)) * n  # the row maxima as segments of the flat stack
-            drop, jump = (np.maximum.reduceat(w.ravel(), offsets) for w in (gap, np.abs(gap)))
-            settled[rows] |= (jump <= epsilon[rows]) & (used[rows] < budget)
-            rate = np.clip(np.divide(drop, steps, out=np.zeros_like(drop), where=steps > 0),
-                           0.0, 0.99)
-            slack = 64.0 * np.spacing(scale[rows, np.newaxis])  # 64 ulp of the scale
-            np.maximum(gap, np.maximum(1e-3 * drop[:, np.newaxis], slack), out=gap)
-            gap *= (1.0 + 2.0 * rate / (1.0 - rate))[:, np.newaxis]
-            probe = np.subtract(upper, np.add(gap, slack, out=gap), out=gap)  # x
-            holds = (stack.equity_map(probe) >= probe).all(axis=1)
-            solutions[rows], certified[rows], used[rows] = upper, holds, used[rows] + 1
-            rung[rows], bounds[rows[holds]] = rung[rows] + ~holds, (upper - probe)[holds]
-            going = ~holds & (used[rows] < budget) & ((rung[rows] < 2) | ~settled[rows])
-            rows, steps = rows[going], steps[going]  # uncertified, sweeps left; at ε till settled
-            stack.keep(going.nonzero()[0])
-        if not rows.size:  # the check: every bank's bias bound within its share of its SE
-            np.clip(solutions, bound.net.equity_lower_bound(), book, out=solutions)
-            kept = settled | certified
-            k = int(kept.sum())
-            mean = solutions[kept].sum(axis=0) / k if k else np.full(n, np.nan)
-            std_error = (solutions[kept].std(axis=0, ddof=1) / np.sqrt(k) if k > 1
-                         else np.full(n, 0.0 if k else np.nan))
-            bias_bound = bounds[kept].sum(axis=0) / k if k else np.full(n, np.nan)
-            if not (over := bias_bound > BIAS_SHARE * std_error).any():
-                break
-            # certified rows go a rung down (to ε if one over budget has an SE of 0); a settled
-            # row is where its plain solve stops, and one without sweeps left is dropped
-            down = certified.nonzero()[0]
-            rung[down] = 2 if (std_error[over] == 0).any() else rung[down] + 1
-            certified[down], bounds[down] = False, 0.0
-            if not (rows := down[~settled[down] & (used[down] < budget)]).size:
-                continue  # none to resume: the next check finds no bias bound left
-            stack = bound.stack(count)
-            stack.keep(rows)
-        iterate, sweeps, steps = _iterate(stack, solutions[rows], ladder[rung[rows], rows],
-                                          budget - used[rows])
-        solutions[rows], used[rows] = iterate, used[rows] + sweeps
+            onward(bound.stack(count), rows, rows)
+        mean, std_error, bias_bound = estimates()
     share = None if config.epsilon else np.sort(first / scale)[count // 2]  # no numpy.ma
-    return solutions, bounds, settled | certified, certified, (
-        mean, std_error, bias_bound, share, np.bincount(rung, minlength=3))
+    return solutions, bounds, settled | certified, certified, (mean, std_error, bias_bound, share)
 
 
 def _reports(solved: tuple, kind: str = "greatest", warnings: tuple = ()) -> list:

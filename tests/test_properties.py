@@ -405,12 +405,13 @@ def tables(draw):
                            unique=True))
     columns, cells = [], []
     for _ in header:
-        if draw(st.booleans()):  # a float array; index len(values) is a null cell
+        if draw(st.booleans()):  # a float array; index -1 is a null cell
             values = np.array(draw(st.lists(st.floats(), max_size=4)), dtype=float)
-            options = values.tolist() + [None]
+            options, least = values.tolist() + [None], -1
         else:
             options = values = draw(st.lists(LABELS, min_size=1, max_size=4))
-        index = draw(st.lists(st.integers(0, len(options) - 1), min_size=rows,
+            least = 0
+        index = draw(st.lists(st.integers(least, len(values) - 1), min_size=rows,
                               max_size=rows))
         columns.append((values, np.array(index, dtype=np.intp)))
         cells.append([options[k] for k in index])

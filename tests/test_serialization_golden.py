@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neva import files
 from neva import (FinancialNetwork, SolveConfig, ValuationSpec, evaluate_curves,
                   greatest_solution, maturity_limit_experiment,
                   merton_vs_network_discount, monte_carlo_global_valuation,
@@ -58,3 +59,21 @@ def test_writer_matches_golden_bytes(kind, fmt):
     net = golden_network()
     text = serialize_results(golden_result(kind, net), fmt, net)
     assert text.encode("utf-8") == (GOLDEN / f"{kind}.{fmt}").read_bytes()
+
+
+def test_only_a_column_with_empty_cells_is_padded():
+    # a float column is copied to append the empty cell's NaN only if an index reaches
+    # that cell (-1): the stress table's delta_equity is rendered from its own array,
+    # its last value not blanked; the discount table's network columns, at the
+    # unconverged point, are padded and left empty there
+    net = golden_network()
+    _, _, columns, _ = files._stress_table(net, golden_result("stress", net))
+    values, index = columns[2]
+    rendered = files._rendered(values, index, True)
+    assert rendered[0] is values and (index == len(values) - 1).any()
+    assert "" not in files._cells(*rendered, slice(None), True)
+    _, _, columns, _ = files._discount_table(net, golden_result("discount", net))
+    for values, index in columns[4:]:
+        rendered = files._rendered(values, index, True)
+        assert len(rendered[0]) == len(values) + 1 and np.isnan(rendered[0][-1])
+        assert files._cells(*rendered, slice(None), True).count("") == (index < 0).sum() > 0

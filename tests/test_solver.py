@@ -254,12 +254,12 @@ def _exact_stop(net):
     return report
 
 
-def test_solve_dag_fixtures(open_chain, tree):
+def test_greatest_solution_stops_exactly_on_acyclic_fixtures(open_chain, tree):
     assert np.allclose(_exact_stop(open_chain).solution, [2.2, 0.8, -0.2])
     assert np.allclose(_exact_stop(tree).solution, [2.1, -0.9, 0.0])
 
 
-def test_solve_dag_single_bank():
+def test_greatest_solution_stops_exactly_on_a_single_bank():
     report = _exact_stop(FinancialNetwork(["X"], [1.0], [0.3], np.zeros((1, 1))))
     assert report.iterations == 1
     assert np.allclose(report.solution, [0.7])
