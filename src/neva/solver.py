@@ -158,13 +158,14 @@ def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
     """Greatest solve of each row of the Monte Carlo stack ``bound`` in two steps (README,
     *Stacked solves*): every row to its first step, where ``Φ(x) >= x`` may certify a bound,
     then the rows that do not certify on to the default tolerance ε; only if some bank's bias
-    bound then exceeds ``BIAS_SHARE`` of its SE do the certified rows go on to ε too.  Per
-    row: the solution in [m, M], bound (0 if uncertified), converged, certified; then per bank
-    the mean, SE and bias bound, and the first step's share of the median scale."""
+    bound then exceeds ``BIAS_SHARE`` of its SE do the certified rows go on to ε too.  The
+    probe runs in place on the stack, where a row that did not meet the first step keeps its
+    iterate.  Per row: the solution in [m, M], bound (0 if uncertified), converged, certified;
+    then per bank the mean, SE and bias bound, and the first step's share of the median scale."""
     config, book = config or SolveConfig(), bound.book_equity
     (count, n), obligations = book.shape, bound.net.total_obligations()
     scale, budget = _scaled_epsilon(book, obligations, 1.0), config.max_iterations
-    epsilon = np.broadcast_to(config.epsilon or _scaled_epsilon(book, obligations), count)
+    epsilon = np.broadcast_to(config.epsilon or np.maximum(1e-10 * scale, 5e-324), count)
     se = book.std(0, ddof=1) / np.sqrt(count) if count > 1 and not config.epsilon else np.zeros(n)
     least = BIAS_SHARE * min(se[se > 0], default=0.0)  # Harris: no equity SE is below min(se)
     first = np.clip(least, 1e-6 * scale, 1e-3 * scale) if least else epsilon  # floor: README
@@ -172,47 +173,46 @@ def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
     solutions, used, steps = _iterate(stack, book, step, budget)  # every row
     settled, certified, bounds = steps <= epsilon, np.zeros(count, bool), np.zeros_like(book)
 
-    def onward(stack, kept, rows):  # rows ``kept`` of ``stack``, ``rows`` of ours, on to ε
-        stack.keep(kept)
-        solutions[rows], _, steps = _iterate(stack, solutions[rows], epsilon[rows],
-                                             budget - used[rows])  # with the sweeps left
-        settled[rows] |= steps <= epsilon[rows]
+    def onward(rows):  # rows ``rows``, if any, on to ε with the sweeps they have left
+        if rows.size:
+            (kept := stack.stack(count)).keep(rows)  # a restack shares the stack's arrays
+            solutions[rows], _, steps = _iterate(kept, solutions[rows], epsilon[rows],
+                                                 budget - used[rows])
+            settled[rows] |= steps <= epsilon[rows]
 
     def estimates():  # per bank over the kept rows, clipped into [m, M]: mean, SE, bias bound
         np.clip(solutions, bound.net.equity_lower_bound(), book, out=solutions)
         kept = settled | certified
         if not (k := int(kept.sum())):
             return np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
-        std_error = solutions[kept].std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(n)
-        return solutions[kept].sum(axis=0) / k, std_error, bounds[kept].sum(axis=0) / k
+        rows, spread = (solutions, bounds) if k == count else (solutions[kept], bounds[kept])
+        std_error = rows.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(n)
+        return rows.sum(axis=0) / k, std_error, spread.sum(axis=0) / k
 
-    rows = ((steps <= step) & (step > epsilon)).nonzero()[0]  # met a first step: probed once
-    if rows.size:
-        stack.keep(rows)
-        iterate, steps = solutions[rows], steps[rows]
-        upper = stack.equity_map(iterate)  # E', from E: one more sweep
-        gap = np.subtract(iterate, upper, out=iterate)  # w, in E's buffer
-        offsets = np.arange(len(rows)) * n  # the row maxima as segments of the flat stack
+    probed = (steps <= step) & (step > epsilon)  # met a first step: probed once, in place
+    if probed.any():
+        gap = solutions.copy()  # taken before the map's temporaries: lower peak RSS (README)
+        upper = stack.equity_map(gap)  # E', from E: one more sweep
+        np.subtract(gap, upper, out=gap)  # w, in E's copy
+        offsets = np.arange(count) * n  # the row maxima as segments of the flat stack
         drop, jump = (np.maximum.reduceat(w.ravel(), offsets) for w in (gap, np.abs(gap)))
-        settled[rows] |= (jump <= epsilon[rows]) & (used[rows] < budget)
+        settled |= probed & (jump <= epsilon) & (used < budget)
         rate = np.clip(np.divide(drop, steps, out=np.zeros_like(drop), where=steps > 0),
                        0.0, 0.99)
-        slack = 64.0 * np.spacing(scale[rows, np.newaxis])  # 64 ulp of the scale
+        slack = 64.0 * np.spacing(scale[:, np.newaxis])  # 64 ulp of the scale
         np.maximum(gap, np.maximum(1e-3 * drop[:, np.newaxis], slack), out=gap)
         gap *= (1.0 + 2.0 * rate / (1.0 - rate))[:, np.newaxis]
         probe = np.subtract(upper, np.add(gap, slack, out=gap), out=gap)  # x
-        holds = (stack.equity_map(probe) >= probe).all(axis=1)
-        solutions[rows], certified[rows], used[rows] = upper, holds, used[rows] + 1
-        bounds[rows[holds]] = (upper - probe)[holds]
-        going = ~holds & ~settled[rows] & (used[rows] < budget)  # neither certified nor at ε
-        if going.any():
-            onward(stack, going.nonzero()[0], rows[going])
+        certified |= probed & (stack.equity_map(probe) >= probe).all(axis=1)
+        np.copyto(solutions, upper, where=probed[:, np.newaxis])
+        np.copyto(bounds, np.subtract(upper, probe, out=upper), where=certified[:, np.newaxis])
+        used += probed
+        onward((probed & ~certified & ~settled & (used < budget)).nonzero()[0])  # uncertified
     mean, std_error, bias_bound = estimates()
     if (bias_bound > BIAS_SHARE * std_error).any():  # the check: the certified rows go on to ε
         rows = (certified & ~settled & (used < budget)).nonzero()[0]  # settled stay, spent drop
         certified[:], bounds[:] = False, 0.0
-        if rows.size:
-            onward(bound.stack(count), rows, rows)
+        onward(rows)
         mean, std_error, bias_bound = estimates()
     share = None if config.epsilon else np.sort(first / scale)[count // 2]  # no numpy.ma
     return solutions, bounds, settled | certified, certified, (mean, std_error, bias_bound, share)

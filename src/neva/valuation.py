@@ -606,12 +606,10 @@ class BoundValuation:
             for factor in self.factors), per_row)
 
     def keep(self, rows) -> None:
-        """Keep rows ``rows`` (ascending) of a ``stack``, in order: the per-row
-        constants are gathered to them, the tiles cut to as many rows, and the
-        bound kernels read these from then on; nothing is bound anew."""
+        """Keep rows ``rows`` (ascending) of a ``stack``, in order: per-row constants gathered,
+        tiles cut, and the bound kernels read these from then on.  ``_certify`` probes its
+        stack in place (a row short of the first step keeps its iterate) and keeps rows to go on."""
         constants = self.constants
-        if len(rows) == len(constants["obligations"]):  # every row: nothing to drop
-            return
         for name, value in constants.items():
             if name in self.per_row:
                 constants[name] = value.take(rows, axis=0)

@@ -188,17 +188,21 @@ def en_clearing_oracle(net: FinancialNetwork, tol: float = 1e-14,
 def exact_greatest(net: FinancialNetwork, spec) -> list:
     """The greatest equities of ``net`` as Fractions, under a spec whose claim factors
     are piecewise linear in the borrower's equity: ``eisenberg_noe`` and
-    ``eisenberg_noe_haircut`` (pro rata), ``furfine`` (constant within a regime) and
-    ``linear_debtrank`` (linear between 0 and the book equity).  Each borrower's regime
-    is read off a greatest solve at 1e-15 of the scale, and the linear block's system is
-    solved exactly.  Raises ValueError when that system is singular or its solution
-    leaves the regime it was read from; there is no fallback."""
+    ``eisenberg_noe_haircut`` (pro rata), ``rogers_veraart`` (pro rata, and a bank read
+    as defaulted values its external assets at ``alpha`` and its claims at ``beta``),
+    ``furfine`` (constant within a regime) and ``linear_debtrank`` (linear between 0 and
+    the book equity).  Each bank's regime is read off a greatest solve at 1e-15 of the
+    scale, and the linear block's system is solved exactly.  Raises ValueError when that
+    system is singular or its solution leaves the regime it was read from; there is no
+    fallback."""
     from neva import SolveConfig, greatest_solution
     from neva.solver import _scaled_epsilon
     kind = spec.interbank_kind
-    if kind not in ("eisenberg_noe", "eisenberg_noe_haircut", "furfine", "linear_debtrank"):
+    if kind not in ("eisenberg_noe", "eisenberg_noe_haircut", "rogers_veraart", "furfine",
+                    "linear_debtrank"):
         raise ValueError(f"no exact oracle for {kind}")
-    beta = Fraction(1 if spec.beta is None else spec.beta)
+    # the borrower's haircut; rogers_veraart's beta is the defaulted lender's
+    beta = Fraction(1 if spec.beta is None or kind == "rogers_veraart" else spec.beta)
     tight = float(_scaled_epsilon(net.book_equity(), net.total_obligations(), 1e-15))
     guide = greatest_solution(net, spec, SolveConfig(epsilon=tight,
                                                      max_iterations=10**6)).solution
@@ -212,6 +216,13 @@ def exact_greatest(net: FinancialNetwork, spec) -> list:
     book = list(base)
     for _, creditor, amount in edges:
         book[creditor] += amount
+    # per bank, its lender factor, and its external assets at their factor in the base
+    lender = [Fraction(1)] * net.n
+    if kind == "rogers_veraart":
+        for j, g in enumerate(guide.tolist()):
+            if g < 0:  # defaulted: claims at beta, external assets at alpha
+                lender[j] = Fraction(spec.beta)
+                base[j] -= (1 - Fraction(spec.alpha)) * Fraction(float(net.external_assets[j]))
     # per borrower, a claim on it is worth its face value times a constant share plus,
     # in the linear block, a slope times y = E / unit: (unit, share, slope, regime test)
     regimes, face = [], net.book_equity().tolist()
@@ -242,6 +253,7 @@ def exact_greatest(net: FinancialNetwork, spec) -> list:
     rows = [{k: regimes[j][0], m: base[j]} for k, j in enumerate(part)]
     equities = list(base)
     for debtor, creditor, amount in edges:
+        amount *= lender[creditor]
         value = amount * regimes[debtor][1]
         equities[creditor] += value
         if creditor in index:
@@ -272,9 +284,11 @@ def exact_greatest(net: FinancialNetwork, spec) -> list:
                                               in rows[k].items() if k < col < m), rows[k][k])
     for debtor, creditor, amount in edges:
         if debtor in index:
-            equities[creditor] += amount * regimes[debtor][2] * solved[index[debtor]]
-    for j in filter(owed.__getitem__, range(net.n)):
-        if not regimes[j][3](equities[j]):
+            equities[creditor] += (lender[creditor] * amount * regimes[debtor][2]
+                                   * solved[index[debtor]])
+    for j, g in enumerate(guide.tolist()):
+        if (owed[j] and not regimes[j][3](equities[j])
+                or kind == "rogers_veraart" and (equities[j] >= 0) != (g >= 0)):
             raise ValueError(f"bank {j} leaves the regime read for it")
     return equities
 

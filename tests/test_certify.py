@@ -24,9 +24,12 @@ from neva.solver import BIAS_SHARE, _certify, _scaled_epsilon
 from conftest import exact_greatest
 from test_properties import _monte_carlo_network, networks, sparse_networks
 
-PIECEWISE_LINEAR = st.sampled_from([ValuationSpec.eisenberg_noe(),
-                                    ValuationSpec.eisenberg_noe_haircut(0.5),
-                                    ValuationSpec.furfine(0.4), ValuationSpec.linear_debtrank()])
+PIECEWISE_LINEAR = st.one_of(*map(st.just, [ValuationSpec.eisenberg_noe(),
+                                             ValuationSpec.eisenberg_noe_haircut(0.5),
+                                             ValuationSpec.furfine(0.4),
+                                             ValuationSpec.linear_debtrank()]),
+                             st.builds(ValuationSpec.rogers_veraart,  # alpha, beta
+                                       st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
 
 
 def _rounding(bound) -> np.ndarray:

@@ -1279,6 +1279,36 @@ def test_cli_monte_carlo_runs_without_page_faults(tmp_path):
     assert int(proc.stdout) <= 64
 
 
+# A stress and an mc-global run in one fresh interpreter, then the modules of
+# numpy.ma and scipy that they loaded.
+PRO_RATA_MODULES = """
+import json, sys
+from neva.cli import run_command
+network, stress, mc, out = sys.argv[1:]
+for command, scenario in (("stress", stress), ("mc-global", mc)):
+    assert run_command([command, "--network", network, "--scenario", scenario,
+                        "--output", out]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name in ("numpy.ma", "scipy")
+                        or name.startswith(("numpy.ma.", "scipy.")))))
+"""
+
+
+def test_pro_rata_commands_load_neither_numpy_ma_nor_scipy(tmp_path):
+    # the pro-rata families need no closed form, and the Monte Carlo stop takes its
+    # median with np.sort: numpy.ma costs about 1.8 MB of RSS, and scipy.special
+    # about 20 MB, with numpy.f2py and numpy.testing, which it pulls in
+    network = write_json(tmp_path / "net.json", RING_FILE)
+    stress = write_json(tmp_path / "stress.json", {
+        "valuation": EN_SOLVE_SCENARIO["valuation"],
+        "scenario": {"kind": "stress", "alpha_grid": [0.0, 0.5]}})
+    mc = write_json(tmp_path / "mc.json", {"scenario": MC_SCENARIO})
+    proc = subprocess.run([sys.executable, "-c", PRO_RATA_MODULES, network, stress, mc,
+                           str(tmp_path / "out.csv")], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_heap_step_without_mallopt_does_nothing(monkeypatch):
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
     assert cli._pin_heap.__wrapped__() is None

@@ -6,6 +6,13 @@ and are not in sorted order; the stress grid has unsorted and duplicate
 alphas, a per-bank shock vector and one unconverged point, and the discount
 grid one unconverged point.  The network has two claims, so a network
 effect sums at most two write-offs and cannot depend on summation order.
+
+That network is acyclic, so every Monte Carlo draw settles at its first step
+and none goes on to the default tolerance.  ``mc_certified.{csv,json}`` were
+written by ``serialize_results`` from the two-step stop, before its probe ran
+in place on the stack: a ring of 40 banks, on the edge form (so no BLAS
+product rounds by the stack's row count), whose haircut leaves some draws
+uncertified at the probe, to go on to the default tolerance.
 """
 from pathlib import Path
 
@@ -29,6 +36,16 @@ def golden_network() -> FinancialNetwork:
                             [1.5, 0.25, 1.0, 0.5], liabilities)
 
 
+def certified_ring() -> FinancialNetwork:
+    """A ring of 40 banks, bank k owing bank k + 1 three: one edge a bank,
+    so claims are summed over the edges."""
+    n = 40
+    liabilities = np.zeros((n, n))
+    liabilities[np.arange(n), (np.arange(n) + 1) % n] = 3.0
+    assets = 1.0 + (np.arange(n) * 7 % n) / n
+    return FinancialNetwork([f"b{k}" for k in range(n)], assets, 0.9 * assets, liabilities)
+
+
 def golden_result(kind: str, net: FinancialNetwork):
     if kind == "solve":
         return greatest_solution(net.apply_shock(0.5), ValuationSpec.eisenberg_noe())
@@ -41,6 +58,8 @@ def golden_result(kind: str, net: FinancialNetwork):
         return maturity_limit_experiment(net, 0.3, [1.0, 0.1, 0.01])
     if kind == "mc_global":
         return monte_carlo_global_valuation(net, 0.3, 1.0, 0.5, 16, seed=5)
+    if kind == "mc_certified":
+        return monte_carlo_global_valuation(net, 0.4, 1.0, 0.5, 32, seed=5)
     if kind == "discount":
         # alpha 0 settles in two sweeps, alpha 0.4 needs three
         return merton_vs_network_discount(net, ValuationSpec.exante_en_gbm(0.05, 1.0, 0.5),
@@ -54,10 +73,13 @@ def golden_result(kind: str, net: FinancialNetwork):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("kind", ["solve", "stress", "limit", "mc_global",
-                                  "discount", "curve"])
+                                  "mc_certified", "discount", "curve"])
 def test_writer_matches_golden_bytes(kind, fmt):
-    net = golden_network()
-    text = serialize_results(golden_result(kind, net), fmt, net)
+    net = certified_ring() if kind == "mc_certified" else golden_network()
+    result = golden_result(kind, net)
+    if kind == "mc_certified":  # the probe certifies some draws and sends others on
+        assert net._sparse and 0 < result.certified < result.samples - result.dropped
+    text = serialize_results(result, fmt, net)
     assert text.encode("utf-8") == (GOLDEN / f"{kind}.{fmt}").read_bytes()
 
 
