@@ -96,17 +96,16 @@ class UniquenessReport:
     least: SolveReport
 
 
-def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: int) -> tuple:
+def _iterate(stack: BoundValuation, start: np.ndarray, epsilon, max_iterations: int) -> tuple:
     """Fixed-point iteration of every row of the ``(batch, n)`` stack ``start``
-    under the equity map of ``bound``, laid out once as ``bound.stack(batch)``.
+    under the equity map of ``stack``, a ``BoundValuation.stack(batch)``.
 
     A row retires once its sup-norm step is at most its ``epsilon`` or at its ``max_iterations``
     sweeps (each scalar or per row; caps of at least 1); the active rows stay compact, in order,
-    and the stack is told which it keeps, so the map is never evaluated on zero rows.
-    Returns per row the last iterate, sweeps and last step.
+    and so does the stack, which ``keep`` lays out anew, so the map is never evaluated on zero
+    rows.  Returns per row the last iterate, sweeps and last step.
     """
     solutions = np.array(start, dtype=float)
-    stack = bound.stack(len(solutions))
     active = np.arange(len(solutions))
     sweeps = np.array(np.broadcast_to(max_iterations, active.shape))  # a row's cap until it retires
     least = int(sweeps.min(initial=0))  # before this sweep, no row is at its cap
@@ -135,7 +134,7 @@ def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
             active, equities, steps = active[kept], equities.take(kept, axis=0), steps[kept]
             tolerance = tolerance[kept]
             if kept.size:
-                stack.keep(kept)
+                stack = stack.keep(kept)
     solutions[active], residuals[active] = equities, steps
     return solutions, sweeps, residuals
 
@@ -148,7 +147,8 @@ def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfi
     config = config or SolveConfig()
     epsilon = config.epsilon or _scaled_epsilon(bound.book_equity,
                                                 bound.net.total_obligations())
-    solutions, sweeps, residuals = _iterate(bound, start, epsilon, config.max_iterations)
+    solutions, sweeps, residuals = _iterate(bound.stack(len(start)), start, epsilon,
+                                            config.max_iterations)
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
     epsilon = np.broadcast_to(epsilon, residuals.shape)
     return solutions, sweeps, residuals, epsilon, residuals <= epsilon
@@ -175,8 +175,7 @@ def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
 
     def onward(rows):  # rows ``rows``, if any, on to ε with the sweeps they have left
         if rows.size:
-            (kept := stack.stack(count)).keep(rows)  # a restack shares the stack's arrays
-            solutions[rows], _, steps = _iterate(kept, solutions[rows], epsilon[rows],
+            solutions[rows], _, steps = _iterate(stack.keep(rows), solutions[rows], epsilon[rows],
                                                  budget - used[rows])
             settled[rows] |= steps <= epsilon[rows]
 

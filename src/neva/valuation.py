@@ -590,33 +590,30 @@ class BoundValuation:
         so that every elementwise operand has it (numpy runs an operand broadcast
         from ``(1, n)`` one row at a time).  Per-row values (2-D) are shared
         with this binding (copied only where not contiguous, as a broadcast
-        is) and per-bank ones shared by every row tiled; ``keep`` then drops
-        rows, the one change a binding takes, and a stack restacks as itself."""
+        is) and per-bank ones shared by every row tiled."""
         external = "cash" if self.spec.external_kind == "unit" else "external_assets"
         constants = {name: self.constants[name] for name in ("obligations", external)}
         for factor in filter(None, self.factors):
             constants.update(factor.keywords)
-        laid_out = {name: np.ascontiguousarray(np.broadcast_to(value, (count, value.shape[-1])))
-                    for name, value in constants.items() if getattr(value, "ndim", 0)}
-        per_row = self.per_row or tuple(name for name in laid_out if constants[name].ndim == 2)
-        constants.update(laid_out)
+        per_row = tuple(name for name, value in constants.items() if getattr(value, "ndim", 0) == 2)
+        return self._laid_out({
+            name: np.ascontiguousarray(np.broadcast_to(value, (count, value.shape[-1])))
+            if getattr(value, "ndim", 0) else value for name, value in constants.items()}, per_row)
+
+    def keep(self, rows) -> "BoundValuation":
+        """The stack of rows ``rows`` (ascending) of a ``stack``, in order: per-row constants
+        gathered, tiles cut and the kernels bound to these.  This stack stays as it was."""
+        return self._laid_out({
+            name: value.take(rows, axis=0) if name in self.per_row
+            else value[:len(rows)] if getattr(value, "ndim", 0) else value
+            for name, value in self.constants.items()}, self.per_row)
+
+    def _laid_out(self, constants: dict, per_row: tuple) -> "BoundValuation":
+        """A stack of ``constants`` laid out by ``stack`` or ``keep``, its kernels bound to them."""
         return BoundValuation(self.spec, self.net, constants, tuple(
             None if factor is None else partial(
                 factor.func, **{name: constants[name] for name in factor.keywords})
             for factor in self.factors), per_row)
-
-    def keep(self, rows) -> None:
-        """Keep rows ``rows`` (ascending) of a ``stack``, in order: per-row constants gathered,
-        tiles cut, and the bound kernels read these from then on.  ``_certify`` probes its
-        stack in place (a row short of the first step keeps its iterate) and keeps rows to go on."""
-        constants = self.constants
-        for name, value in constants.items():
-            if name in self.per_row:
-                constants[name] = value.take(rows, axis=0)
-            elif isinstance(value, np.ndarray):
-                constants[name] = value[:len(rows)]
-        for factor in filter(None, self.factors):  # a partial calls with its live keywords
-            factor.keywords.update({name: constants[name] for name in factor.keywords})
 
     def external_factors(self, equities: np.ndarray) -> np.ndarray:
         return self.factors[2](equities)

@@ -24,12 +24,14 @@ from neva.solver import BIAS_SHARE, _certify, _scaled_epsilon
 from conftest import exact_greatest
 from test_properties import _monte_carlo_network, networks, sparse_networks
 
-PIECEWISE_LINEAR = st.one_of(*map(st.just, [ValuationSpec.eisenberg_noe(),
-                                             ValuationSpec.eisenberg_noe_haircut(0.5),
-                                             ValuationSpec.furfine(0.4),
-                                             ValuationSpec.linear_debtrank()]),
-                             st.builds(ValuationSpec.rogers_veraart,  # alpha, beta
-                                       st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+PIECEWISE_LINEAR = {  # the specs of each family of the exact oracle
+    "eisenberg_noe": st.just(ValuationSpec.eisenberg_noe()),
+    "eisenberg_noe_haircut": st.just(ValuationSpec.eisenberg_noe_haircut(0.5)),
+    "furfine": st.just(ValuationSpec.furfine(0.4)),
+    "linear_debtrank": st.just(ValuationSpec.linear_debtrank()),
+    "rogers_veraart": st.builds(ValuationSpec.rogers_veraart,  # alpha, beta
+                                st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+}
 
 
 def _rounding(bound) -> np.ndarray:
@@ -38,11 +40,14 @@ def _rounding(bound) -> np.ndarray:
                            1e-13)[..., np.newaxis]
 
 
-@given(networks() | sparse_networks(), PIECEWISE_LINEAR)
-def test_the_greatest_solve_lies_above_the_exact_answer(net, spec):
+@pytest.mark.parametrize("family", PIECEWISE_LINEAR)
+@given(networks() | sparse_networks(), st.data())
+def test_the_greatest_solve_lies_above_the_exact_answer(family, net, data):
     # the exact answer reads its regime off a solve at 1e-15 of the scale; the
     # default solve stops above it, and that tight solve near it, each within
-    # rounding (a bank at its fixed point rounds up to an ulp of the scale below)
+    # rounding (a bank at its fixed point rounds up to an ulp of the scale below);
+    # each family draws its own examples
+    spec = data.draw(PIECEWISE_LINEAR[family])
     exact = exact_greatest(net, spec)
     rounding = Fraction(float(_rounding(spec.bind(net))[0]))
     greatest = greatest_solution(net, spec)

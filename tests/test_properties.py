@@ -203,8 +203,6 @@ def test_payment_space_map_is_the_factor_map(net, beta, rows, seed):
     payment_map = assets - net.external_liabilities - obligations + payments @ shares
     tolerance = 16 * ULP * _scale(net, assets)
     assert np.max(np.abs(bound.equity_map(equities) - payment_map)) <= tolerance
-    # the solver's stack of the binding, its shared constants tiled, maps alike
-    assert np.array_equal(bound.stack(rows).equity_map(equities), bound.equity_map(equities))
 
 
 @given(networks() | sparse_networks(), st.integers(1, 4), st.floats(0.0, 1.0),
@@ -488,7 +486,55 @@ def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, s
         assert np.array_equal(stack.borrower_factors(equities[kept]), expected[kept])
         keep = np.flatnonzero(np.arange(len(kept)) != rng.integers(len(kept)))
         kept = kept[keep]
-        stack.keep(keep)
+        stack = stack.keep(keep)
+
+
+def _bound_alone(bound, assets, rows):
+    """The spec of ``bound`` bound to the external assets, and any ``(rows, 1)``
+    column, of its rows ``rows`` alone."""
+    columns = {name: bound.constants[name][rows] for name in ("maturity", "beta")
+               if np.ndim(bound.constants[name]) == 2}
+    return bound.spec.bind(bound.net, assets[rows], **columns)
+
+
+@given(networks() | sparse_networks(), st.integers(1, 4), st.floats(0.0, 1.0),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_stack_and_its_kept_rows_map_as_their_bindings(net, rows, beta, column, seed):
+    # under every pair of table keys (a rogers_veraart stack lays out the
+    # external assets, not the cash), with or without a (rows, 1) column: the
+    # solver's stack of a binding, its shared constants tiled, maps as the
+    # binding, and a stack kept from it maps its rows as the spec bound to
+    # those rows alone, bit for bit, as both take the same shapes
+    rng = np.random.default_rng(seed)
+    lower = net.equity_lower_bound()
+    for kind in INTERBANK_FAMILIES:
+        for external in EXTERNAL_FAMILIES:
+            bound, assets = _bind_drawn(net, kind, external, rows, beta, column, rng)
+            equities = rng.uniform(lower - 1.0, bound.book_equity + 1.0, assets.shape)
+            stack = bound.stack(rows)
+            assert np.array_equal(stack.equity_map(equities), bound.equity_map(equities))
+            kept = np.sort(rng.choice(rows, rng.integers(1, rows + 1), replace=False))
+            assert np.array_equal(stack.keep(kept).equity_map(equities[kept]),
+                                  _bound_alone(bound, assets, kept).equity_map(equities[kept]))
+
+
+@given(networks(), st.sampled_from([(kind, external) for kind in INTERBANK_FAMILIES
+                                    for external in EXTERNAL_FAMILIES]),
+       st.integers(2, 4), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_keep_returns_a_new_stack_and_leaves_its_own(net, kinds, rows, beta, column, seed):
+    # keep is pure: after it, the stack it was called on still maps all of its
+    # rows bit for bit as before, and the stack it returns maps the kept rows
+    rng = np.random.default_rng(seed)
+    bound, assets = _bind_drawn(net, *kinds, rows, beta, column, rng)
+    lower = net.equity_lower_bound()
+    equities = rng.uniform(lower - 1.0, bound.book_equity + 1.0, assets.shape)
+    stack = bound.stack(rows)
+    before = stack.equity_map(equities)
+    rows = np.sort(rng.choice(rows, rng.integers(1, rows), replace=False))
+    kept = stack.keep(rows)
+    assert np.array_equal(stack.equity_map(equities), before)
+    assert np.array_equal(kept.equity_map(equities[rows]),
+                          _bound_alone(bound, assets, rows).equity_map(equities[rows]))
 
 
 @given(networks(), st.integers(1, 3), st.floats(0.0, 1.0), st.booleans(),

@@ -116,19 +116,16 @@ def test_solve_config_validation(ring):
 
 class _Contractions:
     """A stack of contractions ``E -> rate * E + cash`` as ``_iterate`` sees a
-    binding: ``cash`` holds a row per problem and ``rate`` is a ``(rows, 1)``
-    column, both gathered by ``keep``.  The map is elementwise, so each row
-    rounds exactly as its own solve; it records the rows it is evaluated on."""
+    stack: ``cash`` holds a row per problem and ``rate`` is a ``(rows, 1)``
+    column, both gathered by ``keep`` into a new stack.  The map is elementwise,
+    so each row rounds exactly as its own solve; every stack kept from this one
+    records, in one list, the rows it is evaluated on."""
 
-    def __init__(self, cash, rate):
-        self.cash, self.rate, self.sizes = cash, rate, []
-
-    def stack(self, count):
-        assert count == len(self.cash)
-        return self
+    def __init__(self, cash, rate, sizes=None):
+        self.cash, self.rate, self.sizes = cash, rate, [] if sizes is None else sizes
 
     def keep(self, rows):
-        self.cash, self.rate = self.cash[rows], self.rate[rows]
+        return _Contractions(self.cash[rows], self.rate[rows], self.sizes)
 
     def equity_map(self, equities):
         self.sizes.append(len(equities))
