@@ -9,13 +9,12 @@ globally valued expected equities.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .network import FinancialNetwork, _is_number
+from .network import FinancialNetwork, Record, _is_number
 from .solver import SolveConfig, SolveReport, _certify, _reports, _solve, greatest_solution
 from .valuation import PARAMETER_CHECKS, SpecError, ValuationSpec, _number
 
@@ -34,8 +33,7 @@ __all__ = [
 log = logging.getLogger("neva")
 
 
-@dataclass(frozen=True, eq=False)
-class StressResult:
+class StressResult(Record):
     """One shocked solve.
 
     ``delta_equity`` measures losses against the unshocked book values;
@@ -50,8 +48,7 @@ class StressResult:
     network_effect: Optional[float]
 
 
-@dataclass(frozen=True, eq=False)
-class DiscountComparison:
+class DiscountComparison(Record):
     """Per-edge gap between the single-name discount (family evaluated at
     the shocked book equity) and the network-consistent discount (evaluated
     at the solved equity)."""
@@ -65,8 +62,7 @@ class DiscountComparison:
     converged: bool
 
 
-@dataclass(frozen=True, eq=False)
-class LimitSeries:
+class LimitSeries(Record):
     """Solutions along a monotone parameter sequence plus a reference
     solution and the sup-norm deviations from it."""
 
@@ -80,8 +76,7 @@ class LimitSeries:
     notes: tuple = ()
 
 
-@dataclass(frozen=True, eq=False)
-class MonteCarloResult:
+class MonteCarloResult(Record):
     """Sample mean and standard error of the globally valued equities, and
     ``bias_bound``, the most the ``certified`` samples' early stops raise them.
 

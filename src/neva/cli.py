@@ -15,7 +15,6 @@ import functools
 import logging
 import os
 import sys
-from dataclasses import replace
 
 from . import files
 
@@ -110,7 +109,8 @@ def run_command(argv=None) -> int:
                 f"match subcommand {args.command!r}")
         net = files.load_network(args.network) if args.network else None
         kind = files.SCENARIO_KINDS[scenario.kind]
-        config = scenario.solver and replace(scenario.solver, **_given(args, SOLVER_FLAGS))
+        config = scenario.solver and files.SolveConfig(
+            **{**vars(scenario.solver), **_given(args, SOLVER_FLAGS)})
         try:
             result = kind.run(net, scenario.valuation, config,
                               **{**scenario.params, **_given(args, FIELD_FLAGS)})

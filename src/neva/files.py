@@ -17,7 +17,6 @@ import re
 import stat
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -27,7 +26,7 @@ import numpy as np
 from . import analysis, solver
 from .analysis import (DiscountComparison, LimitSeries, MonteCarloResult,
                        StressResult)
-from .network import FinancialNetwork, NetworkError, _invalid, _invalid_edges
+from .network import FinancialNetwork, NetworkError, Record, _invalid, _invalid_edges
 from .solver import FACE_VALUES, LOWER_BOUNDS, SolveConfig, SolveReport
 from .valuation import (EXTERNAL_FAMILIES, INTERBANK_FAMILIES,
                         PARAMETER_CHECKS, SpecError, ValuationSpec, _log_move)
@@ -387,8 +386,7 @@ def _curves(value, where) -> list:
     return [_parse_curve(entry, f"{where}[{k}]") for k, entry in enumerate(value)]
 
 
-@dataclass(frozen=True)
-class ScenarioKind:
+class ScenarioKind(Record, eq=True):
     """One scenario kind.  ``fields`` and ``solver_fields`` map the fields the
     ``scenario`` and ``solver`` blocks read to ``(reader, default)`` (None:
     required).  ``run(net, valuation, config, **fields)`` looks its function up
@@ -403,7 +401,7 @@ class ScenarioKind:
     complete: Callable
     valuation: bool = False  # reads a valuation block
     solves: bool = True  # solves on a network: needs one, reads solver controls
-    solver_fields: dict = field(default_factory=dict)
+    solver_fields: dict = {}  # shared by the kinds without solver fields: never changed
     check: Optional[tuple] = None
 
 
@@ -453,8 +451,7 @@ SCENARIO_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record, eq=True):
     """Parsed scenario file: a valuation spec and solver controls (when the
     kind reads them), the scenario kind and the fields its row reads."""
 
@@ -495,8 +492,7 @@ def load_scenario(path) -> Scenario:
     return Scenario(kind=name, valuation=valuation, solver=config, params=params)
 
 
-@dataclass(frozen=True)
-class CurveTable:
+class CurveTable(Record, eq=True):
     """Rows of (family label, equity, factor value)."""
 
     rows: tuple

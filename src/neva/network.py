@@ -9,7 +9,6 @@ fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 from typing import Sequence, Union
@@ -64,8 +63,70 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class FinancialNetwork:
+class Record:
+    """Base of neva's immutable record types.
+
+    A subclass's annotated names are its fields, in order, read once when the
+    class is created; a class attribute of the same name is the field's
+    default.  Instances take the fields by position or keyword, then run
+    ``__post_init__``, and refuse assignment and deletion: a record's own
+    methods write through ``vars(self)`` or ``object.__setattr__``.  The repr
+    shows every field not named in the class keyword ``hidden``.  With the
+    class keyword ``eq=True`` instances compare and hash as the tuple of their
+    fields; otherwise by identity.
+    """
+
+    def __init_subclass__(cls, eq=False, hidden=()):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+        if eq:
+            cls.__eq__, cls.__hash__ = Record._equal, Record._hash
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._arguments(args, kwargs)
+        vars(self).update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _arguments(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order: ``args`` by position, then ``kwargs``
+        by name, then the defaults; a missing, unknown or repeated one raises TypeError."""
+        names, record = self._fields, type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{record}() takes {len(names)} arguments, got {len(args)}")
+        values = {**self._defaults, **kwargs, **dict(zip(names, args))}
+        wrong = values.keys() ^ set(names) | kwargs.keys() & set(names[:len(args)])
+        if wrong:
+            raise TypeError(f"{record}() missing, unknown or repeated: {', '.join(sorted(wrong))}")
+        return [values[name] for name in names]
+
+    def __post_init__(self):
+        """Check or normalize the fields; nothing by default."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._shown))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _equal(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+
+class FinancialNetwork(Record):
     """Immutable snapshot of the banks' balance sheets.
 
     Parameters
@@ -161,6 +222,11 @@ class FinancialNetwork:
             raise NetworkError(f"bank {ids[np.argmax(bad)]}: claims, obligations or "
                                "equity bounds overflow the float range")
         return np.flatnonzero(first[position] != np.arange(len(position)))
+
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle with every array read-only: pickle protocols before 5 copy them writeable."""
+        vars(self).update({name: _read_only(value) if isinstance(value, np.ndarray) else value
+                           for name, value in state.items()})
 
     @property
     def n(self) -> int:

@@ -14,13 +14,12 @@ check that bound, with an exact stop (``SolveConfig(epsilon=5e-324)``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional, Union
 
 import numpy as np
 
-from .network import FinancialNetwork, _is_number
+from .network import FinancialNetwork, Record, _is_number
 from .valuation import BoundValuation, ValuationSpec, en_interbank
 
 __all__ = [
@@ -48,8 +47,7 @@ def _scaled_epsilon(book_equity: np.ndarray, obligations: np.ndarray, share: flo
     return np.maximum(share * scale, 5e-324)
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class SolveConfig(Record, eq=True):
     """Iteration controls; ``epsilon=None`` selects the scale-aware default."""
 
     epsilon: Optional[float] = None
@@ -64,8 +62,7 @@ class SolveConfig:
                              f"got {self.max_iterations!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SolveReport:
+class SolveReport(Record):
     """Outcome of one fixed-point iteration run; ``residual`` is the final
     sup-norm step.  Iterates fall from face values and rise from the lower
     bounds under every feasible valuation function: the tests check that,
@@ -86,8 +83,7 @@ class SolveReport:
         return self.solution < 0
 
 
-@dataclass(frozen=True, eq=False)
-class UniquenessReport:
+class UniquenessReport(Record):
     """Bracket comparison; ``unique`` is None when either solve failed."""
 
     unique: Optional[bool]

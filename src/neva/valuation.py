@@ -18,14 +18,13 @@ recovered from a defaulted borrower.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from numbers import Real
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .network import FinancialNetwork, NetworkError, _is_number
+from .network import FinancialNetwork, NetworkError, Record, _is_number
 
 __all__ = [
     "SpecError",
@@ -367,8 +366,7 @@ PARAMETER_CHECKS = {
 }
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record, eq=True):
     """One valuation family: its factor functions and what they read.
 
     ``factor`` maps equities to the borrower-side (or external-asset)
@@ -435,8 +433,7 @@ EXTERNAL_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class ValuationSpec:
+class ValuationSpec(Record, eq=True):
     """A chosen external plus interbank valuation family with parameters.
 
     ``sigma`` may be a single volatility applied to every bank or a per-bank
@@ -559,8 +556,7 @@ class ValuationSpec:
                               + self.external_family.bind(constants)[:1])
 
 
-@dataclass(frozen=True, eq=False)
-class BoundValuation:
+class BoundValuation(Record, hidden=("constants", "factors", "per_row")):
     """A valuation spec attached to one network's balance-sheet constants.
 
     ``constants`` maps the per-bank obligations, book equities, external
@@ -575,9 +571,9 @@ class BoundValuation:
 
     spec: ValuationSpec
     net: FinancialNetwork
-    constants: dict = field(repr=False)
-    factors: tuple = field(repr=False)  # borrower, lender or None, external
-    per_row: tuple = field(default=(), repr=False)  # of a stack(): what keep() gathers
+    constants: dict
+    factors: tuple  # borrower, lender or None, external
+    per_row: tuple = ()  # of a stack(): what keep() gathers
 
     @property
     def book_equity(self) -> Optional[np.ndarray]:

@@ -1280,7 +1280,7 @@ def test_cli_monte_carlo_runs_without_page_faults(tmp_path):
 
 
 # A stress and an mc-global run in one fresh interpreter, then the modules of
-# numpy.ma and scipy that they loaded.
+# numpy.ma, scipy and dataclasses that they loaded.
 PRO_RATA_MODULES = """
 import json, sys
 from neva.cli import run_command
@@ -1288,7 +1288,8 @@ network, stress, mc, out = sys.argv[1:]
 for command, scenario in (("stress", stress), ("mc-global", mc)):
     assert run_command([command, "--network", network, "--scenario", scenario,
                         "--output", out]) == 0
-print(json.dumps(sorted(name for name in sys.modules if name in ("numpy.ma", "scipy")
+print(json.dumps(sorted(name for name in sys.modules
+                        if name in ("numpy.ma", "scipy", "dataclasses")
                         or name.startswith(("numpy.ma.", "scipy.")))))
 """
 
@@ -1296,7 +1297,8 @@ print(json.dumps(sorted(name for name in sys.modules if name in ("numpy.ma", "sc
 def test_pro_rata_commands_load_neither_numpy_ma_nor_scipy(tmp_path):
     # the pro-rata families need no closed form, and the Monte Carlo stop takes its
     # median with np.sort: numpy.ma costs about 1.8 MB of RSS, and scipy.special
-    # about 20 MB, with numpy.f2py and numpy.testing, which it pulls in
+    # about 20 MB, with numpy.f2py and numpy.testing, which it pulls in; neva's
+    # records need no dataclasses, whose decorators compile code at every import
     network = write_json(tmp_path / "net.json", RING_FILE)
     stress = write_json(tmp_path / "stress.json", {
         "valuation": EN_SOLVE_SCENARIO["valuation"],

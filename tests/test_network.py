@@ -1,11 +1,17 @@
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from neva import FinancialNetwork, NetworkError
+from neva import (FinancialNetwork, INTERBANK_FAMILIES, NetworkError, Scenario, SolveConfig,
+                  SolveReport, ValuationSpec, evaluate_curves, greatest_solution,
+                  maturity_limit_experiment, merton_vs_network_discount,
+                  monte_carlo_global_valuation, stress_test, uniqueness_check)
+from neva.files import SCENARIO_KINDS
+from neva.network import Record
 
-from conftest import claim_depth, random_dag_network, random_network
+from conftest import claim_depth, random_dag_network, random_network, ring_network
 
 
 def test_book_equity_ring(ring):
@@ -254,3 +260,105 @@ def test_index_of(ring):
     assert ring.index_of("B") == 1
     with pytest.raises(NetworkError):
         ring.index_of("Z")
+
+
+def _one_record_of_each_type() -> dict:
+    """A record of each of neva's record types, from small runs on the ring, by type name."""
+    ring, en = ring_network(), ValuationSpec.eisenberg_noe()
+    gbm = ValuationSpec.exante_en_gbm(0.3, 1.0, 0.5)
+    records = [
+        ring, INTERBANK_FAMILIES["furfine"], gbm, gbm.bind(ring), SolveConfig(epsilon=1e-9),
+        greatest_solution(ring, en), uniqueness_check(ring, en), stress_test(ring, en, [0.1])[0],
+        merton_vs_network_discount(ring, gbm, [0.1])[0],
+        maturity_limit_experiment(ring, 0.3, [1.0, 0.5]),
+        monte_carlo_global_valuation(ring, 0.2, 1.0, 1.0, 8, seed=1), SCENARIO_KINDS["stress"],
+        Scenario("solve", en, SolveConfig(), {}),
+        evaluate_curves([{"family": "eisenberg_noe", "obligations": 2.0}], [-1.0, 1.0])]
+    return {type(record).__name__: record for record in records}
+
+
+RECORD_TYPES = ("FinancialNetwork", "Family", "ValuationSpec", "BoundValuation", "SolveConfig",
+                "SolveReport", "UniquenessReport", "StressResult", "DiscountComparison",
+                "LimitSeries", "MonteCarloResult", "ScenarioKind", "Scenario", "CurveTable")
+# compared and hashed by value; the rest by identity (they hold arrays)
+VALUE_TYPES = ("Family", "ValuationSpec", "SolveConfig", "ScenarioKind", "Scenario", "CurveTable")
+
+
+def test_every_record_type_is_listed():
+    assert sorted(kind.__name__ for kind in Record.__subclasses__()) == sorted(RECORD_TYPES)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_records_are_frozen_built_by_position_or_keyword_and_compared_as_declared(name):
+    record = _one_record_of_each_type()[name]
+    kind = type(record)
+    arguments = {field: getattr(record, field) for field in kind.__annotations__}
+    if kind is FinancialNetwork:  # built from the dense matrix, not its edges
+        arguments = {"bank_ids": record.bank_ids, "external_assets": record.external_assets,
+                     "external_liabilities": record.external_liabilities,
+                     "interbank_liabilities": record.interbank_liabilities}
+    by_name, by_position = kind(**arguments), kind(*arguments.values())
+    for field in (*kind.__annotations__, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert repr(by_name) == repr(by_position) == repr(record)
+    with pytest.raises(TypeError):
+        kind(**{**arguments, "no_such_field": None})
+    required = [field for field in arguments if field not in vars(kind)]  # no default
+    if required:  # SolveConfig has a default for every field
+        with pytest.raises(TypeError):
+            kind(**{field: value for field, value in arguments.items() if field != required[0]})
+    if name not in VALUE_TYPES:
+        assert record == record and (by_name == record) is False and by_name != record
+        assert hash(by_name) != hash(record)
+    elif name in ("ScenarioKind", "Scenario"):  # a dict field: equal, but unhashable
+        assert by_name == by_position == record
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert by_name == by_position == record and hash(by_name) == hash(record)
+
+
+def test_records_print_compare_and_check_as_frozen_dataclasses_did():
+    spec = ValuationSpec.exante_en_gbm(0.3, 1.0, 0.5)
+    report = SolveReport(np.array([1.5]), 3, True, 0.0, "greatest", 1e-10)
+    net = FinancialNetwork(["a", "b"], [1.0, 2.0], [0.5, 0.5], [[0.0, 1.0], [0.5, 0.0]])
+    text = ("ValuationSpec(interbank_kind='exante_en_gbm', external_kind='unit', alpha=None, "
+            "beta=0.5, recovery=None, sigma=0.3, maturity=1.0)")
+    assert repr(spec) == text
+    assert repr(SolveConfig()) == "SolveConfig(epsilon=None, max_iterations=100000)"
+    assert repr(report) == ("SolveReport(solution=array([1.5]), iterations=3, converged=True, "
+                            "residual=0.0, kind='greatest', epsilon=1e-10, warnings=())")
+    # the binding's constants, factors and row names stay out of its repr
+    assert repr(spec.bind(net)) == f"BoundValuation(spec={text}, net=FinancialNetwork(n=2, edges=2))"
+    twin = ValuationSpec(interbank_kind="exante_en_gbm", sigma=0.3, maturity=1.0, beta=0.5)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert spec != ValuationSpec.exante_en_gbm(0.3, 1.0, 0.6)
+    assert SolveConfig() == SolveConfig(None, 100_000)
+    assert hash(SolveConfig()) == hash(SolveConfig(None, 100_000))
+    assert SolveConfig(1e-9) != SolveConfig(1e-8)
+    # equal arrays, but reports compare by identity: no elementwise truth value
+    same = SolveReport(np.array([1.5]), 3, True, 0.0, "greatest", 1e-10)
+    assert (report == same) is False and report != same
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolveConfig(None, 0)  # __post_init__ checks arguments given by position too
+
+
+def test_networks_specs_and_reports_survive_a_pickle_round_trip():
+    net = random_network(np.random.default_rng(11), max_banks=12)
+    spec = ValuationSpec.exante_en_gbm(tuple(np.linspace(0.1, 0.5, net.n)), 1.0, 0.5)
+    report = greatest_solution(net, spec)
+    copies = pickle.loads(pickle.dumps((net, spec, report)))
+    assert copies[1] == spec and copies[1] is not spec
+    assert greatest_solution(*copies[:2]).solution.tobytes() == report.solution.tobytes()
+    assert copies[2].solution.tobytes() == report.solution.tobytes()
+    assert copies[2].iterations == report.iterations
+    # pickle before protocol 5 (the default to 3.13) copies arrays out writeable
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(net, protocol))
+        assert not any(value.flags.writeable for value in vars(copy).values()
+                       if isinstance(value, np.ndarray))
+        with pytest.raises(AttributeError):
+            copy.bank_ids = ()
