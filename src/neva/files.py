@@ -681,8 +681,9 @@ def render_results(result, fmt: str = "csv",
     made as they are consumed; the arguments are checked before the first piece.
 
     CSV columns are fixed per result kind (see README); JSON mirrors the
-    same rows.  Both render from one set of columns.  Floats are printed
-    with 17 significant digits so parsing the output recovers them exactly.
+    same rows.  Both render from one set of columns.  CSV prints floats with
+    17 significant digits, JSON as ``json.dumps``'s shortest round-trip text;
+    parsing either recovers them exactly.
     """
     if fmt not in ("csv", "json"):
         raise FileFormatError(f"unknown output format {fmt!r}")

@@ -94,7 +94,7 @@ class UniquenessReport(Record):
 
 def _iterate(stack: BoundValuation, start: np.ndarray, epsilon, max_iterations: int) -> tuple:
     """Fixed-point iteration of every row of the ``(batch, n)`` stack ``start``
-    under the equity map of ``stack``, a ``BoundValuation.stack(batch)``.
+    under the equity map of ``stack``, a ``BoundValuation.stack()``.
 
     A row retires once its sup-norm step is at most its ``epsilon`` or at its ``max_iterations``
     sweeps (each scalar or per row; caps of at least 1); the active rows stay compact, in order,
@@ -143,8 +143,7 @@ def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfi
     config = config or SolveConfig()
     epsilon = config.epsilon or _scaled_epsilon(bound.book_equity,
                                                 bound.net.total_obligations())
-    solutions, sweeps, residuals = _iterate(bound.stack(len(start)), start, epsilon,
-                                            config.max_iterations)
+    solutions, sweeps, residuals = _iterate(bound.stack(), start, epsilon, config.max_iterations)
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
     epsilon = np.broadcast_to(epsilon, residuals.shape)
     return solutions, sweeps, residuals, epsilon, residuals <= epsilon
@@ -161,11 +160,11 @@ def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
     config, book = config or SolveConfig(), bound.book_equity
     (count, n), obligations = book.shape, bound.net.total_obligations()
     scale, budget = _scaled_epsilon(book, obligations, 1.0), config.max_iterations
-    epsilon = np.broadcast_to(config.epsilon or np.maximum(1e-10 * scale, 5e-324), count)
+    epsilon = np.broadcast_to(config.epsilon or _scaled_epsilon(book, obligations), count)
     se = book.std(0, ddof=1) / np.sqrt(count) if count > 1 and not config.epsilon else np.zeros(n)
     least = BIAS_SHARE * min(se[se > 0], default=0.0)  # Harris: no equity SE is below min(se)
     first = np.clip(least, 1e-6 * scale, 1e-3 * scale) if least else epsilon  # floor: README
-    step, stack = np.maximum(first, epsilon), bound.stack(count)  # at ε: a plain solve
+    step, stack = np.maximum(first, epsilon), bound.stack()  # at ε: a plain solve
     solutions, used, steps = _iterate(stack, book, step, budget)  # every row
     settled, certified, bounds = steps <= epsilon, np.zeros(count, bool), np.zeros_like(book)
 

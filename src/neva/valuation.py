@@ -556,7 +556,7 @@ class ValuationSpec(Record, eq=True):
                               + self.external_family.bind(constants)[:1])
 
 
-class BoundValuation(Record, hidden=("constants", "factors", "per_row")):
+class BoundValuation(Record, hidden=("constants", "factors")):
     """A valuation spec attached to one network's balance-sheet constants.
 
     ``constants`` maps the per-bank obligations, book equities, external
@@ -573,43 +573,35 @@ class BoundValuation(Record, hidden=("constants", "factors", "per_row")):
     net: FinancialNetwork
     constants: dict
     factors: tuple  # borrower, lender or None, external
-    per_row: tuple = ()  # of a stack(): what keep() gathers
 
     @property
     def book_equity(self) -> Optional[np.ndarray]:
         """Per-bank (or per-row) book equities; None on a ``stack()``."""
         return self.constants.get("book_equity")
 
-    def stack(self, count: int) -> "BoundValuation":
-        """The solver's private valuation of a ``count``-row stack of equities:
-        what its equity map and bound factors read, each with the stack's shape,
-        so that every elementwise operand has it (numpy runs an operand broadcast
-        from ``(1, n)`` one row at a time).  Per-row values (2-D) are shared
-        with this binding (copied only where not contiguous, as a broadcast
-        is) and per-bank ones shared by every row tiled."""
+    def stack(self) -> "BoundValuation":
+        """The solver's private valuation of a ``(rows, n)`` stack of equities, as many rows
+        as this binding's per-row values have (any without them): what its equity map and
+        bound factors read, shared with this binding as it holds them.  Per-row values
+        are ``(rows, n)`` or ``(rows, 1)``; per-bank ones ``(n,)``, broadcast over the rows."""
         external = "cash" if self.spec.external_kind == "unit" else "external_assets"
         constants = {name: self.constants[name] for name in ("obligations", external)}
         for factor in filter(None, self.factors):
             constants.update(factor.keywords)
-        per_row = tuple(name for name, value in constants.items() if getattr(value, "ndim", 0) == 2)
-        return self._laid_out({
-            name: np.ascontiguousarray(np.broadcast_to(value, (count, value.shape[-1])))
-            if getattr(value, "ndim", 0) else value for name, value in constants.items()}, per_row)
+        return self._laid_out(constants)
 
     def keep(self, rows) -> "BoundValuation":
-        """The stack of rows ``rows`` (ascending) of a ``stack``, in order: per-row constants
-        gathered, tiles cut and the kernels bound to these.  This stack stays as it was."""
-        return self._laid_out({
-            name: value.take(rows, axis=0) if name in self.per_row
-            else value[:len(rows)] if getattr(value, "ndim", 0) else value
-            for name, value in self.constants.items()}, self.per_row)
+        """The stack of rows ``rows`` of a ``stack``, in order: per-row (2-D) values gathered,
+        the rest passed through and the kernels bound to these.  This stack stays as it was."""
+        return self._laid_out({name: value.take(rows, axis=0) if getattr(value, "ndim", 0) == 2
+                               else value for name, value in self.constants.items()})
 
-    def _laid_out(self, constants: dict, per_row: tuple) -> "BoundValuation":
+    def _laid_out(self, constants: dict) -> "BoundValuation":
         """A stack of ``constants`` laid out by ``stack`` or ``keep``, its kernels bound to them."""
         return BoundValuation(self.spec, self.net, constants, tuple(
             None if factor is None else partial(
                 factor.func, **{name: constants[name] for name in factor.keywords})
-            for factor in self.factors), per_row)
+            for factor in self.factors))
 
     def external_factors(self, equities: np.ndarray) -> np.ndarray:
         return self.factors[2](equities)

@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import re
+import runpy
 import stat
 import subprocess
 import sys
@@ -1216,6 +1217,18 @@ def test_package_entry_point_without_a_command_exits_two():
                           env=_child_env())
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("usage: neva ")
+
+
+def test_package_main_in_process_exits_with_the_command_status(monkeypatch, capsys):
+    # the subprocess tests above, run in this process so that a line trace of
+    # the suite sees neva/__main__.py and cli.main
+    for argv, status in ((["--help"], 0), ([], 2)):
+        monkeypatch.setattr(sys, "argv", ["neva", *argv])
+        with pytest.raises(SystemExit) as stopped:
+            runpy.run_module("neva", run_name="__main__")
+        assert stopped.value.code == status
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: neva ") and err.startswith("usage: neva ")
 
 
 def test_cli_logging_env(tmp_path, monkeypatch, capsys):

@@ -331,13 +331,17 @@ def test_records_print_compare_and_check_as_frozen_dataclasses_did():
     assert repr(SolveConfig()) == "SolveConfig(epsilon=None, max_iterations=100000)"
     assert repr(report) == ("SolveReport(solution=array([1.5]), iterations=3, converged=True, "
                             "residual=0.0, kind='greatest', epsilon=1e-10, warnings=())")
-    # the binding's constants, factors and row names stay out of its repr
+    # the binding's constants and factors stay out of its repr
     assert repr(spec.bind(net)) == f"BoundValuation(spec={text}, net=FinancialNetwork(n=2, edges=2))"
     twin = ValuationSpec(interbank_kind="exante_en_gbm", sigma=0.3, maturity=1.0, beta=0.5)
     assert spec == twin and hash(spec) == hash(twin)
     assert spec != ValuationSpec.exante_en_gbm(0.3, 1.0, 0.6)
     assert SolveConfig() == SolveConfig(None, 100_000)
     assert hash(SolveConfig()) == hash(SolveConfig(None, 100_000))
+    with pytest.raises(TypeError, match=r"SolveConfig\(\) takes 2 arguments, got 3"):
+        SolveConfig(None, 100_000, 1)
+    # against another type a value record is unequal, and comparing does not raise
+    assert (spec == "exante_en_gbm") is False and SolveConfig() != 0
     assert SolveConfig(1e-9) != SolveConfig(1e-8)
     # equal arrays, but reports compare by identity: no elementwise truth value
     same = SolveReport(np.array([1.5]), 3, True, 0.0, "greatest", 1e-10)

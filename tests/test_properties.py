@@ -481,7 +481,7 @@ def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, s
     expected = family.factor(equities, **{name: bound.constants[name]
                                           for name in family.reads})
     assert np.array_equal(bound.borrower_factors(equities), expected)
-    stack, kept = bound.stack(rows), np.arange(rows)
+    stack, kept = bound.stack(), np.arange(rows)
     for _ in range(rows):  # drop a drawn row at a time: the rest move up, in order
         assert np.array_equal(stack.borrower_factors(equities[kept]), expected[kept])
         keep = np.flatnonzero(np.arange(len(kept)) != rng.integers(len(kept)))
@@ -502,16 +502,15 @@ def _bound_alone(bound, assets, rows):
 def test_a_stack_and_its_kept_rows_map_as_their_bindings(net, rows, beta, column, seed):
     # under every pair of table keys (a rogers_veraart stack lays out the
     # external assets, not the cash), with or without a (rows, 1) column: the
-    # solver's stack of a binding, its shared constants tiled, maps as the
-    # binding, and a stack kept from it maps its rows as the spec bound to
-    # those rows alone, bit for bit, as both take the same shapes
+    # solver's stack of a binding maps as the binding, and a stack kept from it
+    # maps its rows as the spec bound to those rows alone, bit for bit
     rng = np.random.default_rng(seed)
     lower = net.equity_lower_bound()
     for kind in INTERBANK_FAMILIES:
         for external in EXTERNAL_FAMILIES:
             bound, assets = _bind_drawn(net, kind, external, rows, beta, column, rng)
             equities = rng.uniform(lower - 1.0, bound.book_equity + 1.0, assets.shape)
-            stack = bound.stack(rows)
+            stack = bound.stack()
             assert np.array_equal(stack.equity_map(equities), bound.equity_map(equities))
             kept = np.sort(rng.choice(rows, rng.integers(1, rows + 1), replace=False))
             assert np.array_equal(stack.keep(kept).equity_map(equities[kept]),
@@ -523,15 +522,29 @@ def test_a_stack_and_its_kept_rows_map_as_their_bindings(net, rows, beta, column
        st.integers(2, 4), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
 def test_keep_returns_a_new_stack_and_leaves_its_own(net, kinds, rows, beta, column, seed):
     # keep is pure: after it, the stack it was called on still maps all of its
-    # rows bit for bit as before, and the stack it returns maps the kept rows
+    # rows bit for bit as before, and the stack it returns maps the kept rows.
+    # A stack holds the binding's arrays, not copies, such as the obligations or
+    # the prepared reciprocal; keep gathers the 2-D ones and passes the rest on
     rng = np.random.default_rng(seed)
     bound, assets = _bind_drawn(net, *kinds, rows, beta, column, rng)
     lower = net.equity_lower_bound()
     equities = rng.uniform(lower - 1.0, bound.book_equity + 1.0, assets.shape)
-    stack = bound.stack(rows)
+    stack = bound.stack()
+    held = [*bound.constants.values(), *(value for factor in filter(None, bound.factors)
+                                         for value in factor.keywords.values())]
+    for name, value in stack.constants.items():
+        if isinstance(value, np.ndarray):
+            assert any(np.shares_memory(value, source) for source in held
+                       if isinstance(source, np.ndarray)), name
     before = stack.equity_map(equities)
     rows = np.sort(rng.choice(rows, rng.integers(1, rows), replace=False))
     kept = stack.keep(rows)
+    assert kept.constants.keys() == stack.constants.keys()
+    for name, value in kept.constants.items():
+        if np.ndim(value) == 2:
+            assert len(value) == len(rows)
+        else:
+            assert value is stack.constants[name]
     assert np.array_equal(stack.equity_map(equities), before)
     assert np.array_equal(kept.equity_map(equities[rows]),
                           _bound_alone(bound, assets, rows).equity_map(equities[rows]))
