@@ -176,11 +176,11 @@ class FinancialNetwork(Record):
 
     def _fill(self, bank_ids, external_assets, external_liabilities, debtors, creditors,
               amounts) -> np.ndarray:
-        """Check the banks and edges and set the fields.  The first invalid
-        edge in the order given is named, a bad amount before a self-loan.
-        A repeated pair's amounts are summed in the given order, zero sums
-        dropped, and the edges and creditor runs stored lender-major, from one
-        sort that also finds the positions it returns: edges repeating a pair."""
+        """Check the banks and edges and set the fields.  The first invalid edge in the
+        order given is named, a bad amount before a self-loan.  A repeated pair's amounts
+        are summed in the given order, zero sums dropped, and the edges and creditor runs
+        stored lender-major, from one sort that also finds the positions it returns: edges
+        repeating a pair.  Sums are float without edges too, where bincount gives int 0s."""
         ids = tuple(str(b) for b in bank_ids)
         n = len(ids)
         bad = _invalid_edges(n, debtors, creditors, amounts)
@@ -197,7 +197,7 @@ class FinancialNetwork(Record):
             raise NetworkError("bank ids are not unique")
         pairs, first, position = np.unique(np.asarray(creditors, dtype=np.intp) * n
                                            + debtors, return_index=True, return_inverse=True)
-        sums = np.bincount(position, amounts, len(pairs))
+        sums = np.bincount(position, amounts, len(pairs)).astype(float, copy=False)
         held = sums > 0
         creditors, debtors = np.divmod(pairs[held], n)
         amounts = sums[held]
@@ -207,7 +207,7 @@ class FinancialNetwork(Record):
             "external_liabilities": _as_amount_vector(external_liabilities, n,
                                                       "external_liabilities"),
             "debtors": debtors, "creditors": creditors, "amounts": amounts,
-            "_obligations": np.bincount(debtors, amounts, n),
+            "_obligations": np.bincount(debtors, amounts, n).astype(float, copy=False),
             "_claim_holders": creditors[starts], "_claim_starts": starts}
         vars(self).update(  # frozen: fill the fields directly
             {name: _read_only(arr) for name, arr in arrays.items()}, bank_ids=ids)

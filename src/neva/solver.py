@@ -92,13 +92,13 @@ class UniquenessReport(Record):
     least: SolveReport
 
 
-def _iterate(stack: BoundValuation, start: np.ndarray, epsilon, max_iterations: int) -> tuple:
+def _iterate(bound: BoundValuation, start: np.ndarray, epsilon, max_iterations: int) -> tuple:
     """Fixed-point iteration of every row of the ``(batch, n)`` stack ``start``
-    under the equity map of ``stack``, a ``BoundValuation.stack()``.
+    under the equity map of ``bound``, a binding or a valuation its ``keep`` returned.
 
     A row retires once its sup-norm step is at most its ``epsilon`` or at its ``max_iterations``
     sweeps (each scalar or per row; caps of at least 1); the active rows stay compact, in order,
-    and so does the stack, which ``keep`` lays out anew, so the map is never evaluated on zero
+    and so does the valuation, which ``keep`` takes anew, so the map is never evaluated on zero
     rows.  Returns per row the last iterate, sweeps and last step.
     """
     solutions = np.array(start, dtype=float)
@@ -112,7 +112,7 @@ def _iterate(stack: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
     for sweep in range(1, int(sweeps.max(initial=0)) + 1):
         if not active.size:
             break
-        updated = stack.equity_map(equities)
+        updated = bound.equity_map(equities)
         # the last iterate is not read again: its buffer takes the change
         change = np.subtract(updated, equities, out=equities)
         # the row maxima as segments of the flat stack: max(axis=1) pays per row
@@ -122,7 +122,7 @@ def _iterate(stack: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
         done = steps <= tolerance
         if sweep >= least:
             done |= sweeps[active] <= sweep
-        if done.any():  # the rows left move up, in order, and the stack keeps them
+        if done.any():  # the rows left move up, in order, and so does the valuation
             gone, kept = done.nonzero()[0], (~done).nonzero()[0]
             retired = active[gone]
             solutions[retired] = equities[gone]
@@ -130,7 +130,7 @@ def _iterate(stack: BoundValuation, start: np.ndarray, epsilon, max_iterations: 
             active, equities, steps = active[kept], equities.take(kept, axis=0), steps[kept]
             tolerance = tolerance[kept]
             if kept.size:
-                stack = stack.keep(kept)
+                bound = bound.keep(kept)
     solutions[active], residuals[active] = equities, steps
     return solutions, sweeps, residuals
 
@@ -143,7 +143,7 @@ def _solve(bound: BoundValuation, start: np.ndarray, config: Optional[SolveConfi
     config = config or SolveConfig()
     epsilon = config.epsilon or _scaled_epsilon(bound.book_equity,
                                                 bound.net.total_obligations())
-    solutions, sweeps, residuals = _iterate(bound.stack(), start, epsilon, config.max_iterations)
+    solutions, sweeps, residuals = _iterate(bound, start, epsilon, config.max_iterations)
     solutions = np.clip(solutions, bound.net.equity_lower_bound(), bound.book_equity)
     epsilon = np.broadcast_to(epsilon, residuals.shape)
     return solutions, sweeps, residuals, epsilon, residuals <= epsilon
@@ -164,13 +164,13 @@ def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
     se = book.std(0, ddof=1) / np.sqrt(count) if count > 1 and not config.epsilon else np.zeros(n)
     least = BIAS_SHARE * min(se[se > 0], default=0.0)  # Harris: no equity SE is below min(se)
     first = np.clip(least, 1e-6 * scale, 1e-3 * scale) if least else epsilon  # floor: README
-    step, stack = np.maximum(first, epsilon), bound.stack()  # at ε: a plain solve
-    solutions, used, steps = _iterate(stack, book, step, budget)  # every row
+    step = np.maximum(first, epsilon)  # at ε: a plain solve
+    solutions, used, steps = _iterate(bound, book, step, budget)  # every row
     settled, certified, bounds = steps <= epsilon, np.zeros(count, bool), np.zeros_like(book)
 
     def onward(rows):  # rows ``rows``, if any, on to ε with the sweeps they have left
         if rows.size:
-            solutions[rows], _, steps = _iterate(stack.keep(rows), solutions[rows], epsilon[rows],
+            solutions[rows], _, steps = _iterate(bound.keep(rows), solutions[rows], epsilon[rows],
                                                  budget - used[rows])
             settled[rows] |= steps <= epsilon[rows]
 
@@ -186,7 +186,7 @@ def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
     probed = (steps <= step) & (step > epsilon)  # met a first step: probed once, in place
     if probed.any():
         gap = solutions.copy()  # taken before the map's temporaries: lower peak RSS (README)
-        upper = stack.equity_map(gap)  # E', from E: one more sweep
+        upper = bound.equity_map(gap)  # E', from E: one more sweep
         np.subtract(gap, upper, out=gap)  # w, in E's copy
         offsets = np.arange(count) * n  # the row maxima as segments of the flat stack
         drop, jump = (np.maximum.reduceat(w.ravel(), offsets) for w in (gap, np.abs(gap)))
@@ -197,7 +197,7 @@ def _certify(bound: BoundValuation, config: Optional[SolveConfig]) -> tuple:
         np.maximum(gap, np.maximum(1e-3 * drop[:, np.newaxis], slack), out=gap)
         gap *= (1.0 + 2.0 * rate / (1.0 - rate))[:, np.newaxis]
         probe = np.subtract(upper, np.add(gap, slack, out=gap), out=gap)  # x
-        certified |= probed & (stack.equity_map(probe) >= probe).all(axis=1)
+        certified |= probed & (bound.equity_map(probe) >= probe).all(axis=1)
         np.copyto(solutions, upper, where=probed[:, np.newaxis])
         np.copyto(bounds, np.subtract(upper, probe, out=upper), where=certified[:, np.newaxis])
         used += probed

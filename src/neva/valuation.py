@@ -576,28 +576,19 @@ class BoundValuation(Record, hidden=("constants", "factors")):
 
     @property
     def book_equity(self) -> Optional[np.ndarray]:
-        """Per-bank (or per-row) book equities; None on a ``stack()``."""
+        """Per-bank (or per-row) book equities; None on a valuation ``keep`` returned."""
         return self.constants.get("book_equity")
 
-    def stack(self) -> "BoundValuation":
-        """The solver's private valuation of a ``(rows, n)`` stack of equities, as many rows
-        as this binding's per-row values have (any without them): what its equity map and
-        bound factors read, shared with this binding as it holds them.  Per-row values
-        are ``(rows, n)`` or ``(rows, 1)``; per-bank ones ``(n,)``, broadcast over the rows."""
+    def keep(self, rows) -> "BoundValuation":
+        """Rows ``rows``, in order, of this valuation: what its map and kernels read (obligations,
+        cash or external assets, kernel keywords), 2-D values gathered, per-bank ones passed on as
+        the same objects, and the kernels bound to these.  This valuation stays as it was."""
         external = "cash" if self.spec.external_kind == "unit" else "external_assets"
         constants = {name: self.constants[name] for name in ("obligations", external)}
         for factor in filter(None, self.factors):
             constants.update(factor.keywords)
-        return self._laid_out(constants)
-
-    def keep(self, rows) -> "BoundValuation":
-        """The stack of rows ``rows`` of a ``stack``, in order: per-row (2-D) values gathered,
-        the rest passed through and the kernels bound to these.  This stack stays as it was."""
-        return self._laid_out({name: value.take(rows, axis=0) if getattr(value, "ndim", 0) == 2
-                               else value for name, value in self.constants.items()})
-
-    def _laid_out(self, constants: dict) -> "BoundValuation":
-        """A stack of ``constants`` laid out by ``stack`` or ``keep``, its kernels bound to them."""
+        constants = {name: value.take(rows, axis=0) if getattr(value, "ndim", 0) == 2
+                     else value for name, value in constants.items()}
         return BoundValuation(self.spec, self.net, constants, tuple(
             None if factor is None else partial(
                 factor.func, **{name: constants[name] for name in factor.keywords})

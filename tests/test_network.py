@@ -1,3 +1,4 @@
+import json
 import pickle
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from neva import (FinancialNetwork, INTERBANK_FAMILIES, NetworkError, Scenario, SolveConfig,
-                  SolveReport, ValuationSpec, evaluate_curves, greatest_solution,
+                  SolveReport, ValuationSpec, evaluate_curves, greatest_solution, load_network,
                   maturity_limit_experiment, merton_vs_network_discount,
                   monte_carlo_global_valuation, stress_test, uniqueness_check)
 from neva.files import SCENARIO_KINDS
@@ -46,6 +47,24 @@ def test_total_obligations(ring, closed_chain):
     assert np.allclose(closed_chain.total_obligations(), [1.5, 1.1, 1.2])
     empty = FinancialNetwork(["X", "Y"], [1.0, 1.0], [0.0, 0.0], np.zeros((2, 2)))
     assert np.all(empty.total_obligations() == 0.0)
+
+
+def test_a_network_without_edges_holds_float_sums(tmp_path):
+    # built from a zero matrix or read from a file with no liabilities, a
+    # network's obligations and edge amounts are float, as its claims and
+    # book equity are, not the int zeros numpy's bincount gives for no edges
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"banks": [
+        {"id": "X", "external_assets": 1.0, "external_liabilities": 0.5},
+        {"id": "Y", "external_assets": 2.0, "external_liabilities": 0.0}],
+        "liabilities": []}))
+    dense = FinancialNetwork(["X", "Y"], [1.0, 2.0], [0.5, 0.0], np.zeros((2, 2)))
+    for net in (dense, load_network(path)):
+        for values in (net.total_obligations(), net.amounts, net.total_claims(),
+                       net.book_equity(), net.equity_lower_bound()):
+            assert values.dtype == np.float64
+        assert np.array_equal(net.total_obligations(), [0.0, 0.0])
+        assert np.array_equal(net.book_equity(), [0.5, 2.0])
 
 
 def test_apply_shock_identity_and_full(ring):

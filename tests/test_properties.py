@@ -72,6 +72,12 @@ def networks(max_banks=6):
     return balance_sheets(max_banks).map(lambda sheets: FinancialNetwork(*sheets))
 
 
+def edgeless_networks(max_banks=6):
+    """The banks of ``balance_sheets`` without a liability between them."""
+    return balance_sheets(max_banks).map(
+        lambda sheets: FinancialNetwork(*sheets[:3], np.zeros_like(sheets[3])))
+
+
 @st.composite
 def sparse_networks(draw, acyclic=False):
     """A random network of 80 to 160 banks with a mean degree of at most
@@ -461,15 +467,16 @@ def _bind_drawn(net, kind, external, rows, beta, column, rng) -> tuple:
     return spec.bind(net, assets, **columns), assets
 
 
-@given(networks(), st.sampled_from(sorted(INTERBANK_FAMILIES)), st.integers(1, 3),
-       st.floats(0.0, 1.0, exclude_max=True), st.booleans(), st.integers(0, 2**32 - 1))
+@given(networks() | edgeless_networks(), st.sampled_from(sorted(INTERBANK_FAMILIES)),
+       st.integers(1, 3), st.floats(0.0, 1.0, exclude_max=True), st.booleans(),
+       st.integers(0, 2**32 - 1))
 def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, seed):
     # bind computes each family's equity-independent constants once and its
-    # kernel the rest every sweep; the bound factor, on a stack and on the
-    # solver's stack after it kept some rows, must be the public function bit
-    # for bit on every branch: banks without obligations or external assets,
-    # equities on both sides of 0 and at -pbar and at Ae, per-bank sigma,
-    # beta < 1 and a (rows, 1) column
+    # kernel the rest every sweep; the bound factor, on a binding and on what
+    # keep takes of it a row at a time, as the solver does, must be the public
+    # function bit for bit on every branch: banks without obligations or
+    # external assets, equities on both sides of 0 and at -pbar and at Ae,
+    # per-bank sigma, beta < 1 and a (rows, 1) column
     rng = np.random.default_rng(seed)
     bound, assets = _bind_drawn(net, kind, "unit", rows, beta, column, rng)
     family = INTERBANK_FAMILIES[kind]
@@ -480,13 +487,12 @@ def test_bound_factors_are_the_public_functions(net, kind, rows, beta, column, s
                          rng.normal(0.0, 2.0, assets.shape))
     expected = family.factor(equities, **{name: bound.constants[name]
                                           for name in family.reads})
-    assert np.array_equal(bound.borrower_factors(equities), expected)
-    stack, kept = bound.stack(), np.arange(rows)
+    valuation, kept = bound, np.arange(rows)
     for _ in range(rows):  # drop a drawn row at a time: the rest move up, in order
-        assert np.array_equal(stack.borrower_factors(equities[kept]), expected[kept])
+        assert np.array_equal(valuation.borrower_factors(equities[kept]), expected[kept])
         keep = np.flatnonzero(np.arange(len(kept)) != rng.integers(len(kept)))
         kept = kept[keep]
-        stack = stack.keep(keep)
+        valuation = valuation.keep(keep)
 
 
 def _bound_alone(bound, assets, rows):
@@ -497,55 +503,66 @@ def _bound_alone(bound, assets, rows):
     return bound.spec.bind(bound.net, assets[rows], **columns)
 
 
-@given(networks() | sparse_networks(), st.integers(1, 4), st.floats(0.0, 1.0),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_a_stack_and_its_kept_rows_map_as_their_bindings(net, rows, beta, column, seed):
-    # under every pair of table keys (a rogers_veraart stack lays out the
-    # external assets, not the cash), with or without a (rows, 1) column: the
-    # solver's stack of a binding maps as the binding, and a stack kept from it
-    # maps its rows as the spec bound to those rows alone, bit for bit
+@given(networks() | sparse_networks() | edgeless_networks(), st.integers(1, 4),
+       st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_bindings_kept_rows_map_as_the_spec_bound_to_them(net, rows, beta, column, seed):
+    # under every pair of table keys (a rogers_veraart valuation keeps the
+    # external assets, not the cash), with or without a (rows, 1) column: all
+    # rows kept map as the binding, and rows kept from a binding, or kept again
+    # from those, map as the spec bound to those rows alone, bit for bit
     rng = np.random.default_rng(seed)
     lower = net.equity_lower_bound()
+    everything = np.arange(rows)
     for kind in INTERBANK_FAMILIES:
         for external in EXTERNAL_FAMILIES:
             bound, assets = _bind_drawn(net, kind, external, rows, beta, column, rng)
             equities = rng.uniform(lower - 1.0, bound.book_equity + 1.0, assets.shape)
-            stack = bound.stack()
-            assert np.array_equal(stack.equity_map(equities), bound.equity_map(equities))
+            assert np.array_equal(bound.keep(everything).equity_map(equities),
+                                  bound.equity_map(equities))
             kept = np.sort(rng.choice(rows, rng.integers(1, rows + 1), replace=False))
-            assert np.array_equal(stack.keep(kept).equity_map(equities[kept]),
-                                  _bound_alone(bound, assets, kept).equity_map(equities[kept]))
+            again = np.sort(rng.choice(len(kept), rng.integers(1, len(kept) + 1),
+                                       replace=False))
+            for valuation, taken in ((bound.keep(kept), kept),
+                                     (bound.keep(kept).keep(again), kept[again])):
+                assert np.array_equal(valuation.equity_map(equities[taken]),
+                                      _bound_alone(bound, assets, taken).equity_map(
+                                          equities[taken]))
 
 
-@given(networks(), st.sampled_from([(kind, external) for kind in INTERBANK_FAMILIES
-                                    for external in EXTERNAL_FAMILIES]),
+@given(networks() | edgeless_networks(),
+       st.sampled_from([(kind, external) for kind in INTERBANK_FAMILIES
+                        for external in EXTERNAL_FAMILIES]),
        st.integers(2, 4), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
-def test_keep_returns_a_new_stack_and_leaves_its_own(net, kinds, rows, beta, column, seed):
-    # keep is pure: after it, the stack it was called on still maps all of its
-    # rows bit for bit as before, and the stack it returns maps the kept rows.
-    # A stack holds the binding's arrays, not copies, such as the obligations or
-    # the prepared reciprocal; keep gathers the 2-D ones and passes the rest on
+def test_keep_returns_a_new_valuation_and_leaves_its_own(net, kinds, rows, beta, column, seed):
+    # keep is pure: after it, the binding it was called on still maps all of
+    # its rows bit for bit as before, and the valuation it returns maps the
+    # kept rows.  That valuation holds only what the map and the kernels read:
+    # the obligations, the cash (or the external assets) and the kernels'
+    # keywords, the 2-D ones gathered to the kept rows and the rest the
+    # binding's own objects, the obligations too, with or without edges; its
+    # kernels are bound to what it holds
     rng = np.random.default_rng(seed)
     bound, assets = _bind_drawn(net, *kinds, rows, beta, column, rng)
     lower = net.equity_lower_bound()
     equities = rng.uniform(lower - 1.0, bound.book_equity + 1.0, assets.shape)
-    stack = bound.stack()
-    held = [*bound.constants.values(), *(value for factor in filter(None, bound.factors)
-                                         for value in factor.keywords.values())]
-    for name, value in stack.constants.items():
-        if isinstance(value, np.ndarray):
-            assert any(np.shares_memory(value, source) for source in held
-                       if isinstance(source, np.ndarray)), name
-    before = stack.equity_map(equities)
+    before = bound.equity_map(equities)
     rows = np.sort(rng.choice(rows, rng.integers(1, rows), replace=False))
-    kept = stack.keep(rows)
-    assert kept.constants.keys() == stack.constants.keys()
+    kept = bound.keep(rows)
+    keywords = {name: value for factor in filter(None, bound.factors)
+                for name, value in factor.keywords.items()}
+    external = "cash" if kinds[1] == "unit" else "external_assets"
+    assert kept.constants.keys() == {"obligations", external} | keywords.keys()
+    assert kept.book_equity is None
+    assert kept.constants["obligations"] is bound.constants["obligations"]
     for name, value in kept.constants.items():
         if np.ndim(value) == 2:
-            assert len(value) == len(rows)
+            assert len(value) == len(rows), name
         else:
-            assert value is stack.constants[name]
-    assert np.array_equal(stack.equity_map(equities), before)
+            assert value is keywords.get(name, bound.constants.get(name)), name
+    for factor in filter(None, kept.factors):
+        for name, value in factor.keywords.items():
+            assert value is kept.constants[name], name
+    assert np.array_equal(bound.equity_map(equities), before)
     assert np.array_equal(kept.equity_map(equities[rows]),
                           _bound_alone(bound, assets, rows).equity_map(equities[rows]))
 
